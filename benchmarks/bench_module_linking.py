@@ -25,8 +25,10 @@ at least 5x faster than the cold one.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.engine import Engine
@@ -92,6 +94,21 @@ int main() {{
 }}"""
 
 
+@contextmanager
+def _gc_paused():
+    """Keep cyclic-GC pauses out of a timed region, as :mod:`timeit`
+    does: the garbage they collect was made by the untimed loads and
+    runs around it, and a pause landing in one timed link would decide
+    the cold/warm ratio."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def collect_benchmark(
     arch: str = "mips",
     programs: int = 12,
@@ -121,10 +138,11 @@ def collect_benchmark(
         # Address-space construction and execution are identical for
         # cold and warm loads, so they run outside the clock (but still
         # run: every program's output is checked).
-        start = time.perf_counter()
-        image = engine.link_modules([name])
-        engine.translate(image)
-        seconds = time.perf_counter() - start
+        with _gc_paused():
+            start = time.perf_counter()
+            image = engine.link_modules([name])
+            engine.translate(image)
+            seconds = time.perf_counter() - start
         hits1, misses1 = counters()
         module = engine.load(image)
         code = module.run()
@@ -145,10 +163,11 @@ def collect_benchmark(
     # its chunks); the library must stay warm on the relink.
     engine.register_module("prog0", program_source(0, functions))
     hits0, misses0 = counters()
-    start = time.perf_counter()
-    image = engine.link_modules(["prog0"])
-    engine.translate(image)
-    reload_seconds = time.perf_counter() - start
+    with _gc_paused():
+        start = time.perf_counter()
+        image = engine.link_modules(["prog0"])
+        engine.translate(image)
+        reload_seconds = time.perf_counter() - start
     hits1, misses1 = counters()
     reload_code = engine.load(image).run()
     invalidation = {

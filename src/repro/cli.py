@@ -64,7 +64,7 @@ from repro.omnivm.asmparser import assemble
 from repro.omnivm.disasm import disassemble_program
 from repro.omnivm.linker import LinkedProgram, link
 from repro.omnivm.objfile import ObjectModule
-from repro.runtime.loader import run_module
+from repro.runtime.loader import ENGINES, run_module
 from repro.runtime.native_loader import run_on_target
 from repro.translators import ARCHITECTURES, TranslationOptions
 
@@ -589,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "policy and cross-module calls go through "
                         "checked trampolines")
     p.add_argument("--no-sfi", action="store_true")
-    p.add_argument("--engine", default="auto",
-                   choices=("auto", "jit", "threaded", "legacy"),
+    p.add_argument("--engine", default="auto", choices=ENGINES,
                    help="execution loop: auto-tiering (default; superblock "
                         "JIT on the interpreter and all four targets), jit, "
                         "the threaded-code engine, or the legacy "

@@ -182,15 +182,19 @@ def run_one(
 ) -> Outcome:
     """Run *program* on *executor* and capture its observable outcome.
 
-    Pipeline errors (verification, translation, linking) propagate —
-    they indicate a generator or toolchain bug, not a semantic
-    divergence.
+    The interpreter run is the hand-written reference interpreter
+    (the ``legacy`` engine), never a tier generated from the op tables;
+    targets run on the engine's default tier.  Pipeline errors
+    (verification, translation, linking) propagate — they indicate a
+    generator or toolchain bug, not a semantic divergence.
     """
+    loop = "legacy" if executor == INTERPRETER else None
     if executor != INTERPRETER:
         fuel *= TARGET_FUEL_FACTOR
     module = engine.load(program, target=executor,
                          config=RunConfig(fuel=fuel,
-                                          segment_size=segment_size))
+                                          segment_size=segment_size,
+                                          engine=loop))
     try:
         code = module.run()
     except VMTrap as trap:

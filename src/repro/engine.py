@@ -32,9 +32,8 @@ unchanged behaviour.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro import metrics
@@ -67,11 +66,8 @@ INTERPRETER = "omnivm"
 class RunConfig:
     """How to execute a load/run: everything that is not *what* to run.
 
-    Replaces the former kwarg sprawl on :meth:`Engine.load` /
-    :meth:`Engine.run` (``fuel=``, ``segment_size=``, ``engine=``,
-    ``verify=``, ``host=``); those keywords still work through a
-    deprecation shim.  ``None`` fields mean "the engine's / loader's
-    default".
+    Passed as ``config=`` to :meth:`Engine.load` / :meth:`Engine.run`.
+    ``None`` fields mean "the engine's / loader's default".
     """
 
     fuel: int | None = None
@@ -79,56 +75,6 @@ class RunConfig:
     engine: str | None = None
     verify: bool = True
     host: Host | None = None
-
-    def merged(self, **overrides) -> "RunConfig":
-        """A copy with the given fields replaced (unknown names raise)."""
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
-        return replace(self, **overrides)
-
-
-#: Legacy Engine.load/run keywords the deprecation shim accepts.
-_LEGACY_KEYS = ("host", "verify", "fuel", "segment_size", "engine")
-
-
-def _coerce_config(method: str, config, legacy: dict) -> RunConfig:
-    """Fold deprecated keyword arguments into a :class:`RunConfig`.
-
-    Accepts a :class:`~repro.runtime.host.Host` where the config is
-    expected (the pre-RunConfig positional ``host`` slot).  A field set
-    both on the config *and* as a legacy keyword is a programming error
-    — the old behaviour let the keyword silently win — and raises
-    :class:`TypeError`."""
-    if isinstance(config, Host):
-        legacy.setdefault("host", config)
-        config = None
-    unknown = set(legacy) - set(_LEGACY_KEYS)
-    if unknown:
-        raise TypeError(
-            f"{method}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if legacy:
-        if config is not None:
-            defaults = RunConfig()
-            conflicts = sorted(
-                key for key in legacy
-                if getattr(config, key) != getattr(defaults, key)
-            )
-            if conflicts:
-                raise TypeError(
-                    f"{method}() got {', '.join(f'{k}=' for k in conflicts)}"
-                    f" both in config= and as keyword argument(s); set "
-                    f"each field in one place only"
-                )
-        warnings.warn(
-            f"{method}({', '.join(sorted(legacy))}=...) is deprecated; "
-            f"pass config=RunConfig(...)",
-            DeprecationWarning, stacklevel=3,
-        )
-        config = (config or RunConfig()).merged(**legacy)
-    return config or RunConfig()
 
 
 class Engine:
@@ -156,8 +102,8 @@ class Engine:
         engine operation; see :meth:`stats`.
     execution_engine:
         Default execution loop: ``"auto"`` (the default — the superblock
-        JIT tier on the interpreter, the threaded engine on native
-        targets), ``"jit"`` (same tiering, named explicitly),
+        JIT tier on the interpreter and on all four native targets),
+        ``"jit"`` (same tiering, named explicitly),
         ``"threaded"`` (predecoded threaded-code engine with block-level
         fuel accounting), or ``"legacy"`` (per-instruction dispatch).
         :meth:`load` and :meth:`run` accept a per-call ``engine``
@@ -288,7 +234,6 @@ class Engine:
         target: str | None = None,
         options: TranslationOptions | str | None = None,
         config: RunConfig | None = None,
-        **legacy,
     ) -> LoadedModule | NativeModule:
         """Verify and load *program* for execution: a
         :class:`NativeModule` for a translated target, a
@@ -296,13 +241,9 @@ class Engine:
 
         *config* carries the execution parameters (:class:`RunConfig`:
         fuel, segment size, execution engine, verification toggle, host
-        services).  The former ``host=``/``verify=``/``fuel=``/
-        ``segment_size=``/``engine=`` keywords still work via a
-        deprecation shim (a bare :class:`~repro.runtime.host.Host` in
-        the config slot is treated as ``host=`` for old positional
-        callers).
+        services).
         """
-        config = _coerce_config("Engine.load", config, legacy)
+        config = config or RunConfig()
         arch = self._resolve_target(target)
         with self._collecting():
             return load_module(
@@ -324,18 +265,15 @@ class Engine:
         options: TranslationOptions | str | None = None,
         entry: str | None = None,
         config: RunConfig | None = None,
-        **legacy,
     ) -> tuple[int, LoadedModule | NativeModule]:
         """Compile (when given source text), load, and execute; returns
         ``(exit code, loaded module)``.  The module exposes ``.host``
         for the program's emitted output.
 
-        *config* is forwarded to :meth:`load` (same deprecation shim for
-        the old keyword arguments), so a bounded (or unverified, or
-        legacy-loop) run no longer needs to hand-roll the
+        *config* is forwarded to :meth:`load`, so a bounded (or
+        unverified, or legacy-loop) run no longer needs to hand-roll the
         compile/load/run sequence.
         """
-        config = _coerce_config("Engine.run", config, legacy)
         if not isinstance(program, LinkedProgram):
             program = self.compile(program)
         module = self.load(program, target, options, config=config)

@@ -29,28 +29,14 @@ from __future__ import annotations
 
 import struct
 
-from repro.errors import (
-    AccessViolation,
-    FuelExhausted,
-    VMRuntimeError,
-    VMTrap,
-)
-from repro.omnivm import semantics
-from repro.utils.bits import round_f32
-
-_SIGN = 0x80000000
-_WRAP = 0x100000000
+from repro.errors import FuelExhausted
+from repro.optable import exec_env
 
 #: Block-entry dispatch count at which a superblock is formed.
 JIT_HEAT = 16
 #: Formation limits: constituent blocks / instructions per superblock.
 MAX_TRACE_BLOCKS = 32
 MAX_TRACE_INSTRS = 512
-
-#: Comparison operators by predicate name, and predicate inversion.
-CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-CMP_INV = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt",
-           "le": "gt", "gt": "le"}
 
 #: Assembly-time placeholder for "invalidate every inline cache site".
 FLUSH = "_FLUSHSITES_"
@@ -59,19 +45,14 @@ __all__ = [
     "JIT_HEAT",
     "MAX_TRACE_BLOCKS",
     "MAX_TRACE_INSTRS",
-    "CMP",
-    "CMP_INV",
     "FLUSH",
     "Emitter",
     "Acct",
     "SideExitPromotion",
     "base_exec_globals",
     "cache_cells",
-    "emit_cvt",
-    "emit_ext",
-    "emit_load_refill",
-    "emit_s32",
-    "emit_store_refill",
+    "emit_lines",
+    "emit_mem_access",
 ]
 
 
@@ -83,15 +64,8 @@ def base_exec_globals() -> dict:
     :mod:`repro.utils.bits` helpers, which are struct-based themselves.
     """
     return {
-        "AccessViolation": AccessViolation,
+        **exec_env(),
         "FuelExhausted": FuelExhausted,
-        "VMRuntimeError": VMRuntimeError,
-        "VMTrap": VMTrap,
-        "int_divide": semantics.int_divide,
-        "fp_binop": semantics.fp_binop,
-        "f_to_i32": semantics.f_to_i32,
-        "f_to_u32": semantics.f_to_u32,
-        "round_f32": round_f32,
         "u16_at": struct.Struct("<H").unpack_from,
         "u32_at": struct.Struct("<I").unpack_from,
         "f32_at": struct.Struct("<f").unpack_from,
@@ -157,11 +131,11 @@ class Acct:
         return "_n" if offset == 0 else f"_n + {offset}"
 
 
-def emit_s32(em, var, reg):
-    """Read integer register *reg* into *var* as a signed value."""
-    em.emit(f"{var} = regs[{reg}]")
-    em.emit(f"if {var} & {_SIGN:#x}:")
-    em.emit(f"    {var} -= {_WRAP:#x}", 1)
+def emit_lines(em, text, depth=0):
+    """Emit a (possibly multi-line, possibly empty) rendered statement."""
+    if text:
+        for line in text.split("\n"):
+            em.emit(line, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +158,41 @@ def emit_s32(em, var, reg):
 # hostcall early in a loop also drops sites emitted after it).
 
 
-def emit_load_refill(em, sid, depth):
-    em.emit("_sg = memory._last", depth)
-    em.emit(f"_lb{sid} = _sg.base", depth)
-    em.emit(f"_ll{sid} = _lb{sid} + _sg.size", depth)
-    em.emit(f"_ld{sid} = _sg.data", depth)
-
-
-def emit_store_refill(em, sid, depth):
-    em.emit("_sg = memory._last", depth)
-    em.emit(f"_sb{sid} = _sg.base", depth)
-    em.emit(f"_sl{sid} = _sb{sid} + _sg.size", depth)
-    em.emit(f"_sd{sid} = _sg.data", depth)
+def emit_mem_access(em, access, reg, addr, depth, guard):
+    """Emit one memory access of shape *access* (a
+    :class:`repro.optable.Access`) on operand *reg* at address *addr*:
+    the per-site inline-cache hit path, and the accessor call with the
+    site refill on a miss.  ``guard(depth)`` emits the ``except
+    AccessViolation`` clause the slow path needs."""
+    if access.fast is None:
+        em.emit("try:", depth)
+        em.emit(access.slow(reg, addr), depth + 1)
+        guard(depth)
+        return
+    if access.store:
+        sid = em.store_site()
+        base, limit, data = f"_sb{sid}", f"_sl{sid}", f"_sd{sid}"
+    else:
+        sid = em.load_site()
+        base, limit, data = f"_lb{sid}", f"_ll{sid}", f"_ld{sid}"
+    em.emit(f"_ad = {addr}", depth)
+    if access.size == 1:
+        em.emit(f"if {base} <= _ad < {limit}:", depth)
+    else:
+        em.emit(f"if {base} <= _ad and _ad + {access.size} <= {limit}:",
+                depth)
+    for line in access.fast(reg, sid):
+        em.emit(line, depth + 1)
+    if access.store:
+        em.emit(f"memory.write_count += {access.writes}", depth + 1)
+    em.emit("else:", depth)
+    em.emit("try:", depth + 1)
+    em.emit(access.slow(reg, "_ad"), depth + 2)
+    guard(depth + 1)
+    em.emit("_sg = memory._last", depth + 1)
+    em.emit(f"{base} = _sg.base", depth + 1)
+    em.emit(f"{limit} = {base} + _sg.size", depth + 1)
+    em.emit(f"{data} = _sg.data", depth + 1)
 
 
 def cache_cells(em) -> tuple[list[str], str]:
@@ -211,49 +208,6 @@ def cache_cells(em) -> tuple[list[str], str]:
         + [f"_sb{s} = _sl{s}" for s in em.store_sites]
     )
     return cells, invalidate
-
-
-# ---------------------------------------------------------------------------
-# shared straight-line emissions (operand field names are common to the
-# OmniVM Instr and the native MInstr)
-# ---------------------------------------------------------------------------
-
-def emit_cvt(em, instr):
-    op = instr.op
-    rd, rs, fd, fs = instr.rd, instr.rs, instr.fd, instr.fs
-    if op in ("cvtdw", "cvtsw"):
-        emit_s32(em, "_a", rs)
-        expr = "float(_a)"
-        em.emit(f"fregs[{fd}] = "
-                + (f"round_f32({expr})" if op == "cvtsw" else expr))
-    elif op in ("cvtdwu", "cvtswu"):
-        expr = f"float(regs[{rs}])"
-        em.emit(f"fregs[{fd}] = "
-                + (f"round_f32({expr})" if op == "cvtswu" else expr))
-    elif op in ("cvtwd", "cvtws"):
-        em.emit(f"regs[{rd}] = f_to_i32(fregs[{fs}])")
-    elif op in ("cvtwud", "cvtwus"):
-        em.emit(f"regs[{rd}] = f_to_u32(fregs[{fs}])")
-    elif op == "cvtds":
-        em.emit(f"fregs[{fd}] = fregs[{fs}]")
-    elif op == "cvtsd":
-        em.emit(f"fregs[{fd}] = round_f32(fregs[{fs}])")
-    else:  # pragma: no cover
-        raise VMRuntimeError(f"unknown conversion {op!r}")
-
-
-def emit_ext(em, instr):
-    op = instr.op
-    rd, rs = instr.rd, instr.rs
-    bits, sign, high = (
-        (0xFF, 0x80, 0xFFFFFF00) if op.endswith("8")
-        else (0xFFFF, 0x8000, 0xFFFF0000)
-    )
-    if op.startswith("z"):
-        em.emit(f"regs[{rd}] = regs[{rs}] & {bits:#x}")
-    else:
-        em.emit(f"_a = regs[{rs}] & {bits:#x}")
-        em.emit(f"regs[{rd}] = (_a | {high:#x}) if _a & {sign:#x} else _a")
 
 
 # ---------------------------------------------------------------------------

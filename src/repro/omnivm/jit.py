@@ -65,8 +65,6 @@ from repro.errors import (
     VMRuntimeError,
 )
 from repro.jitcore import (
-    CMP as _CMP,
-    CMP_INV as _CMP_INV,
     FLUSH as _FLUSH,
     JIT_HEAT,
     MAX_TRACE_BLOCKS,
@@ -75,21 +73,17 @@ from repro.jitcore import (
     Emitter as _Emitter,
     SideExitPromotion,
     base_exec_globals,
-    emit_cvt as _emit_cvt,
-    emit_ext as _emit_ext,
-    emit_load_refill as _emit_load_refill,
-    emit_s32 as _emit_s32,
-    emit_store_refill as _emit_store_refill,
+    cache_cells,
+    emit_lines,
+    emit_mem_access,
 )
-from repro.omnivm import semantics
-from repro.omnivm.interp import _IMM_TO_REG_OP, _LOAD_SHAPE, _STORE_SIZE, OmniVM
-from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA, SET_PREDS
+from repro.omnivm.interp import OmniVM
+from repro.omnivm.isa import INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
-from repro.omnivm.threaded import _TERM_KINDS, ThreadedVM
+from repro.omnivm.ops import OPS, TABLE, fold_branch
+from repro.omnivm.threaded import BLOCK_ENDS, ThreadedVM
+from repro.optable import DIV, FPDIV, FPDIV_RAISE, MEM
 from repro.utils.bits import s32, u32
-
-_M = 0xFFFFFFFF
-_SIGN = 0x80000000
 
 #: Longest arm (in instructions) an inlined branch diamond may have.
 MAX_DIAMOND_ARM = 8
@@ -106,7 +100,10 @@ __all__ = [
 #: JIT — see :func:`repro.jitcore.base_exec_globals`).
 _EXEC_GLOBALS = base_exec_globals()
 
-#: FP ops that can raise the (unattributed) arithmetic trap.
+#: Binary FP arithmetic: a diamond is not inlined when one follows its
+#: join in the same block.  Only ``fdiv`` can trap (unattributed, so
+#: per threaded block, which differs per arm past a join); the wider
+#: set keeps the formed traces, and so their source, stable.
 _FP_TRAPPING = ("fadd", "fsub", "fmul", "fdiv")
 
 
@@ -119,52 +116,6 @@ def _emit_commit(em, acct, offset, pc, depth=0):
 # straight-line instruction emission
 # ---------------------------------------------------------------------------
 
-def _emit_alu(em, op, rd, rs, rt, const):
-    """Reg-reg (``const is None``) or folded-immediate ALU emission,
-    mirroring :func:`repro.omnivm.threaded._compile_alu` exactly.
-
-    Signed set-compares use the bias trick — ``(a ^ 0x80000000)``
-    compares unsigned exactly as ``a`` compares signed — so no
-    sign-extension statements are needed.
-    """
-    if op in SET_PREDS:
-        pred, signed = SET_PREDS[op]
-        cmp = _CMP[pred]
-        if pred in ("eq", "ne") or not signed:
-            b = f"regs[{rt}]" if const is None else str(const)
-            em.emit(f"regs[{rd}] = 1 if regs[{rs}] {cmp} {b} else 0")
-        else:
-            b = (f"(regs[{rt}] ^ {_SIGN:#x})" if const is None
-                 else str(const ^ _SIGN))
-            em.emit(f"regs[{rd}] = 1 if (regs[{rs}] ^ {_SIGN:#x}) "
-                    f"{cmp} {b} else 0")
-        return
-    b = f"regs[{rt}]" if const is None else str(const)
-    if op == "add":
-        em.emit(f"regs[{rd}] = (regs[{rs}] + {b}) & {_M:#x}")
-    elif op == "sub":
-        em.emit(f"regs[{rd}] = (regs[{rs}] - {b}) & {_M:#x}")
-    elif op == "mul":
-        em.emit(f"regs[{rd}] = (regs[{rs}] * {b}) & {_M:#x}")
-    elif op == "and":
-        em.emit(f"regs[{rd}] = regs[{rs}] & {b}")
-    elif op == "or":
-        em.emit(f"regs[{rd}] = regs[{rs}] | {b}")
-    elif op == "xor":
-        em.emit(f"regs[{rd}] = regs[{rs}] ^ {b}")
-    elif op in ("sll", "srl", "sra"):
-        sh = f"(regs[{rt}] & 31)" if const is None else str(const & 31)
-        if op == "sll":
-            em.emit(f"regs[{rd}] = (regs[{rs}] << {sh}) & {_M:#x}")
-        elif op == "srl":
-            em.emit(f"regs[{rd}] = regs[{rs}] >> {sh}")
-        else:
-            _emit_s32(em, "_a", rs)
-            em.emit(f"regs[{rd}] = (_a >> {sh}) & {_M:#x}")
-    else:  # pragma: no cover - spec table guarantees coverage
-        raise VMRuntimeError(f"unknown ALU op {op!r}")
-
-
 def _emit_mem_guard(em, acct, pc, offset, depth=0):
     """The access-violation wrapper every slow-path access carries."""
     em.emit("except AccessViolation as violation:", depth)
@@ -173,214 +124,35 @@ def _emit_mem_guard(em, acct, pc, offset, depth=0):
     em.emit("raise", depth + 1)
 
 
-def _mem_addr(rs, other, immu, indexed):
-    base = f"regs[{rs}] + regs[{other}]" if indexed else f"regs[{rs}] + {immu}"
-    return f"({base}) & {_M:#x}"
-
-
-# The generated code keeps a *per-site* inline cache for every static
-# load and store in the trace: locals ``(_lb{s}, _ll{s}, _ld{s})`` for
-# the segment a load site last hit and ``(_sb{s}, _sl{s}, _sd{s})`` for
-# a store site — base, limit, and backing bytearray.  A hit costs two
-# local-int compares and a struct access, no attribute lookups and no
-# calls.  A miss takes the Memory accessor (which raises the exact
-# documented AccessViolation) and refills that site's cache from
-# ``memory._last``, which every successful slow-path access leaves
-# pointing at the serving segment with the permission just exercised.
-# One shared cache thrashes as soon as a loop touches two segments
-# (table in data, buffer on the heap); per-site caches miss once each
-# and then hit for the rest of the loop.  Only a hostcall can change
-# segment permissions mid-trace, so every site is flushed after each
-# inlined hostcall (patched in at assembly time via ``_FLUSH`` so a
-# hostcall early in a loop also drops sites emitted after it).
-# (The cache emission helpers themselves live in repro.jitcore.)
-
-
-def _emit_load_cached(em, acct, pc, offset, addr, size, fast_lines,
-                      slow_stmt):
-    sid = em.load_site()
-    em.emit(f"_ad = {addr}")
-    if size == 1:
-        em.emit(f"if _lb{sid} <= _ad < _ll{sid}:")
-    else:
-        em.emit(f"if _lb{sid} <= _ad and _ad + {size} <= _ll{sid}:")
-    for line in fast_lines:
-        em.emit(line.format(s=sid), 1)
-    em.emit("else:")
-    em.emit("try:", 1)
-    em.emit(slow_stmt, 2)
-    _emit_mem_guard(em, acct, pc, offset, 1)
-    _emit_load_refill(em, sid, 1)
-
-
-def _emit_load(em, acct, instr, pc, offset):
-    indexed = instr.spec.kind == "loadx"
-    size, signed = _LOAD_SHAPE[instr.op[:-1] if indexed else instr.op]
-    addr = _mem_addr(instr.rs, instr.rt, u32(instr.imm), indexed)
-    rd = instr.rd
-    if size == 4:
-        fast = [f"regs[{rd}] = u32_at(_ld{{s}}, _ad - _lb{{s}})[0]"]
-        slow = f"regs[{rd}] = memory.load_u32(_ad)"
-    else:
-        slow = (f"regs[{rd}] = memory.load(_ad, {size}, {signed})"
-                f" & {_M:#x}")
-        if size == 1:
-            if signed:
-                fast = ["_v = _ld{s}[_ad - _lb{s}]",
-                        f"regs[{rd}] = _v | 0xffffff00 if _v & 0x80 else _v"]
-            else:
-                fast = [f"regs[{rd}] = _ld{{s}}[_ad - _lb{{s}}]"]
-        elif signed:
-            fast = ["_v = u16_at(_ld{s}, _ad - _lb{s})[0]",
-                    f"regs[{rd}] = _v | 0xffff0000 if _v & 0x8000 else _v"]
-        else:
-            fast = [f"regs[{rd}] = u16_at(_ld{{s}}, _ad - _lb{{s}})[0]"]
-    _emit_load_cached(em, acct, pc, offset, addr, size, fast, slow)
-
-
-def _emit_store(em, acct, instr, pc, offset):
-    indexed = instr.spec.kind == "storex"
-    size = _STORE_SIZE[instr.op[:-1] if indexed else instr.op]
-    # Indexed stores use rd as the index register (see the ISA format).
-    addr = _mem_addr(instr.rs, instr.rd, u32(instr.imm), indexed)
-    rt = instr.rt
-    sid = em.store_site()
-    if size == 4:
-        fast = f"put_u32(_sd{sid}, _ad - _sb{sid}, regs[{rt}])"
-        slow = f"memory.store_u32(_ad, regs[{rt}])"
-    else:
-        slow = f"memory.store(_ad, {size}, regs[{rt}])"
-        if size == 1:
-            fast = f"_sd{sid}[_ad - _sb{sid}] = regs[{rt}] & 0xff"
-        else:
-            fast = f"put_u16(_sd{sid}, _ad - _sb{sid}, regs[{rt}] & 0xffff)"
-    em.emit(f"_ad = {addr}")
-    if size == 1:
-        em.emit(f"if _sb{sid} <= _ad < _sl{sid}:")
-    else:
-        em.emit(f"if _sb{sid} <= _ad and _ad + {size} <= _sl{sid}:")
-    em.emit(fast, 1)
-    em.emit("memory.write_count += 1", 1)
-    em.emit("else:")
-    em.emit("try:", 1)
-    em.emit(slow, 2)
-    _emit_mem_guard(em, acct, pc, offset, 1)
-    _emit_store_refill(em, sid, 1)
-
-
-def _emit_fmem(em, acct, instr, pc, offset):
-    kind = instr.spec.kind
-    indexed = kind in ("floadx", "fstorex")
-    single = instr.op.startswith(("lfs", "sfs"))
-    width = "f32" if single else "f64"
-    size = 4 if single else 8
-    if kind in ("fload", "floadx"):
-        addr = _mem_addr(instr.rs, instr.rt, u32(instr.imm), indexed)
-        fast = [f"fregs[{instr.fd}] = {width}_at(_ld{{s}}, "
-                f"_ad - _lb{{s}})[0]"]
-        slow = f"fregs[{instr.fd}] = memory.load_{width}(_ad)"
-        _emit_load_cached(em, acct, pc, offset, addr, size, fast, slow)
-        return
-    # fstore / fstorex: the index register is rd.
-    addr = _mem_addr(instr.rs, instr.rd, u32(instr.imm), indexed)
-    if single:
-        # f32 stores round the double operand (overflowing to signed
-        # infinity) before reinterpreting — keep the accessor call.
-        em.emit("try:")
-        em.emit(f"    memory.store_f32({addr}, fregs[{instr.ft}])")
-        _emit_mem_guard(em, acct, pc, offset)
-        return
-    sid = em.store_site()
-    em.emit(f"_ad = {addr}")
-    em.emit(f"if _sb{sid} <= _ad and _ad + 8 <= _sl{sid}:")
-    em.emit(f"put_f64(_sd{sid}, _ad - _sb{sid}, fregs[{instr.ft}])", 1)
-    # store_f64 issues two word stores; mirror its write accounting.
-    em.emit("memory.write_count += 2", 1)
-    em.emit("else:")
-    em.emit("try:", 1)
-    em.emit(f"memory.store_f64(_ad, fregs[{instr.ft}])", 2)
-    _emit_mem_guard(em, acct, pc, offset, 1)
-    _emit_store_refill(em, sid, 1)
-
-
-def _emit_falu(em, acct, instr, nb, block_pc):
-    op = instr.op
-    base = op[:-1]
-    single = op in ("fadds", "fsubs", "fmuls", "fdivs",
-                    "fnegs", "fabss", "fmovs")
-    if op in ("fmovs", "fmovd", "fnegs", "fnegd", "fabss", "fabsd"):
-        expr = {"fmov": f"fregs[{instr.fs}]",
-                "fneg": f"-fregs[{instr.fs}]",
-                "fabs": f"abs(fregs[{instr.fs}])"}[base]
-        if single:
-            expr = f"round_f32({expr})"
-        em.emit(f"fregs[{instr.fd}] = {expr}")
-        return
-    # Inline the arithmetic: CPython float +,-,*,/ overflow to inf
-    # without raising, so only fdiv's explicit zero check can trap.
-    # FP traps are unattributed in the threaded tier: instret stays at
-    # the previous block boundary and pc at the block entry.
-    fs, ft = instr.fs, instr.ft
-    if base == "fdiv":
-        em.emit(f"if fregs[{ft}] == 0.0:")
-        _emit_commit(em, acct, nb, block_pc, 1)
-        em.emit(f"    raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})")
-        expr = f"fregs[{fs}] / fregs[{ft}]"
-    else:
-        sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[base]
-        expr = f"fregs[{fs}] {sym} fregs[{ft}]"
-    if single:
-        expr = f"round_f32({expr})"
-    em.emit(f"fregs[{instr.fd}] = {expr}")
-
-
 def _emit_body_instr(em, acct, instr, pc, offset, nb, block_pc):
-    """Emit one straight-line instruction.
+    """Emit one straight-line instruction from its op-table statement.
 
     ``offset`` counts instructions retired *through this one* since the
     accounting base point; ``nb``/``block_pc`` identify the enclosing
     threaded basic block for unattributed-trap accounting.
     """
-    op = instr.op
-    kind = instr.spec.kind
-    if kind == "alu":
-        if op in ("div", "divu", "rem", "remu"):
-            em.emit("try:")
-            em.emit(f"    regs[{instr.rd}] = int_divide({op!r}, "
-                    f"regs[{instr.rs}], regs[{instr.rt}])")
-            em.emit("except VMRuntimeError as err:")
-            em.emit(f"    err.fault_pc = {pc:#x}")
-            _emit_commit(em, acct, offset, pc, 1)
-            em.emit("    raise")
-        else:
-            _emit_alu(em, op, instr.rd, instr.rs, instr.rt, None)
-    elif kind == "alui":
-        _emit_alu(em, _IMM_TO_REG_OP[op], instr.rd, instr.rs, None,
-                  u32(instr.imm))
-    elif kind == "li":
-        em.emit(f"regs[{instr.rd}] = {u32(instr.imm)}")
-    elif kind == "mov":
-        em.emit(f"regs[{instr.rd}] = regs[{instr.rs}]")
-    elif kind in ("load", "loadx"):
-        _emit_load(em, acct, instr, pc, offset)
-    elif kind in ("store", "storex"):
-        _emit_store(em, acct, instr, pc, offset)
-    elif kind in ("fload", "floadx", "fstore", "fstorex"):
-        _emit_fmem(em, acct, instr, pc, offset)
-    elif kind == "falu":
-        _emit_falu(em, acct, instr, nb, block_pc)
-    elif kind == "fcmp":
-        cmp = _CMP[{"fceq": "eq", "fclt": "lt", "fcle": "le"}[op[:-1]]]
-        em.emit(f"regs[{instr.rd}] = 1 if fregs[{instr.fs}] {cmp} "
-                f"fregs[{instr.ft}] else 0")
-    elif kind == "cvt":
-        _emit_cvt(em, instr)
-    elif kind == "ext":
-        _emit_ext(em, instr)
-    elif op == "nop":
-        pass
-    else:  # pragma: no cover - verifier rejects unknown opcodes
-        raise VMRuntimeError(f"unimplemented opcode {op!r}")
+    op = OPS[instr.op]
+    parts = TABLE.render(instr)
+    if op.fault == MEM:
+        emit_mem_access(em, op.access, parts[0], parts[1], 0,
+                        lambda depth: _emit_mem_guard(em, acct, pc, offset,
+                                                      depth))
+    elif op.fault == DIV:
+        em.emit("try:")
+        emit_lines(em, parts[0], 1)
+        em.emit("except VMRuntimeError as err:")
+        em.emit(f"    err.fault_pc = {pc:#x}")
+        _emit_commit(em, acct, offset, pc, 1)
+        em.emit("    raise")
+    elif op.fault == FPDIV:
+        # FP traps are unattributed in the threaded tier: instret stays
+        # at the previous block boundary and pc at the block entry.
+        em.emit(f"if {parts[1]}:")
+        _emit_commit(em, acct, nb, block_pc, 1)
+        em.emit("    " + FPDIV_RAISE)
+        emit_lines(em, parts[0])
+    else:
+        emit_lines(em, parts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,55 +169,10 @@ def _emit_side_exit(em, acct, offset, pc, depth=0, deopt=None):
     em.emit("return", depth)
 
 
-def _fold_branchi(instr):
-    """Mirror (and extend) the threaded engine's constant folding for
-    compare-immediate branches whose constant is outside the operand
-    domain.  Returns ``True``/``False`` for an always/never-taken
-    branch, ``None`` when the outcome is data-dependent."""
-    if instr.spec.kind != "branchi":
-        return None
-    pred, signed = BRANCH_PREDS[instr.op[:-1]]
-    b = instr.imm2 if signed else u32(instr.imm2)
-    lo, hi = (-(1 << 31), 1 << 31) if signed else (0, 1 << 32)
-    if lo <= b < hi:
-        return None
-    if pred == "eq":
-        return False
-    if pred == "ne":
-        return True
-    # Ordered compare against an out-of-domain constant: every operand
-    # value is on the same side of it.
-    if b >= hi:
-        return pred in ("lt", "le")
-    return pred in ("gt", "ge")
-
-
-def _branch_terms(instr):
-    """Operand strings for a conditional branch's predicate.  Signed
-    compares use the bias trick (``x ^ 0x80000000`` orders unsigned as
-    ``x`` orders signed), so no sign-extension statements are needed.
-    Returns ``(pred, lhs, rhs)``."""
-    rs = instr.rs
-    if instr.spec.kind == "branch":
-        pred, signed = BRANCH_PREDS[instr.op]
-        if pred in ("eq", "ne") or not signed:
-            return pred, f"regs[{rs}]", f"regs[{instr.rt}]"
-        return (pred, f"(regs[{rs}] ^ {_SIGN:#x})",
-                f"(regs[{instr.rt}] ^ {_SIGN:#x})")
-    pred, signed = BRANCH_PREDS[instr.op[:-1]]
-    b = instr.imm2 if signed else u32(instr.imm2)
-    if pred in ("eq", "ne"):
-        return pred, f"regs[{rs}]", str(b & _M)
-    if signed:
-        return pred, f"(regs[{rs}] ^ {_SIGN:#x})", str(u32(b) ^ _SIGN)
-    return pred, f"regs[{rs}]", str(b)
-
-
 def _straight_line(instrs, start, stop):
     """True when ``instrs[start:stop]`` contains no terminator."""
     for k in range(start, stop):
-        spec_kind = instrs[k].spec.kind
-        if spec_kind in _TERM_KINDS or instrs[k].op in ("trap", "sethnd"):
+        if instrs[k].op in BLOCK_ENDS:
             return False
     return True
 
@@ -458,7 +185,7 @@ def _join_blocks_fp_trap(instrs, n, join):
     k = join
     while k < n:
         instr = instrs[k]
-        if instr.spec.kind in _TERM_KINDS or instr.op in ("trap", "sethnd"):
+        if instr.op in BLOCK_ENDS:
             return False
         if instr.spec.kind == "falu" and instr.op[:-1] in _FP_TRAPPING:
             return True
@@ -535,10 +262,10 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
     """
     target = u32(instr.imm)
     fall = pc + INSTR_SIZE
-    folded = _fold_branchi(instr)
+    folded = fold_branch(instr)
     if folded is not None:
         return (target if folded else fall), offset, 0
-    pred, lhs, rhs = _branch_terms(instr)
+    taken, untaken = TABLE.render(instr)
     # Loop closure has priority: an edge back to the trace entry is a
     # backedge regardless of layout, so predict toward the entry.
     if target == entry_pc:
@@ -556,7 +283,7 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
             sync = "_n +=" if acct.runtime else "_n ="
             taken_len = taken_arm[1] - taken_arm[0]
             fall_len = fall_arm[1] - fall_arm[0] + (1 if jump else 0)
-            em.emit(f"if {lhs} {_CMP[pred]} {rhs}:")
+            em.emit(f"if {taken}:")
             _emit_arm(em, acct, instrs, taken_arm, offset, target, 1)
             em.emit(f"{sync} {offset + taken_len}", 1)
             em.emit("else:")
@@ -569,9 +296,8 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
             predict_taken = overrides[pc]
         else:
             predict_taken = target <= pc
-    exit_pred = _CMP_INV[pred] if predict_taken else pred
     exit_pc = fall if predict_taken else target
-    em.emit(f"if {lhs} {_CMP[exit_pred]} {rhs}:")
+    em.emit(f"if {untaken if predict_taken else taken}:")
     _emit_side_exit(em, acct, offset, exit_pc, 1,
                     deopt=f"vm._note_exit({entry_index}, {pc:#x}, "
                           f"{not predict_taken}, {exit_pc:#x})")
@@ -625,8 +351,7 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
         instr = None
         while i < n:
             instr = instrs[i]
-            if instr.spec.kind in _TERM_KINDS or instr.op in ("trap",
-                                                              "sethnd"):
+            if instr.op in BLOCK_ENDS:
                 break
             pc = CODE_BASE + i * INSTR_SIZE
             off += 1
@@ -688,11 +413,10 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
             cont = next_pc
         elif op == "trap":
             _emit_commit(em, acct, off, pc)
-            em.emit(f"raise VMTrap({f'module trap {instr.imm}'!r}, "
-                    f"{instr.imm})")
+            em.emit(TABLE.render(instr)[0])
             break
         else:  # sethnd
-            em.emit(f"state.handler = regs[{instr.rs}]")
+            em.emit(TABLE.render(instr)[0])
             cont = next_pc
         # -- continuation ------------------------------------------------
         offset = cont - CODE_BASE
@@ -711,15 +435,7 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
     # every site when the function is handed a different Memory (the
     # compiled fn is shared across VMs of the same program content) or
     # when segment permissions changed since the last call.
-    cells = []
-    for s in em.load_sites:
-        cells += [f"_lb{s}", f"_ll{s}", f"_ld{s}"]
-    for s in em.store_sites:
-        cells += [f"_sb{s}", f"_sl{s}", f"_sd{s}"]
-    invalidate = " = ".join(
-        [f"_lb{s} = _ll{s}" for s in em.load_sites]
-        + [f"_sb{s} = _sl{s}" for s in em.store_sites]
-    )
+    cells, invalidate = cache_cells(em)
     out = [f"# superblock @{entry_pc:#010x} "
            f"({len(visited)} blocks, {total} instrs"
            f"{', looped' if looped else ''})",
@@ -806,8 +522,7 @@ def _path_reaches(instrs, n, start, entry, limit=MAX_TRACE_BLOCKS):
         i = idx
         while i < n:
             instr = instrs[i]
-            if instr.spec.kind in _TERM_KINDS or instr.op in ("trap",
-                                                              "sethnd"):
+            if instr.op in BLOCK_ENDS:
                 break
             i += 1
         else:

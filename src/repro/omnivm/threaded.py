@@ -6,18 +6,19 @@ dynamic instruction: one trip through a long ``if``/``elif`` chain, one
 This module moves all of that to **load time**, the same place the
 paper puts translation cost:
 
-* **predecode** — each :class:`~repro.omnivm.isa.VMInstr` is compiled
-  once into a bound Python closure: operands are resolved to list
-  indexes, immediate forms are folded to their register-op equivalents
-  (``addi`` becomes an ``add`` against a pre-normalized constant), and
-  the predicate/shape tables are consulted once.  The closures live in
-  a per-program dispatch array indexed by pc;
+* **predecode** — each :class:`~repro.omnivm.isa.VMInstr` becomes a
+  closure made by its op's factory, which
+  :data:`repro.omnivm.ops.TABLE` generates from the op's one statement
+  of semantics (once per op, on first use): operands are bound as
+  cells, immediates pre-normalized.  The closures live in a
+  per-program dispatch array indexed by pc;
 * **superinstruction fusion** — the dominant dynamic pairs exposed by
   the opcode-count instrumentation on the four SPEC workloads
   (``mov``/``li`` shuffles, ``addi``/``slli``+``mov`` address
   arithmetic, ``lw``+``lw`` / ``sw``+``sw`` block moves,
   ``li``+indexed-load, ``addi``/``li``+``jr`` returns, and
-  ``lw``+compare-and-branch) are emitted as single fused closures;
+  ``lw``+compare-and-branch) run as single closures, one factory per
+  pair generated from the two table statements;
 * **basic-block batching** — straight-line runs execute without
   re-entering the dispatch loop; ``instret`` and the fuel check are
   charged once per block, so a fuel cut (including the service
@@ -45,701 +46,82 @@ from repro.errors import (
     AccessViolation,
     FuelExhausted,
     VMRuntimeError,
-    VMTrap,
 )
-from repro.omnivm import semantics
-from repro.omnivm.interp import (
-    _IMM_TO_REG_OP,
-    _LOAD_SHAPE,
-    _STORE_SIZE,
-    OmniVM,
-)
-from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA, SET_PREDS
+from repro.omnivm.interp import OmniVM
+from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
-from repro.utils.bits import round_f32, s32, u32
+from repro.omnivm.ops import OPS, TABLE, TERMINATORS, fold_branch
+from repro.optable import MEM
+from repro.utils.bits import s32
 
-_M = 0xFFFFFFFF
-_SIGN = 0x80000000
-_WRAP = 0x100000000
+__all__ = ["BLOCK_ENDS", "ThreadedProgram", "ThreadedVM", "predecode_program"]
 
-__all__ = ["ThreadedProgram", "ThreadedVM", "predecode_program"]
+#: Ops that end a basic block: control transfers, ``trap``, and
+#: ``sethnd`` (it writes VM state, which body closures do not receive).
+BLOCK_ENDS = TERMINATORS | frozenset(
+    name for name, op in OPS.items() if op.cond) | {"trap", "sethnd"}
 
+#: Closure parameters: straight-line bodies, and block terminators
+#: (which return the next pc).
+_BODY = "regs, fregs, memory"
+_TERM = "vm, state, regs"
 
-# ---------------------------------------------------------------------------
-# straight-line (body) closures: fn(regs, fregs, memory) -> None
-# ---------------------------------------------------------------------------
-
-def _compile_alu(op, rd, a_get, b_get):
-    """Shared reg-reg / folded-immediate ALU compiler.
-
-    ``a_get``/``b_get`` are either register indexes (int) or constants
-    (("const", value)); the emitted closure reads them accordingly.
-    """
-    # Specialize the operand access pattern: (reg, reg) or (reg, const).
-    # Only these two shapes occur (immediates are always the second
-    # operand after folding).
-    rs = a_get
-    const = b_get[1] if isinstance(b_get, tuple) else None
-    rt = b_get if const is None else None
-
-    if op in SET_PREDS:
-        pred, signed = SET_PREDS[op]
-        return _compile_set(pred, signed, rd, rs, rt, const)
-
-    if const is None:
-        if op == "add":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] + regs[rt]) & _M
-        elif op == "sub":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] - regs[rt]) & _M
-        elif op == "mul":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] * regs[rt]) & _M
-        elif op == "and":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] & regs[rt]
-        elif op == "or":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] | regs[rt]
-        elif op == "xor":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] ^ regs[rt]
-        elif op == "sll":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] << (regs[rt] & 31)) & _M
-        elif op == "srl":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] >> (regs[rt] & 31)
-        elif op == "sra":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = (a >> (regs[rt] & 31)) & _M
-        else:  # pragma: no cover
-            raise VMRuntimeError(f"unknown ALU op {op!r}")
-        return fn
-    # folded-immediate forms
-    if op == "add":
-        def fn(regs, fregs, memory):
-            regs[rd] = (regs[rs] + const) & _M
-    elif op == "mul":
-        def fn(regs, fregs, memory):
-            regs[rd] = (regs[rs] * const) & _M
-    elif op == "and":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] & const
-    elif op == "or":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] | const
-    elif op == "xor":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] ^ const
-    elif op == "sll":
-        sh = const & 31
-
-        def fn(regs, fregs, memory):
-            regs[rd] = (regs[rs] << sh) & _M
-    elif op == "srl":
-        sh = const & 31
-
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] >> sh
-    elif op == "sra":
-        sh = const & 31
-
-        def fn(regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = (a >> sh) & _M
-    else:  # pragma: no cover
-        raise VMRuntimeError(f"unknown ALU op {op!r}")
-    return fn
+#: Terminator tails over the op-table fields.
+_TAILS = {
+    "j": "return {target}",
+    "jal": f"regs[{REG_RA}] = {{next}}\nreturn {{target}}",
+    "jr": "return regs[{rs}]",
+    "jalr": f"regs[{REG_RA}] = {{next}}\nreturn regs[{{rs}}]",
+    "sethnd": OPS["sethnd"].stmt + "\nreturn {next}",
+}
 
 
-def _compile_set(pred, signed, rd, rs, rt, const):
-    """Compare-to-register closures (reg/reg and reg/const forms)."""
-    if const is None:
-        if pred == "eq":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] == regs[rt] else 0
-        elif pred == "ne":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] != regs[rt] else 0
-        elif signed:
-            if pred == "lt":
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a < b else 0
-            elif pred == "le":
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a <= b else 0
-            elif pred == "gt":
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a > b else 0
-            else:  # ge
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a >= b else 0
-        else:
-            if pred == "lt":
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] < regs[rt] else 0
-            elif pred == "le":
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] <= regs[rt] else 0
-            elif pred == "gt":
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] > regs[rt] else 0
-            else:  # ge
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] >= regs[rt] else 0
-        return fn
-    # constant second operand, pre-normalized to the legacy convention:
-    # unsigned compares see u32(imm); signed compares see s32(u32(imm)).
-    b = s32(const) if signed else const
-    if pred == "eq":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] == const else 0
-        return fn
-    if pred == "ne":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] != const else 0
-        return fn
-    if signed:
-        if pred == "lt":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a < b else 0
-        elif pred == "le":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a <= b else 0
-        elif pred == "gt":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a > b else 0
-        else:  # ge
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a >= b else 0
-    else:
-        if pred == "lt":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] < b else 0
-        elif pred == "le":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] <= b else 0
-        elif pred == "gt":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] > b else 0
-        else:  # ge
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] >= b else 0
-    return fn
+def _tail(instr, k, bound, folded):
+    """Closure lines for the block terminator *instr* (operand suffix
+    *k*); *folded* is its :func:`~repro.omnivm.ops.fold_branch`."""
+    name = instr.op
+    if name in _TAILS:
+        return TABLE.text(_TAILS[name], k, bound).split("\n")
+    if not OPS[name].cond:
+        return TABLE.lines(name, k, bound, "fault_pc")  # trap
+    if folded is not None:
+        return [TABLE.text("return {target}" if folded else "return {next}",
+                           k, bound)]
+    taken = TABLE.text(OPS[name].stmt, k, bound)
+    return [TABLE.text(f"return {{target}} if {taken} else {{next}}",
+                       k, bound)]
 
 
-def _compile_load(instr, pc):
-    op = instr.op
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    indexed = instr.spec.kind == "loadx"
-    size, signed = _LOAD_SHAPE[op[:-1] if indexed else op]
-    immu = u32(instr.imm)
-    if size == 4:
-        if indexed:
-            def fn(regs, fregs, memory):
-                try:
-                    regs[rd] = memory.load_u32((regs[rs] + regs[rt]) & _M)
-                except AccessViolation as violation:
-                    violation.fault_pc = pc
-                    raise
-        else:
-            def fn(regs, fregs, memory):
-                try:
-                    regs[rd] = memory.load_u32((regs[rs] + immu) & _M)
-                except AccessViolation as violation:
-                    violation.fault_pc = pc
-                    raise
-        return fn
-    if indexed:
-        def fn(regs, fregs, memory):
-            try:
-                regs[rd] = memory.load(
-                    (regs[rs] + regs[rt]) & _M, size, signed) & _M
-            except AccessViolation as violation:
-                violation.fault_pc = pc
-                raise
-    else:
-        def fn(regs, fregs, memory):
-            try:
-                regs[rd] = memory.load(
-                    (regs[rs] + immu) & _M, size, signed) & _M
-            except AccessViolation as violation:
-                violation.fault_pc = pc
-                raise
-    return fn
-
-
-def _compile_store(instr, pc):
-    op = instr.op
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    indexed = instr.spec.kind == "storex"
-    size = _STORE_SIZE[op[:-1] if indexed else op]
-    immu = u32(instr.imm)
-    if size == 4:
-        if indexed:
-            def fn(regs, fregs, memory):
-                try:
-                    memory.store_u32((regs[rs] + regs[rd]) & _M, regs[rt])
-                except AccessViolation as violation:
-                    violation.fault_pc = pc
-                    raise
-        else:
-            def fn(regs, fregs, memory):
-                try:
-                    memory.store_u32((regs[rs] + immu) & _M, regs[rt])
-                except AccessViolation as violation:
-                    violation.fault_pc = pc
-                    raise
-        return fn
-    if indexed:
-        def fn(regs, fregs, memory):
-            try:
-                memory.store((regs[rs] + regs[rd]) & _M, size, regs[rt])
-            except AccessViolation as violation:
-                violation.fault_pc = pc
-                raise
-    else:
-        def fn(regs, fregs, memory):
-            try:
-                memory.store((regs[rs] + immu) & _M, size, regs[rt])
-            except AccessViolation as violation:
-                violation.fault_pc = pc
-                raise
-    return fn
-
-
-def _compile_fmem(instr, pc):
-    op = instr.op
-    kind = instr.spec.kind
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    fd, ft = instr.fd, instr.ft
-    immu = u32(instr.imm)
-    indexed = kind in ("floadx", "fstorex")
-    single = op.startswith(("lfs", "sfs"))
-    if kind in ("fload", "floadx"):
-        if indexed:
-            def addr(regs):
-                return (regs[rs] + regs[rt]) & _M
-        else:
-            def addr(regs):
-                return (regs[rs] + immu) & _M
-        if single:
-            def fn(regs, fregs, memory):
-                try:
-                    fregs[fd] = memory.load_f32(addr(regs))
-                except AccessViolation as violation:
-                    violation.fault_pc = pc
-                    raise
-        else:
-            def fn(regs, fregs, memory):
-                try:
-                    fregs[fd] = memory.load_f64(addr(regs))
-                except AccessViolation as violation:
-                    violation.fault_pc = pc
-                    raise
-        return fn
-    # fstore / fstorex: the index register is rd (see the ISA format).
-    if indexed:
-        def addr(regs):
-            return (regs[rs] + regs[rd]) & _M
-    else:
-        def addr(regs):
-            return (regs[rs] + immu) & _M
-    if single:
-        def fn(regs, fregs, memory):
-            try:
-                memory.store_f32(addr(regs), fregs[ft])
-            except AccessViolation as violation:
-                violation.fault_pc = pc
-                raise
-    else:
-        def fn(regs, fregs, memory):
-            try:
-                memory.store_f64(addr(regs), fregs[ft])
-            except AccessViolation as violation:
-                violation.fault_pc = pc
-                raise
-    return fn
-
-
-def _compile_falu(instr):
-    op = instr.op
-    fd, fs, ft = instr.fd, instr.fs, instr.ft
-    base = op[:-1]
-    single = op in ("fadds", "fsubs", "fmuls", "fdivs",
-                    "fnegs", "fabss", "fmovs")
-    if op in ("fmovs", "fmovd", "fnegs", "fnegd", "fabss", "fabsd"):
-        fp_unop = semantics.fp_unop
-        if single:
-            def fn(regs, fregs, memory):
-                fregs[fd] = round_f32(fp_unop(base, fregs[fs]))
-        else:
-            def fn(regs, fregs, memory):
-                fregs[fd] = fp_unop(base, fregs[fs])
-        return fn
-    fp_binop = semantics.fp_binop
-    if single:
-        def fn(regs, fregs, memory):
-            fregs[fd] = round_f32(fp_binop(base, fregs[fs], fregs[ft]))
-    else:
-        def fn(regs, fregs, memory):
-            fregs[fd] = fp_binop(base, fregs[fs], fregs[ft])
-    return fn
-
-
-def _compile_fcmp(instr):
-    op = instr.op
-    rd, fs, ft = instr.rd, instr.fs, instr.ft
-    pred = op[:-1]
-    if pred == "fceq":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if fregs[fs] == fregs[ft] else 0
-    elif pred == "fclt":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if fregs[fs] < fregs[ft] else 0
-    else:  # fcle
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if fregs[fs] <= fregs[ft] else 0
-    return fn
-
-
-def _compile_cvt(instr):
-    op = instr.op
-    rd, rs = instr.rd, instr.rs
-    fd, fs = instr.fd, instr.fs
-    f_to_i32 = semantics.f_to_i32
-    f_to_u32 = semantics.f_to_u32
-    if op == "cvtdw":
-        def fn(regs, fregs, memory):
-            a = regs[rs]
-            fregs[fd] = float(a - _WRAP if a & _SIGN else a)
-    elif op == "cvtsw":
-        def fn(regs, fregs, memory):
-            a = regs[rs]
-            fregs[fd] = round_f32(float(a - _WRAP if a & _SIGN else a))
-    elif op == "cvtdwu":
-        def fn(regs, fregs, memory):
-            fregs[fd] = float(regs[rs])
-    elif op == "cvtswu":
-        def fn(regs, fregs, memory):
-            fregs[fd] = round_f32(float(regs[rs]))
-    elif op in ("cvtwd", "cvtws"):
-        def fn(regs, fregs, memory):
-            regs[rd] = f_to_i32(fregs[fs])
-    elif op in ("cvtwud", "cvtwus"):
-        def fn(regs, fregs, memory):
-            regs[rd] = f_to_u32(fregs[fs])
-    elif op == "cvtds":
-        def fn(regs, fregs, memory):
-            fregs[fd] = fregs[fs]
-    elif op == "cvtsd":
-        def fn(regs, fregs, memory):
-            fregs[fd] = round_f32(fregs[fs])
-    else:  # pragma: no cover
-        raise VMRuntimeError(f"unknown conversion {op!r}")
-    return fn
-
-
-def _compile_body(instr, pc):
-    """Compile one straight-line instruction; None for pure ``nop``."""
-    op = instr.op
-    kind = instr.spec.kind
-    rd, rs = instr.rd, instr.rs
-
-    if kind == "alu":
-        if op in ("div", "divu", "rem", "remu"):
-            rt = instr.rt
-            int_divide = semantics.int_divide
-
-            def fn(regs, fregs, memory):
-                try:
-                    regs[rd] = int_divide(op, regs[rs], regs[rt])
-                except VMRuntimeError as err:
-                    err.fault_pc = pc
-                    raise
-            return fn
-        return _compile_alu(op, rd, rs, instr.rt)
-    if kind == "alui":
-        return _compile_alu(_IMM_TO_REG_OP[op], rd, rs,
-                            ("const", u32(instr.imm)))
-    if kind == "li":
-        value = u32(instr.imm)
-
-        def fn(regs, fregs, memory):
-            regs[rd] = value
-        return fn
-    if kind == "mov":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs]
-        return fn
-    if kind in ("load", "loadx"):
-        return _compile_load(instr, pc)
-    if kind in ("store", "storex"):
-        return _compile_store(instr, pc)
-    if kind in ("fload", "floadx", "fstore", "fstorex"):
-        return _compile_fmem(instr, pc)
-    if kind == "falu":
-        return _compile_falu(instr)
-    if kind == "fcmp":
-        return _compile_fcmp(instr)
-    if kind == "cvt":
-        return _compile_cvt(instr)
-    if kind == "ext":
-        extend = semantics.extend
-
-        def fn(regs, fregs, memory):
-            regs[rd] = extend(op, regs[rs])
-        return fn
-    if op == "nop":
-        return None
-    raise VMRuntimeError(f"unimplemented opcode {op!r}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# terminator closures: fn(vm, state, regs) -> next pc
-# ---------------------------------------------------------------------------
-
-_TERM_KINDS = frozenset(
-    ("branch", "branchi", "jump", "call", "ijump", "icall", "host")
-)
-
-
-def _compile_branch(pred, signed, a_reg, b_reg, b_const, target, next_pc):
-    """Compare-and-branch closures (reg/reg and reg/const forms)."""
-    rs = a_reg
-    rt = b_reg
-    if b_const is None:
-        if pred == "eq":
-            def fn(vm, state, regs):
-                return target if regs[rs] == regs[rt] else next_pc
-        elif pred == "ne":
-            def fn(vm, state, regs):
-                return target if regs[rs] != regs[rt] else next_pc
-        elif signed:
-            if pred == "lt":
-                def fn(vm, state, regs):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    return target if a < b else next_pc
-            elif pred == "le":
-                def fn(vm, state, regs):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    return target if a <= b else next_pc
-            elif pred == "gt":
-                def fn(vm, state, regs):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    return target if a > b else next_pc
-            else:  # ge
-                def fn(vm, state, regs):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    return target if a >= b else next_pc
-        else:
-            if pred == "lt":
-                def fn(vm, state, regs):
-                    return target if regs[rs] < regs[rt] else next_pc
-            elif pred == "le":
-                def fn(vm, state, regs):
-                    return target if regs[rs] <= regs[rt] else next_pc
-            elif pred == "gt":
-                def fn(vm, state, regs):
-                    return target if regs[rs] > regs[rt] else next_pc
-            else:  # ge
-                def fn(vm, state, regs):
-                    return target if regs[rs] >= regs[rt] else next_pc
-        return fn
-    b = b_const
-    if pred in ("eq", "ne"):
-        # The legacy engine compares the raw immediate against the
-        # (signed-decoded) register; a constant outside the comparable
-        # range can never match, otherwise the comparison folds to a
-        # masked 32-bit equality.
-        lo, hi = (-(1 << 31), 1 << 31) if signed else (0, 1 << 32)
-        if lo <= b < hi:
-            bm = b & _M
-            if pred == "eq":
-                def fn(vm, state, regs):
-                    return target if regs[rs] == bm else next_pc
-            else:
-                def fn(vm, state, regs):
-                    return target if regs[rs] != bm else next_pc
-        else:
-            taken = target if pred == "ne" else next_pc
-
-            def fn(vm, state, regs):
-                return taken
-        return fn
-    if signed:
-        if pred == "lt":
-            def fn(vm, state, regs):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                return target if a < b else next_pc
-        elif pred == "le":
-            def fn(vm, state, regs):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                return target if a <= b else next_pc
-        elif pred == "gt":
-            def fn(vm, state, regs):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                return target if a > b else next_pc
-        else:  # ge
-            def fn(vm, state, regs):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                return target if a >= b else next_pc
-    else:
-        if pred == "lt":
-            def fn(vm, state, regs):
-                return target if regs[rs] < b else next_pc
-        elif pred == "le":
-            def fn(vm, state, regs):
-                return target if regs[rs] <= b else next_pc
-        elif pred == "gt":
-            def fn(vm, state, regs):
-                return target if regs[rs] > b else next_pc
-        else:  # ge
-            def fn(vm, state, regs):
-                return target if regs[rs] >= b else next_pc
-    return fn
-
-
-def _compile_term(instr, pc):
-    op = instr.op
-    kind = instr.spec.kind
-    rs = instr.rs
+def _compile_host(instr, pc):
+    index = instr.imm
     next_pc = pc + INSTR_SIZE
 
-    if kind == "branch":
-        pred, signed = BRANCH_PREDS[op]
-        return _compile_branch(pred, signed, rs, instr.rt, None,
-                               u32(instr.imm), next_pc)
-    if kind == "branchi":
-        pred, signed = BRANCH_PREDS[op[:-1]]
-        b = instr.imm2 if signed else u32(instr.imm2)
-        return _compile_branch(pred, signed, rs, None, b,
-                               u32(instr.imm), next_pc)
-    if kind == "jump":
-        target = u32(instr.imm)
-
-        def fn(vm, state, regs):
-            return target
-        return fn
-    if kind == "call":
-        target = u32(instr.imm)
-
-        def fn(vm, state, regs):
-            regs[REG_RA] = next_pc
-            return target
-        return fn
-    if kind == "ijump":
-        def fn(vm, state, regs):
-            return regs[rs]
-        return fn
-    if kind == "icall":
-        def fn(vm, state, regs):
-            regs[REG_RA] = next_pc
-            return regs[rs]
-        return fn
-    if kind == "host":
-        index = instr.imm
-
-        def fn(vm, state, regs):
-            hostcall = vm.hostcall
-            if hostcall is None:
-                raise VMRuntimeError(
-                    "module made a hostcall but no host is attached")
-            hostcall(vm, index)
-            return next_pc
-        return fn
-    if op == "trap":
-        message = f"module trap {instr.imm}"
-        code = instr.imm
-
-        def fn(vm, state, regs):
-            raise VMTrap(message, code)
-        return fn
-    if op == "sethnd":
-        def fn(vm, state, regs):
-            state.handler = regs[rs]
-            return next_pc
-        return fn
-    raise VMRuntimeError(f"unimplemented opcode {op!r}")  # pragma: no cover
+    def fn(vm, state, regs):
+        hostcall = vm.hostcall
+        if hostcall is None:
+            raise VMRuntimeError(
+                "module made a hostcall but no host is attached")
+        hostcall(vm, index)
+        return next_pc
+    return fn
 
 
 def _compile_step(instr, pc):
-    """Predecode one instruction: (is_terminator, closure)."""
-    op = instr.op
-    if instr.spec.kind in _TERM_KINDS or op in ("trap", "sethnd"):
-        return (True, _compile_term(instr, pc))
-    return (False, _compile_body(instr, pc))
+    """Predecode one instruction: (is_terminator, closure); the closure
+    is None for ``nop``."""
+    name = instr.op
+    if name in BLOCK_ENDS:
+        if name == "hostcall":
+            return (True, _compile_host(instr, pc))
+        folded = fold_branch(instr)
+        make = TABLE.factory(("term", name, folded), _TERM,
+                             lambda bound: _tail(instr, 1, bound, folded))
+        return (True, make(instr, pc))
+    if name == "nop":
+        return (False, None)
+    make = TABLE.factory(name, _BODY, lambda bound: TABLE.lines(
+        name, 1, bound, "fault_pc"))
+    return (False, make(instr, pc))
 
 
 # ---------------------------------------------------------------------------
@@ -748,226 +130,39 @@ def _compile_step(instr, pc):
 #
 # Pair selection is grounded in the dynamic pair frequencies the
 # opcode-count instrumentation reports on the four SPEC workloads (li,
-# compress, alvinn, eqntott); see DESIGN.md.  Each fused closure performs
-# both effects in exact sequential order, so register aliasing between
+# compress, alvinn, eqntott); see DESIGN.md.  A fused closure runs both
+# table statements in sequential order, so register aliasing between
 # the halves behaves identically to unfused execution, and each memory
 # half annotates faults with its own pc so block fault accounting stays
 # precise.
 
-def _fuse_mov_mov(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-
-    def fn(regs, fregs, memory):
-        regs[d1] = regs[s1]
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_mov_li(i1, i2, pc1, pc2):
-    d1, s1, d2 = i1.rd, i1.rs, i2.rd
-    c2 = u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = regs[s1]
-        regs[d2] = c2
-    return fn
+_BODY_FUSE = frozenset((
+    ("mov", "mov"), ("mov", "li"), ("li", "mov"), ("addi", "mov"),
+    ("slli", "mov"), ("lw", "lw"), ("lw", "addi"), ("addi", "lw"),
+    ("li", "lw"), ("li", "lwx"), ("sw", "sw"), ("addi", "sw"),
+))
+_TERM_FUSE = frozenset(
+    (("addi", "jr"), ("li", "jr"))
+    + tuple(("lw", name + "i") for name in BRANCH_PREDS)
+)
 
 
-def _fuse_li_mov(i1, i2, pc1, pc2):
-    d1, d2, s2 = i1.rd, i2.rd, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = c1
-        regs[d2] = regs[s2]
-    return fn
+def _fuse_body(i1, i2, pc1, pc2):
+    make = TABLE.factory(("pair", i1.op, i2.op), _BODY, lambda bound: (
+        TABLE.lines(i1.op, 1, bound, "fault_pc")
+        + TABLE.lines(i2.op, 2, bound, "fault_pc")))
+    return make(i1, pc1, i2, pc2)
 
 
-def _fuse_addi_mov(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1 = u32(i1.imm)
+def _fuse_term(i1, i2, pc1, pc2):
+    folded = fold_branch(i2)
 
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] + c1) & _M
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_slli_mov(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    sh = u32(i1.imm) & 31
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] << sh) & _M
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_lw_lw(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        try:
-            regs[d1] = memory.load_u32((regs[s1] + c1) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + c2) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_lw_addi(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        try:
-            regs[d1] = memory.load_u32((regs[s1] + c1) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        regs[d2] = (regs[s2] + c2) & _M
-    return fn
-
-
-def _fuse_addi_lw(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] + c1) & _M
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + c2) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_li_lw(i1, i2, pc1, pc2):
-    d1, d2, s2 = i1.rd, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = c1
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + c2) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_li_lwx(i1, i2, pc1, pc2):
-    d1, d2, s2, t2 = i1.rd, i2.rd, i2.rs, i2.rt
-    c1 = u32(i1.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = c1
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + regs[t2]) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_sw_sw(i1, i2, pc1, pc2):
-    s1, t1, s2, t2 = i1.rs, i1.rt, i2.rs, i2.rt
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        try:
-            memory.store_u32((regs[s1] + c1) & _M, regs[t1])
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        try:
-            memory.store_u32((regs[s2] + c2) & _M, regs[t2])
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_addi_sw(i1, i2, pc1, pc2):
-    d1, s1, s2, t2 = i1.rd, i1.rs, i2.rs, i2.rt
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] + c1) & _M
-        try:
-            memory.store_u32((regs[s2] + c2) & _M, regs[t2])
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-_BODY_FUSE = {
-    ("mov", "mov"): _fuse_mov_mov,
-    ("mov", "li"): _fuse_mov_li,
-    ("li", "mov"): _fuse_li_mov,
-    ("addi", "mov"): _fuse_addi_mov,
-    ("slli", "mov"): _fuse_slli_mov,
-    ("lw", "lw"): _fuse_lw_lw,
-    ("lw", "addi"): _fuse_lw_addi,
-    ("addi", "lw"): _fuse_addi_lw,
-    ("li", "lw"): _fuse_li_lw,
-    ("li", "lwx"): _fuse_li_lwx,
-    ("sw", "sw"): _fuse_sw_sw,
-    ("addi", "sw"): _fuse_addi_sw,
-}
-
-
-def _fuse_addi_jr(i1, i2, pc1, pc2):
-    d1, s1, s2 = i1.rd, i1.rs, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(vm, state, regs):
-        regs[d1] = (regs[s1] + c1) & _M
-        return regs[s2]
-    return fn
-
-
-def _fuse_li_jr(i1, i2, pc1, pc2):
-    d1, s2 = i1.rd, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(vm, state, regs):
-        regs[d1] = c1
-        return regs[s2]
-    return fn
-
-
-def _fuse_lw_branchi(i1, i2, pc1, pc2):
-    d1, s1 = i1.rd, i1.rs
-    c1 = u32(i1.imm)
-    branch = _compile_term(i2, pc2)
-
-    def fn(vm, state, regs):
-        try:
-            regs[d1] = vm.memory.load_u32((regs[s1] + c1) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        return branch(vm, state, regs)
-    return fn
-
-
-_TERM_FUSE = {
-    ("addi", "jr"): _fuse_addi_jr,
-    ("li", "jr"): _fuse_li_jr,
-}
-for _b in ("beqi", "bnei", "blti", "blei", "bgti", "bgei",
-           "bltui", "bleui", "bgtui", "bgeui"):
-    _TERM_FUSE[("lw", _b)] = _fuse_lw_branchi
-del _b
+    def build(bound):
+        head = ["memory = vm.memory"] if OPS[i1.op].fault == MEM else []
+        return (head + TABLE.lines(i1.op, 1, bound, "fault_pc")
+                + _tail(i2, 2, bound, folded))
+    make = TABLE.factory(("tpair", i1.op, i2.op, folded), _TERM, build)
+    return make(i1, pc1, i2, pc2)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,23 +226,20 @@ class ThreadedProgram:
             if nxt < n:
                 pair = (instrs[i].op, instrs[nxt].op)
                 if steps[nxt][0]:
-                    maker = _TERM_FUSE.get(pair)
-                    if maker is not None:
-                        term = maker(instrs[i], instrs[nxt], pc,
-                                     pc + INSTR_SIZE)
+                    if pair in _TERM_FUSE:
+                        term = _fuse_term(instrs[i], instrs[nxt], pc,
+                                          pc + INSTR_SIZE)
                         term_pc = pc
                         term_count = 2
                         fused += 1
                         break
-                else:
-                    maker = _BODY_FUSE.get(pair)
-                    if maker is not None:
-                        body.append(maker(instrs[i], instrs[nxt], pc,
-                                          pc + INSTR_SIZE))
-                        body_count += 2
-                        fused += 1
-                        i += 2
-                        continue
+                elif pair in _BODY_FUSE:
+                    body.append(_fuse_body(instrs[i], instrs[nxt], pc,
+                                           pc + INSTR_SIZE))
+                    body_count += 2
+                    fused += 1
+                    i += 2
+                    continue
             if fn is not None:
                 body.append(fn)
             body_count += 1

@@ -64,8 +64,6 @@ from repro.errors import (
     VMRuntimeError,
 )
 from repro.jitcore import (
-    CMP as _CMP,
-    CMP_INV as _CMP_INV,
     FLUSH as _FLUSH,
     JIT_HEAT,
     MAX_TRACE_BLOCKS,
@@ -74,27 +72,20 @@ from repro.jitcore import (
     SideExitPromotion,
     base_exec_globals,
     cache_cells,
-    emit_cvt as _emit_cvt,
-    emit_ext as _emit_ext,
-    emit_load_refill as _emit_load_refill,
-    emit_store_refill as _emit_store_refill,
+    emit_lines,
+    emit_mem_access,
 )
-from repro.omnivm import semantics
+from repro.optable import DIV, FPDIV, FPDIV_RAISE, MEM
+from repro.targets.ops import OPS, TABLE
 from repro.targets.threaded import (
     _COND,
     _COND_OPS,
     _JUMP,
     _JUMP_OPS,
-    _LOAD_SHAPES,
-    _STORE_SIZES,
     ThreadedTargetMachine,
     _is_term_op,
 )
 from repro.utils.bits import s32, u32
-
-_M = 0xFFFFFFFF
-_SIGN = 0x80000000
-_WRAP = 0x100000000
 
 #: Assembly-time placeholder for "write the scoreboard/cycle locals and
 #: the condition codes back to the machine" — expanded once the full
@@ -111,51 +102,13 @@ __all__ = [
 
 _EXEC_GLOBALS = base_exec_globals()
 
-#: Straight-line ops the emitter covers (everything else would fall to
-#: ``TargetMachine.execute`` in the threaded tier and makes the
-#: enclosing block untraceable).
-_ALU_OPS = frozenset(
-    "add addi sub mul and andi or ori xor xori nor sll slli srl srli "
-    "sra srai li lui mov slt sltu slti sltiu sext8 sext16 zext8 zext16 "
-    "cmp subcc cmpi setcc fcmp fcmps sethnd nop".split()
-)
-_DIV_OPS = frozenset("div divu rem remu".split())
-_FP_OPS = frozenset(
-    "fadds fsubs fmuls fdivs faddd fsubd fmuld fdivd "
-    "fnegs fnegd fabss fabsd fmovs fmovd "
-    "fceqs fclts fcles fceqd fcltd fcled".split()
-)
-_CVT_OPS = frozenset(
-    "cvtdw cvtsw cvtdwu cvtswu cvtwd cvtws cvtwud cvtwus cvtds "
-    "cvtsd".split()
-)
-_MEM_OPS = frozenset(_LOAD_SHAPES) | frozenset(_STORE_SIZES) | frozenset(
-    "lw lwx sw swx lfs lfd lfsx lfdx sfs sfd sfsx sfdx".split()
-)
-#: Unsigned taken-expressions for the MIPS-style register branches; the
-#: signed compares against zero reduce to sign-bit tests on the raw u32.
-_BR_TAKEN = {
-    "bltz": "regs[{rs}] >= 0x80000000",
-    "bgez": "regs[{rs}] < 0x80000000",
-    "blez": "(regs[{rs}] == 0 or regs[{rs}] >= 0x80000000)",
-    "bgtz": "0 < regs[{rs}] < 0x80000000",
-}
-_BR_UNTAKEN = {
-    "bltz": "regs[{rs}] < 0x80000000",
-    "bgez": "regs[{rs}] >= 0x80000000",
-    "blez": "0 < regs[{rs}] < 0x80000000",
-    "bgtz": "(regs[{rs}] == 0 or regs[{rs}] >= 0x80000000)",
-}
+#: Ops whose statement reads or writes the condition codes.
+_CC_OPS = frozenset(name for name, op in OPS.items()
+                    if "{cc" in "".join(op.parts))
 
 
 class _Unsupported(Exception):
     """Trace formation hit an op outside the emitter's vocabulary."""
-
-
-def _supported(mi) -> bool:
-    op = mi.op
-    return (op in _ALU_OPS or op in _MEM_OPS or op in _FP_OPS
-            or op in _DIV_OPS or op in _CVT_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -389,309 +342,8 @@ def _mem_fault_ctx(mode, w, term_k):
     return term_k, True, False  # slot_direct: state already committed
 
 
-def _emit_mem(w, em, k, depth, mode, term_k) -> None:
-    """One memory op, mirroring ``_sem_mem`` exactly: same address
-    arithmetic, same accessor on the slow path (so the raised
-    AccessViolation is identical), plus the inline-cache fast path."""
-    mi = w.instrs[k]
-    op = mi.op
-    rd, rs, rt, fd, ft = mi.rd, mi.rs, mi.rt, mi.fd, mi.ft
-    immu = u32(mi.imm)
-    fault_pc, mark_final, commit = _mem_fault_ctx(mode, w, term_k)
-
-    def guard(d):
-        em.emit("except AccessViolation as _v:", d)
-        if commit:
-            _emit_fault_commit(w, em, k, fault_pc, d + 1, mark_final)
-        else:
-            em.emit(f"_v.fault_native = {k}", d + 1)
-            em.emit("_v.fault_final = True", d + 1)
-            em.emit("raise", d + 1)
-
-    indexed = op.endswith("x")
-    if op in _STORE_SIZES or op in ("sfs", "sfd", "sfsx", "sfdx"):
-        index_reg = rd  # indexed stores use rd as the index register
-    else:
-        index_reg = rt
-    if indexed:
-        addr = f"(regs[{rs}] + regs[{index_reg}]) & {_M:#x}"
-    else:
-        addr = f"(regs[{rs}] + {immu}) & {_M:#x}"
-
-    if op in _LOAD_SHAPES:
-        size, signed = _LOAD_SHAPES[op]
-        sid = em.load_site()
-        if size == 4:
-            fast = [f"regs[{rd}] = u32_at(_ld{sid}, _ad - _lb{sid})[0]"]
-            slow = f"regs[{rd}] = memory.load_u32(_ad)"
-        else:
-            slow = (f"regs[{rd}] = memory.load(_ad, {size}, {signed})"
-                    f" & {_M:#x}")
-            if size == 1:
-                if signed:
-                    fast = [f"_v = _ld{sid}[_ad - _lb{sid}]",
-                            f"regs[{rd}] = _v | 0xffffff00 "
-                            f"if _v & 0x80 else _v"]
-                else:
-                    fast = [f"regs[{rd}] = _ld{sid}[_ad - _lb{sid}]"]
-            elif signed:
-                fast = [f"_v = u16_at(_ld{sid}, _ad - _lb{sid})[0]",
-                        f"regs[{rd}] = _v | 0xffff0000 "
-                        f"if _v & 0x8000 else _v"]
-            else:
-                fast = [f"regs[{rd}] = u16_at(_ld{sid}, _ad - _lb{sid})[0]"]
-        em.emit(f"_ad = {addr}", depth)
-        if size == 1:
-            em.emit(f"if _lb{sid} <= _ad < _ll{sid}:", depth)
-        else:
-            em.emit(f"if _lb{sid} <= _ad and _ad + {size} <= _ll{sid}:",
-                    depth)
-        for line in fast:
-            em.emit(line, depth + 1)
-        em.emit("else:", depth)
-        em.emit("try:", depth + 1)
-        em.emit(slow, depth + 2)
-        guard(depth + 1)
-        _emit_load_refill(em, sid, depth + 1)
-        return
-    if op in ("lfs", "lfd", "lfsx", "lfdx"):
-        single = op.startswith("lfs")
-        width = "f32" if single else "f64"
-        size = 4 if single else 8
-        sid = em.load_site()
-        em.emit(f"_ad = {addr}", depth)
-        em.emit(f"if _lb{sid} <= _ad and _ad + {size} <= _ll{sid}:", depth)
-        em.emit(f"fregs[{fd}] = {width}_at(_ld{sid}, _ad - _lb{sid})[0]",
-                depth + 1)
-        em.emit("else:", depth)
-        em.emit("try:", depth + 1)
-        em.emit(f"fregs[{fd}] = memory.load_{width}(_ad)", depth + 2)
-        guard(depth + 1)
-        _emit_load_refill(em, sid, depth + 1)
-        return
-    if op in _STORE_SIZES:
-        size = _STORE_SIZES[op]
-        sid = em.store_site()
-        if size == 4:
-            fast = f"put_u32(_sd{sid}, _ad - _sb{sid}, regs[{rt}])"
-            slow = f"memory.store_u32(_ad, regs[{rt}])"
-        else:
-            slow = f"memory.store(_ad, {size}, regs[{rt}])"
-            if size == 1:
-                fast = f"_sd{sid}[_ad - _sb{sid}] = regs[{rt}] & 0xff"
-            else:
-                fast = (f"put_u16(_sd{sid}, _ad - _sb{sid}, "
-                        f"regs[{rt}] & 0xffff)")
-        em.emit(f"_ad = {addr}", depth)
-        if size == 1:
-            em.emit(f"if _sb{sid} <= _ad < _sl{sid}:", depth)
-        else:
-            em.emit(f"if _sb{sid} <= _ad and _ad + {size} <= _sl{sid}:",
-                    depth)
-        em.emit(fast, depth + 1)
-        em.emit("memory.write_count += 1", depth + 1)
-        em.emit("else:", depth)
-        em.emit("try:", depth + 1)
-        em.emit(slow, depth + 2)
-        guard(depth + 1)
-        _emit_store_refill(em, sid, depth + 1)
-        return
-    if op in ("sfs", "sfsx"):
-        # f32 stores round the double operand (overflowing to signed
-        # infinity) before reinterpreting — keep the accessor call.
-        em.emit("try:", depth)
-        em.emit(f"memory.store_f32({addr}, fregs[{ft}])", depth + 1)
-        guard(depth)
-        return
-    # sfd / sfdx
-    sid = em.store_site()
-    em.emit(f"_ad = {addr}", depth)
-    em.emit(f"if _sb{sid} <= _ad and _ad + 8 <= _sl{sid}:", depth)
-    em.emit(f"put_f64(_sd{sid}, _ad - _sb{sid}, fregs[{ft}])", depth + 1)
-    # store_f64 issues two word stores; mirror its write accounting.
-    em.emit("memory.write_count += 2", depth + 1)
-    em.emit("else:", depth)
-    em.emit("try:", depth + 1)
-    em.emit(f"memory.store_f64(_ad, fregs[{ft}])", depth + 2)
-    guard(depth + 1)
-    _emit_store_refill(em, sid, depth + 1)
-
-
-def _emit_alu(w, em, mi, depth) -> None:
-    """Mirror ``_sem_alu`` exactly (no charge, no faults)."""
-    op = mi.op
-    rd, rs, rt = mi.rd, mi.rs, mi.rt
-    immu = u32(mi.imm)
-    two = {"add": ("+", True), "sub": ("-", True), "mul": ("*", True),
-           "and": ("&", False), "or": ("|", False), "xor": ("^", False)}
-    if op in two:
-        sym, masked = two[op]
-        expr = f"regs[{rs}] {sym} regs[{rt}]"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if masked
-                else f"regs[{rd}] = {expr}", depth)
-    elif op in ("addi", "andi", "ori", "xori"):
-        sym = {"addi": "+", "andi": "&", "ori": "|", "xori": "^"}[op]
-        expr = f"regs[{rs}] {sym} {immu}"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if op == "addi"
-                else f"regs[{rd}] = {expr}", depth)
-    elif op == "nor":
-        em.emit(f"regs[{rd}] = (~(regs[{rs}] | regs[{rt}])) & {_M:#x}",
-                depth)
-    elif op in ("sll", "srl"):
-        sym = "<<" if op == "sll" else ">>"
-        expr = f"regs[{rs}] {sym} (regs[{rt}] & 31)"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if op == "sll"
-                else f"regs[{rd}] = {expr}", depth)
-    elif op in ("slli", "srli"):
-        sh = mi.imm & 31
-        sym = "<<" if op == "slli" else ">>"
-        expr = f"regs[{rs}] {sym} {sh}"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if op == "slli"
-                else f"regs[{rd}] = {expr}", depth)
-    elif op in ("sra", "srai"):
-        sh = f"(regs[{rt}] & 31)" if op == "sra" else str(mi.imm & 31)
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"regs[{rd}] = (_a >> {sh}) & {_M:#x}", depth)
-    elif op == "li":
-        em.emit(f"regs[{rd}] = {immu}", depth)
-    elif op == "lui":
-        # Like the legacy executor, the shifted value is not re-masked.
-        em.emit(f"regs[{rd}] = {immu << 16}", depth)
-    elif op == "mov":
-        em.emit(f"regs[{rd}] = regs[{rs}]", depth)
-    elif op == "slt":
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"_b = regs[{rt}]", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"if _b & {_SIGN:#x}:", depth)
-        em.emit(f"    _b -= {_WRAP:#x}", depth)
-        em.emit(f"regs[{rd}] = 1 if _a < _b else 0", depth)
-    elif op == "sltu":
-        em.emit(f"regs[{rd}] = 1 if regs[{rs}] < regs[{rt}] else 0", depth)
-    elif op == "slti":
-        b = immu - _WRAP if immu & _SIGN else immu
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"regs[{rd}] = 1 if _a < {b} else 0", depth)
-    elif op == "sltiu":
-        em.emit(f"regs[{rd}] = 1 if regs[{rs}] < {immu} else 0", depth)
-    elif op in ("sext8", "sext16", "zext8", "zext16"):
-        sub = _Emitter(em)
-        _emit_ext(sub, mi)
-        pad = "    " * depth
-        em.lines.extend(pad + line for line in sub.lines)
-    elif op in ("cmp", "subcc"):
-        w.uses_cc = True
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"_b = regs[{rt}]", depth)
-        em.emit("_ccu = (_a > _b) - (_a < _b)", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"if _b & {_SIGN:#x}:", depth)
-        em.emit(f"    _b -= {_WRAP:#x}", depth)
-        em.emit("_ccs = (_a > _b) - (_a < _b)", depth)
-    elif op == "cmpi":
-        w.uses_cc = True
-        bs = immu - _WRAP if immu & _SIGN else immu
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"_ccu = (_a > {immu}) - (_a < {immu})", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"_ccs = (_a > {bs}) - (_a < {bs})", depth)
-    elif op == "setcc":
-        w.uses_cc = True
-        em.emit(f"regs[{rd}] = 1 if {_cc_expr(mi.pred)} else 0", depth)
-    elif op in ("fcmp", "fcmps"):
-        w.uses_cc = True
-        em.emit(f"_a = fregs[{mi.fs}]", depth)
-        em.emit(f"_b = fregs[{mi.ft}]", depth)
-        em.emit("_ccs = (_a > _b) - (_a < _b)", depth)
-        em.emit("_ccu = _ccs", depth)
-    elif op == "sethnd":
-        em.emit(f"m.handler_omni = regs[{rs}]", depth)
-    elif op == "nop":
-        pass
-    else:  # pragma: no cover - _supported() gates the vocabulary
-        raise _Unsupported(op)
-
-
-def _cc_expr(pred: str, invert: bool = False) -> str:
-    """Condition-code predicate over the ``_ccs``/``_ccu`` locals."""
-    if pred in ("ltu", "leu", "gtu", "geu"):
-        var, base = "_ccu", pred[:-1]
-    else:
-        var, base = "_ccs", pred
-    if invert:
-        base = _CMP_INV[base]
-    return f"{var} {_CMP[base]} 0"
-
-
-# ---------------------------------------------------------------------------
-# faulting / floating-point body ops
-# ---------------------------------------------------------------------------
-
-def _emit_div(w, em, k, depth, mode, term_k) -> None:
-    mi = w.instrs[k]
-    fault_pc, mark_final, commit = _mem_fault_ctx(mode, w, term_k)
-    em.emit("try:", depth)
-    em.emit(f"regs[{mi.rd}] = int_divide({mi.op!r}, regs[{mi.rs}], "
-            f"regs[{mi.rt}])", depth + 1)
-    em.emit("except VMRuntimeError as _v:", depth)
-    if commit:
-        _emit_fault_commit(w, em, k, fault_pc, depth + 1, mark_final)
-    else:
-        em.emit(f"_v.fault_native = {k}", depth + 1)
-        em.emit("_v.fault_final = True", depth + 1)
-        em.emit("raise", depth + 1)
-
-
-def _emit_fp(w, em, k, depth, mode, term_k) -> None:
-    """FP arithmetic, compares and moves, mirroring ``fp_binop`` /
-    ``fp_unop`` / ``fp_compare`` — including the divide-by-zero trap,
-    which the threaded tier raises *without* a fault prefix (the block
-    commit stands at the last boundary; the charge is already done)."""
-    mi = w.instrs[k]
-    op = mi.op
-    base, single = op[:-1], op.endswith("s")
-    fd, fs, ft = mi.fd, mi.fs, mi.ft
-    if base in ("fceq", "fclt", "fcle"):
-        sym = {"fceq": "==", "fclt": "<", "fcle": "<="}[base]
-        em.emit(f"regs[{mi.rd}] = 1 if fregs[{fs}] {sym} fregs[{ft}] "
-                "else 0", depth)
-        return
-    if base in ("fneg", "fabs", "fmov"):
-        expr = {"fneg": f"-fregs[{fs}]", "fabs": f"abs(fregs[{fs}])",
-                "fmov": f"fregs[{fs}]"}[base]
-        if single:
-            expr = f"round_f32({expr})"
-        em.emit(f"fregs[{fd}] = {expr}", depth)
-        return
-    if base == "fdiv":
-        em.emit(f"if fregs[{ft}] == 0.0:", depth)
-        if mode == "body":
-            # The threaded tier's block commit stops at the block
-            # boundary before the faulting block.
-            _emit_exit_state(w, em, w.block_entry, depth + 1,
-                             pending=w.block_pending, pcats=w.block_pcats)
-        elif mode == "slot_local":
-            _emit_exit_state(w, em, term_k, depth + 1)
-        em.emit(f"    raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})",
-                depth)
-        expr = f"fregs[{fs}] / fregs[{ft}]"
-    else:
-        sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[base]
-        expr = f"fregs[{fs}] {sym} fregs[{ft}]"
-    if single:
-        expr = f"round_f32({expr})"
-    em.emit(f"fregs[{fd}] = {expr}", depth)
-
-
 def _emit_instr(w, em, k, depth, mode, term_k) -> None:
-    """Charge + semantics for one straight-line instruction.
+    """Charge + op-table statement for one straight-line instruction.
 
     *mode* selects the fault-commit contract: ``"body"`` (on-trace,
     charge in locals, faults commit with ``pc`` = block entry),
@@ -701,27 +353,47 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
     faults just annotate and re-raise).
     """
     mi = w.instrs[k]
-    op = mi.op
     if mode == "slot_direct":
         if mi.category != "fused":
             em.emit(f"m._charge(_instrs[{k}])", depth)
     else:
         _emit_charge(w, em, k, depth)
-    if op in _MEM_OPS:
-        _emit_mem(w, em, k, depth, mode, term_k)
-    elif op in _DIV_OPS:
-        _emit_div(w, em, k, depth, mode, term_k)
-    elif op in _FP_OPS:
-        _emit_fp(w, em, k, depth, mode, term_k)
-    elif op in _CVT_OPS:
-        sub = _Emitter(em)
-        _emit_cvt(sub, mi)
-        pad = "    " * depth
-        em.lines.extend(pad + line for line in sub.lines)
-    elif op in _ALU_OPS:
-        _emit_alu(w, em, mi, depth)
-    else:  # pragma: no cover - _block_traceable gates the vocabulary
-        raise _Unsupported(op)
+    op = OPS[mi.op]
+    parts = TABLE.render(mi)
+    fault_pc, mark_final, commit = _mem_fault_ctx(mode, w, term_k)
+
+    def guard(exc, d):
+        em.emit(f"except {exc} as _v:", d)
+        if commit:
+            _emit_fault_commit(w, em, k, fault_pc, d + 1, mark_final)
+        else:
+            em.emit(f"_v.fault_native = {k}", d + 1)
+            em.emit("_v.fault_final = True", d + 1)
+            em.emit("raise", d + 1)
+
+    if op.fault == MEM:
+        emit_mem_access(em, op.access, parts[0], parts[1], depth,
+                        lambda d: guard("AccessViolation", d))
+    elif op.fault == DIV:
+        em.emit("try:", depth)
+        emit_lines(em, parts[0], depth + 1)
+        guard("VMRuntimeError", depth)
+    elif op.fault == FPDIV:
+        # The threaded tier raises an FP divide trap *without* a fault
+        # prefix: the block commit stands at the last boundary (the
+        # charge is already done).
+        em.emit(f"if {parts[1]}:", depth)
+        if mode == "body":
+            _emit_exit_state(w, em, w.block_entry, depth + 1,
+                             pending=w.block_pending, pcats=w.block_pcats)
+        elif mode == "slot_local":
+            _emit_exit_state(w, em, term_k, depth + 1)
+        em.emit("    " + FPDIV_RAISE, depth)
+        emit_lines(em, parts[0], depth)
+    else:
+        if mi.op in _CC_OPS:
+            w.uses_cc = True
+        emit_lines(em, parts[0], depth)
 
 
 # ---------------------------------------------------------------------------
@@ -748,23 +420,6 @@ def _emit_slot_direct(w, em, slot_k, depth) -> None:
 # ---------------------------------------------------------------------------
 # terminators
 # ---------------------------------------------------------------------------
-
-def _branch_exprs(w, mi):
-    """(taken, untaken) boolean expressions for a conditional branch."""
-    op = mi.op
-    if op == "beq":
-        return (f"regs[{mi.rs}] == regs[{mi.rt}]",
-                f"regs[{mi.rs}] != regs[{mi.rt}]")
-    if op == "bne":
-        return (f"regs[{mi.rs}] != regs[{mi.rt}]",
-                f"regs[{mi.rs}] == regs[{mi.rt}]")
-    if op in _BR_TAKEN:
-        return (_BR_TAKEN[op].format(rs=mi.rs),
-                _BR_UNTAKEN[op].format(rs=mi.rs))
-    # bcc / fbcc read the condition codes
-    w.uses_cc = True
-    return _cc_expr(mi.pred), _cc_expr(mi.pred, invert=True)
-
 
 def _chain_coupled(w, k) -> bool:
     """Is the branch at *k* part of an SFI dynamic guard chain?
@@ -797,7 +452,9 @@ def _emit_cond(w, em, k, slot_k):
     None when the branch compiles to a both-way exit."""
     mi = w.instrs[k]
     n = w.n
-    taken_expr, untaken_expr = _branch_exprs(w, mi)
+    taken_expr, untaken_expr = TABLE.render(mi)
+    if mi.op in _CC_OPS:
+        w.uses_cc = True
     target = mi.target
     has_slot = slot_k >= 0
     fall = k + 2 if has_slot else k + 1
@@ -911,7 +568,7 @@ def _emit_term(w, em, k, slot_k):
         em.emit(f"m.pc = {k}")
         if charge:
             em.emit(f"m._charge(_instrs[{k}])")
-        em.emit(f"raise VMTrap({f'module trap {mi.imm}'!r}, {mi.imm})")
+        em.emit(TABLE.render(mi)[0])
         return None
 
     if op == "hostcall":
@@ -983,8 +640,8 @@ def _emit_term(w, em, k, slot_k):
 
 def _block_traceable(w, index) -> bool:
     """Every body op of the block entered at *index* (plus the delay
-    slot, when the terminator has one) is inside the emitter's
-    vocabulary; a slot that is itself a terminator is untraceable."""
+    slot, when the terminator has one) has an op-table statement; a
+    slot that is itself a terminator is untraceable."""
     instrs = w.instrs
     n = w.n
     i = index
@@ -994,10 +651,10 @@ def _block_traceable(w, index) -> bool:
             if w.delay and (mi.op in _COND_OPS or mi.op in _JUMP_OPS) \
                     and i + 1 < n:
                 slot = instrs[i + 1]
-                if _is_term_op(slot.op) or not _supported(slot):
+                if _is_term_op(slot.op) or slot.op not in OPS:
                     return False
             return True
-        if not _supported(mi):
+        if mi.op not in OPS:
             return False
         i += 1
     return True  # runs off the end; the trace exits there

@@ -1,9 +1,11 @@
 """Threaded-code execution engine for the simulated targets.
 
 The native counterpart of :mod:`repro.omnivm.threaded`: translated
-modules are predecoded once — every :class:`~repro.targets.base.MInstr`
-becomes a bound closure over resolved register indexes and normalized
-immediates — and then executed as lazily-discovered basic blocks with
+modules are predecoded — every :class:`~repro.targets.base.MInstr`
+becomes a closure made by its op's factory, which
+:data:`repro.targets.ops.TABLE` generates from the op's one statement of
+semantics, with register indexes and normalized immediates bound as
+cells — and then executed as lazily-discovered basic blocks with
 ``instret``, the fuel check, and the Figure-1 category counters charged
 once per block.
 
@@ -13,14 +15,14 @@ dual-issue pairing, and memory-resident-register costs are stateful), so
 ``cycles`` is bit-identical to the legacy executor.  What the threaded
 engine removes is the per-step dispatch chain, the per-step fuel and
 category bookkeeping, and the dict-built condition-code predicate of
-``_cc_predicate`` (predecoded to one closure per predicate).
+``_cc_predicate`` (generated inline per predicate).
 
 Superinstruction fusion is **per-target**: ``TargetSpec.fusion_pairs``
 lists the (op, op) pairs the target's translator actually emits hot
 (cmp+bcc on the condition-code machines, slt+beq/bne on MIPS, lui+ori
-constant synthesis, address+memory pairs).  Fused closures charge and
-execute both halves in exact legacy order, so timing and faults are
-unchanged.
+constant synthesis, address+memory pairs).  A fused closure, one
+factory per pair, charges and executes both halves in exact legacy
+order, so timing and faults are unchanged.
 
 Delay-slot semantics (MIPS/SPARC) are preserved exactly: the slot
 instruction executes outside the violation try (slot faults propagate to
@@ -37,510 +39,81 @@ from repro.errors import (
     AccessViolation,
     FuelExhausted,
     VMRuntimeError,
-    VMTrap,
 )
-from repro.omnivm import semantics
+from repro.optable import MEM, NONE
 from repro.targets.base import MInstr, TargetMachine, TargetSpec
-from repro.utils.bits import round_f32, s32, u32
-
-_M = 0xFFFFFFFF
-_SIGN = 0x80000000
-_WRAP = 0x100000000
+from repro.targets.ops import OPS, TABLE
+from repro.utils.bits import s32, u32
 
 #: Terminator classes for the block dispatcher.
-_COND = 1   # conditional branch: returns target | -2 | None
+_COND = 1   # conditional branch: returns target | -2
 _JUMP = 2   # unconditional: always returns a redirect
 _HOST = 3   # hostcall: falls through
 _TRAP = 4   # raises
 
-_COND_OPS = frozenset("beq bne bltz blez bgtz bgez bcc fbcc".split())
+_COND_OPS = frozenset(name for name, op in OPS.items() if op.cond)
 _JUMP_OPS = frozenset("j jal jr jalr".split())
 
 __all__ = ["ThreadedNativeProgram", "ThreadedTargetMachine",
            "predecode_native"]
 
+#: Closure parameters (terminators return the redirect).
+_PARAMS = "m, regs, fregs, memory"
 
-#: Condition-code predicate closures (replaces the per-call dict of
-#: ``TargetMachine._cc_predicate``).
-_CC_TESTS = {
-    "eq": lambda m: m.cc == 0,
-    "ne": lambda m: m.cc != 0,
-    "lt": lambda m: m.cc < 0,
-    "le": lambda m: m.cc <= 0,
-    "gt": lambda m: m.cc > 0,
-    "ge": lambda m: m.cc >= 0,
-    "ltu": lambda m: m.cc_unsigned < 0,
-    "leu": lambda m: m.cc_unsigned <= 0,
-    "gtu": lambda m: m.cc_unsigned > 0,
-    "geu": lambda m: m.cc_unsigned >= 0,
-}
+#: Tails of the jumps a fused pair can end in, over the op-table fields.
+_TAILS = {"j": "return {target}",
+          "jr": "return m.map_omni_target(regs[{rs}])"}
 
 
-# ---------------------------------------------------------------------------
-# body closures: fn(m, regs, fregs, memory) -> None
-# ---------------------------------------------------------------------------
-
-_LOAD_SHAPES = {
-    "lb": (1, True), "lbu": (1, False), "lh": (2, True), "lhu": (2, False),
-    "lw": (4, False), "lbx": (1, True), "lbux": (1, False),
-    "lhx": (2, True), "lhux": (2, False), "lwx": (4, False),
-}
-_STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4, "sbx": 1, "shx": 2, "swx": 4}
-
-
-def _sem_alu(mi):
-    """Semantic action for specializable straight-line ops (no charge)."""
-    op = mi.op
-    rd, rs, rt = mi.rd, mi.rs, mi.rt
-    immu = u32(mi.imm)
-    imm = mi.imm
-    if op == "add":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] + regs[rt]) & _M
-    elif op == "addi":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] + immu) & _M
-    elif op == "sub":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] - regs[rt]) & _M
-    elif op == "mul":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] * regs[rt]) & _M
-    elif op == "and":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] & regs[rt]
-    elif op == "andi":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] & immu
-    elif op == "or":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] | regs[rt]
-    elif op == "ori":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] | immu
-    elif op == "xor":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] ^ regs[rt]
-    elif op == "xori":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] ^ immu
-    elif op == "nor":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (~(regs[rs] | regs[rt])) & _M
-    elif op == "sll":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] << (regs[rt] & 31)) & _M
-    elif op == "slli":
-        sh = imm & 31
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] << sh) & _M
-    elif op == "srl":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] >> (regs[rt] & 31)
-    elif op == "srli":
-        sh = imm & 31
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] >> sh
-    elif op == "sra":
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = (a >> (regs[rt] & 31)) & _M
-    elif op == "srai":
-        sh = imm & 31
-
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = (a >> sh) & _M
-    elif op == "li":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = immu
-    elif op == "lui":
-        # The legacy executor does not re-mask the shifted value; keep
-        # the precomputed constant bit-identical to `u32(imm) << 16`.
-        value = immu << 16
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = value
-    elif op == "mov":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs]
-    elif op == "slt":
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            b = regs[rt]
-            if a & _SIGN:
-                a -= _WRAP
-            if b & _SIGN:
-                b -= _WRAP
-            regs[rd] = 1 if a < b else 0
-    elif op == "sltu":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] < regs[rt] else 0
-    elif op == "slti":
-        b = immu - _WRAP if immu & _SIGN else immu
-
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = 1 if a < b else 0
-    elif op == "sltiu":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] < immu else 0
-    elif op in ("sext8", "sext16", "zext8", "zext16"):
-        extend = semantics.extend
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = extend(op, regs[rs])
-    elif op in ("cmp", "subcc"):
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            b = regs[rt]
-            m.cc_unsigned = (a > b) - (a < b)
-            if a & _SIGN:
-                a -= _WRAP
-            if b & _SIGN:
-                b -= _WRAP
-            m.cc = (a > b) - (a < b)
-    elif op == "cmpi":
-        # Legacy: signed half compares s32(a) with s32(imm); unsigned
-        # half compares raw a with u32(imm).
-        bs = immu - _WRAP if immu & _SIGN else immu
-
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            m.cc_unsigned = (a > immu) - (a < immu)
-            if a & _SIGN:
-                a -= _WRAP
-            m.cc = (a > bs) - (a < bs)
-    elif op == "setcc":
-        test = _CC_TESTS[mi.pred]
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = 1 if test(m) else 0
-    elif op in ("fcmp", "fcmps"):
-        fs, ft = mi.fs, mi.ft
-
-        def fn(m, regs, fregs, memory):
-            a = fregs[fs]
-            b = fregs[ft]
-            m.cc = (a > b) - (a < b)
-            m.cc_unsigned = m.cc
-    elif op == "sethnd":
-        def fn(m, regs, fregs, memory):
-            m.handler_omni = regs[rs]
-    elif op == "nop":
-        def fn(m, regs, fregs, memory):
-            pass
-    else:
-        return None
-    return fn
+def _half(mi, k, bound):
+    """Closure lines for *mi* as operand suffix *k*: its cycle charge
+    (fused-category ops issue free), then its table statement — for a
+    conditional branch, the redirect (-2 when untaken)."""
+    lines = [] if mi.category == "fused" else [f"m._charge(i{k})"]
+    name = mi.op
+    if name in _TAILS:
+        return lines + [TABLE.text(_TAILS[name], k, bound)]
+    op = OPS.get(name)
+    if op is None:
+        raise VMRuntimeError(f"target op {name!r} not implemented")
+    if op.cond:
+        taken = TABLE.text(op.stmt, k, bound, mi)
+        return lines + [TABLE.text(f"return {{target}} if {taken} else -2",
+                                   k, bound)]
+    return lines + TABLE.lines(name, k, bound, "fault_native", mi)
 
 
-def _sem_mem(mi, idx):
-    """Memory ops with fault annotation (no charge)."""
-    op = mi.op
-    rd, rs, rt = mi.rd, mi.rs, mi.rt
-    fd, ft = mi.fd, mi.ft
-    immu = u32(mi.imm)
-    if op == "lw":
-        def fn(m, regs, fregs, memory):
-            try:
-                regs[rd] = memory.load_u32((regs[rs] + immu) & _M)
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "lwx":
-        def fn(m, regs, fregs, memory):
-            try:
-                regs[rd] = memory.load_u32((regs[rs] + regs[rt]) & _M)
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "sw":
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store_u32((regs[rs] + immu) & _M, regs[rt])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "swx":
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store_u32((regs[rs] + regs[rd]) & _M, regs[rt])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op in ("lb", "lbu", "lh", "lhu"):
-        size, signed = _LOAD_SHAPES[op]
+def _compile(mi, idx):
+    """The closure for one instruction, from its op's factory."""
+    key = (mi.op, mi.category == "fused", TABLE.variant(mi.op, mi))
+    make = TABLE.factory(key, _PARAMS, lambda bound: _half(mi, 1, bound))
+    return make(mi, idx)
 
-        def fn(m, regs, fregs, memory):
-            try:
-                regs[rd] = memory.load(
-                    (regs[rs] + immu) & _M, size, signed) & _M
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op in ("lbx", "lbux", "lhx", "lhux"):
-        size, signed = _LOAD_SHAPES[op]
-
-        def fn(m, regs, fregs, memory):
-            try:
-                regs[rd] = memory.load(
-                    (regs[rs] + regs[rt]) & _M, size, signed) & _M
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op in ("sb", "sh"):
-        size = _STORE_SIZES[op]
-
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store((regs[rs] + immu) & _M, size, regs[rt])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op in ("sbx", "shx"):
-        size = _STORE_SIZES[op]
-
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store((regs[rs] + regs[rd]) & _M, size, regs[rt])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "lfs":
-        def fn(m, regs, fregs, memory):
-            try:
-                fregs[fd] = memory.load_f32((regs[rs] + immu) & _M)
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "lfd":
-        def fn(m, regs, fregs, memory):
-            try:
-                fregs[fd] = memory.load_f64((regs[rs] + immu) & _M)
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "lfsx":
-        def fn(m, regs, fregs, memory):
-            try:
-                fregs[fd] = memory.load_f32((regs[rs] + regs[rt]) & _M)
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "lfdx":
-        def fn(m, regs, fregs, memory):
-            try:
-                fregs[fd] = memory.load_f64((regs[rs] + regs[rt]) & _M)
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "sfs":
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store_f32((regs[rs] + immu) & _M, fregs[ft])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "sfd":
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store_f64((regs[rs] + immu) & _M, fregs[ft])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "sfsx":
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store_f32((regs[rs] + regs[rd]) & _M, fregs[ft])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    elif op == "sfdx":
-        def fn(m, regs, fregs, memory):
-            try:
-                memory.store_f64((regs[rs] + regs[rd]) & _M, fregs[ft])
-            except AccessViolation as violation:
-                violation.fault_native = idx
-                raise
-    else:
-        return None
-    return fn
-
-
-def _sem_fp(mi):
-    op = mi.op
-    fd, fs, ft = mi.fd, mi.fs, mi.ft
-    rd = mi.rd
-    if op in ("fadds", "fsubs", "fmuls", "fdivs",
-              "faddd", "fsubd", "fmuld", "fdivd"):
-        base = op[:-1]
-        single = op.endswith("s")
-        fp_binop = semantics.fp_binop
-        if single:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = round_f32(fp_binop(base, fregs[fs], fregs[ft]))
-        else:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = fp_binop(base, fregs[fs], fregs[ft])
-    elif op in ("fnegs", "fnegd", "fabss", "fabsd", "fmovs", "fmovd"):
-        base = op[:-1]
-        single = op.endswith("s")
-        fp_unop = semantics.fp_unop
-        if single:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = round_f32(fp_unop(base, fregs[fs]))
-        else:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = fp_unop(base, fregs[fs])
-    elif op in ("fceqs", "fclts", "fcles", "fceqd", "fcltd", "fcled"):
-        pred = op[:-1]
-        if pred == "fceq":
-            def fn(m, regs, fregs, memory):
-                regs[rd] = 1 if fregs[fs] == fregs[ft] else 0
-        elif pred == "fclt":
-            def fn(m, regs, fregs, memory):
-                regs[rd] = 1 if fregs[fs] < fregs[ft] else 0
-        else:
-            def fn(m, regs, fregs, memory):
-                regs[rd] = 1 if fregs[fs] <= fregs[ft] else 0
-    else:
-        return None
-    return fn
-
-
-def _sem_generic(mi, idx):
-    """Fallback: route through the legacy executor (rare/cold ops)."""
-    def fn(m, regs, fregs, memory):
-        try:
-            m.execute(mi)
-        except AccessViolation as violation:
-            violation.fault_native = idx
-            raise
-        except VMRuntimeError as err:
-            err.fault_native = idx
-            raise
-    return fn
-
-
-def _compile_native_body(mi, idx):
-    """One straight-line native instruction: charge (in order) + effect."""
-    sem = _sem_alu(mi)
-    if sem is None:
-        sem = _sem_mem(mi, idx)
-    if sem is None:
-        sem = _sem_fp(mi)
-    if sem is None:
-        if mi.op in ("div", "divu", "rem", "remu"):
-            rd, rs, rt = mi.rd, mi.rs, mi.rt
-            op = mi.op
-            int_divide = semantics.int_divide
-
-            def sem(m, regs, fregs, memory):
-                try:
-                    regs[rd] = int_divide(op, regs[rs], regs[rt])
-                except VMRuntimeError as err:
-                    err.fault_native = idx
-                    raise
-        else:
-            sem = _sem_generic(mi, idx)
-    if mi.category == "fused":
-        # cc-profile peephole output: executes at zero issue cost.
-        return sem
-
-    def fn(m, regs, fregs, memory):
-        m._charge(mi)
-        sem(m, regs, fregs, memory)
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# terminator closures: fn(m, regs, fregs, memory) -> redirect | -2 | None
-# ---------------------------------------------------------------------------
 
 def _compile_native_term(mi, idx, spec):
+    """(terminator class, closure) for a block-ending instruction."""
     op = mi.op
-    rs, rt = mi.rs, mi.rt
-    target = mi.target
-    untaken = -2 if spec.delay_slots else None
-    charge = mi.category != "fused"
-
-    if op in ("bcc", "fbcc"):
-        test = _CC_TESTS[mi.pred]
-        if charge:
+    if op in _COND_OPS:
+        return _COND, _compile(mi, idx)
+    if op in _TAILS:
+        return _JUMP, _compile(mi, idx)
+    if op == "trap":
+        return _TRAP, _compile(mi, idx)
+    if op in ("jal", "jalr"):
+        link = spec.reserved.get("ra", 31)
+        ret = u32(mi.imm)
+        target = mi.target
+        rs = mi.rs
+        if op == "jal":
             def fn(m, regs, fregs, memory):
                 m._charge(mi)
-                return target if test(m) else untaken
+                regs[link] = ret
+                return target
         else:
             def fn(m, regs, fregs, memory):
-                return target if test(m) else untaken
-        return _COND, fn
-    if op == "beq":
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            return target if regs[rs] == regs[rt] else untaken
-        return _COND, fn
-    if op == "bne":
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            return target if regs[rs] != regs[rt] else untaken
-        return _COND, fn
-    if op in ("bltz", "blez", "bgtz", "bgez"):
-        if op == "bltz":
-            def taken(a):
-                return a < 0
-        elif op == "blez":
-            def taken(a):
-                return a <= 0
-        elif op == "bgtz":
-            def taken(a):
-                return a > 0
-        else:
-            def taken(a):
-                return a >= 0
-
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            return target if taken(a) else untaken
-        return _COND, fn
-    if op == "j":
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            return target
-        return _JUMP, fn
-    if op == "jal":
-        link = spec.reserved.get("ra", 31)
-        ret = u32(mi.imm)
-
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            regs[link] = ret
-            return target
-        return _JUMP, fn
-    if op == "jr":
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            return m.map_omni_target(regs[rs])
-        return _JUMP, fn
-    if op == "jalr":
-        link = spec.reserved.get("ra", 31)
-        ret = u32(mi.imm)
-
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            regs[link] = ret
-            return m.map_omni_target(regs[rs])
+                m._charge(mi)
+                regs[link] = ret
+                return m.map_omni_target(regs[rs])
         return _JUMP, fn
     if op == "hostcall":
         index = mi.imm
@@ -552,14 +125,6 @@ def _compile_native_term(mi, idx, spec):
             m.hostcall(m, index)
             return None
         return _HOST, fn
-    if op == "trap":
-        message = f"module trap {mi.imm}"
-        code = mi.imm
-
-        def fn(m, regs, fregs, memory):
-            m._charge(mi)
-            raise VMTrap(message, code)
-        return _TRAP, fn
     raise VMRuntimeError(f"target op {op!r} is not a terminator")
 
 
@@ -571,78 +136,24 @@ def _is_term_op(op: str) -> bool:
 # superinstruction fusion (gated per target by TargetSpec.fusion_pairs)
 # ---------------------------------------------------------------------------
 
-def _fuse_term_pair(i1, i2, idx1, idx2, spec):
-    """Fuse a straight-line op into the terminator that follows it.
-
-    The first half must be a non-faulting specializable op (``_sem_alu``,
-    which includes the cc writers), so block fault accounting never has
-    to unwind a partially-retired fused terminator.  Both halves charge
-    cycles in original order.
-    """
-    sem1 = _sem_alu(i1)
-    if sem1 is None:
-        return None
-    op2 = i2.op
-    target = i2.target
-    untaken = -2 if spec.delay_slots else None
-    if op2 in ("bcc", "fbcc"):
-        test = _CC_TESTS[i2.pred]
-
-        def fn(m, regs, fregs, memory):
-            m._charge(i1)
-            sem1(m, regs, fregs, memory)
-            m._charge(i2)
-            return target if test(m) else untaken
-        return _COND, fn
-    if op2 in ("beq", "bne"):
-        rs2, rt2 = i2.rs, i2.rt
-        if op2 == "beq":
-            def fn(m, regs, fregs, memory):
-                m._charge(i1)
-                sem1(m, regs, fregs, memory)
-                m._charge(i2)
-                return target if regs[rs2] == regs[rt2] else untaken
-        else:
-            def fn(m, regs, fregs, memory):
-                m._charge(i1)
-                sem1(m, regs, fregs, memory)
-                m._charge(i2)
-                return target if regs[rs2] != regs[rt2] else untaken
-        return _COND, fn
-    if op2 == "jr":
-        rs2 = i2.rs
-
-        def fn(m, regs, fregs, memory):
-            m._charge(i1)
-            sem1(m, regs, fregs, memory)
-            m._charge(i2)
-            return m.map_omni_target(regs[rs2])
-        return _JUMP, fn
-    if op2 == "j":
-        def fn(m, regs, fregs, memory):
-            m._charge(i1)
-            sem1(m, regs, fregs, memory)
-            m._charge(i2)
-            return target
-        return _JUMP, fn
-    return None
+def _fusable(i1, i2):
+    """Can the body op *i1* and *i2* run as one closure?  Both halves
+    charge and execute strictly in order, so register aliasing and
+    fault delivery behave exactly as unfused.  A fused terminator's
+    first half must not fault, so block fault accounting never has to
+    unwind a partially-retired terminator."""
+    first = OPS[i1.op].fault
+    if _is_term_op(i2.op):
+        return first == NONE and (i2.op in _COND_OPS or i2.op in _TAILS)
+    return first in (NONE, MEM) and OPS[i2.op].fault in (NONE, MEM)
 
 
-def _fuse_body_pair(i1, i2, idx1, idx2):
-    """Two straight-line ops run back-to-back in one closure.  Both
-    halves execute strictly in order, so register aliasing and fault
-    delivery behave exactly as unfused."""
-    sem1 = _sem_alu(i1) or _sem_mem(i1, idx1)
-    sem2 = _sem_alu(i2) or _sem_mem(i2, idx2)
-    if sem1 is None or sem2 is None:
-        return None
-
-    def fn(m, regs, fregs, memory):
-        m._charge(i1)
-        sem1(m, regs, fregs, memory)
-        m._charge(i2)
-        sem2(m, regs, fregs, memory)
-    return fn
+def _fuse(i1, i2, idx1, idx2):
+    key = (i1.op, i2.op, TABLE.variant(i1.op, i1),
+           TABLE.variant(i2.op, i2))
+    make = TABLE.factory(key, _PARAMS, lambda bound: (
+        _half(i1, 1, bound) + _half(i2, 2, bound)))
+    return make(i1, idx1, i2, idx2)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +184,7 @@ class ThreadedNativeProgram:
     def _body_step(self, index: int):
         step = self.steps[index]
         if step is None:
-            step = self.steps[index] = _compile_native_body(
-                self.instrs[index], index)
+            step = self.steps[index] = _compile(self.instrs[index], index)
         return step
 
     def build_block(self, index: int):
@@ -714,28 +224,21 @@ class ThreadedNativeProgram:
             if nxt < n and mi.category != "fused" \
                     and instrs[nxt].category != "fused":
                 mi2 = instrs[nxt]
-                if (op, mi2.op) in self._fusion:
+                if (op, mi2.op) in self._fusion and _fusable(mi, mi2):
+                    fn = _fuse(mi, mi2, i, nxt)
+                    cats[mi.category] = cats.get(mi.category, 0) + 1
+                    cats[mi2.category] = cats.get(mi2.category, 0) + 1
+                    total += 2
+                    fused += 1
                     if _is_term_op(mi2.op):
-                        made = _fuse_term_pair(mi, mi2, i, nxt, spec)
-                        if made is not None:
-                            term_end = nxt
-                            term_mi = mi2
-                            cats[mi.category] = cats.get(mi.category, 0) + 1
-                            cats[mi2.category] = cats.get(mi2.category, 0) + 1
-                            total += 2
-                            fused += 1
-                            term_kind, term_fn = made
-                            break
-                    else:
-                        fn = _fuse_body_pair(mi, mi2, i, nxt)
-                        if fn is not None:
-                            body.append(fn)
-                            cats[mi.category] = cats.get(mi.category, 0) + 1
-                            cats[mi2.category] = cats.get(mi2.category, 0) + 1
-                            total += 2
-                            fused += 1
-                            i += 2
-                            continue
+                        term_end = nxt
+                        term_mi = mi2
+                        term_kind = _COND if mi2.op in _COND_OPS else _JUMP
+                        term_fn = fn
+                        break
+                    body.append(fn)
+                    i += 2
+                    continue
             body.append(self._body_step(i))
             cats[mi.category] = cats.get(mi.category, 0) + 1
             total += 1

@@ -1,10 +1,13 @@
 """The omnicc command-line toolchain."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.errors import (
     CrossModuleViolation,
     DuplicateExportError,
@@ -311,3 +314,26 @@ class TestSfiCheck:
     def test_unknown_arch_is_usage_error(self, capsys):
         assert main(["sfi-check", "--arch", "vax"]) == 2
         assert "unknown target" in capsys.readouterr().err
+
+
+def _readme_cli_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```(?:bash|sh|shell)\n(.*?)```",
+                        readme.read_text(), re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if "python -m repro " in line]
+
+
+def test_readme_cli_lines_parse():
+    """Every ``python -m repro ...`` line in README's shell blocks is
+    accepted by the CLI's argument parser (parsed, not run)."""
+    lines = _readme_cli_lines()
+    assert len(lines) >= 20
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line.split("python -m repro ", 1)[1],
+                           comments=True)
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

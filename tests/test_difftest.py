@@ -15,7 +15,9 @@ from repro.difftest.harness import (
     run_one,
 )
 from repro.engine import ARCHITECTURES, Engine, INTERPRETER
+from repro.omnivm.interp import OmniVM
 from repro.omnivm.verifier import verify_program
+from repro.targets.jit import JitTargetMachine
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,26 @@ class TestMinimizer:
         stmts = [("instr", "a"), ("instr", "b"), ("instr", "epilogue")]
         reduced, _ = minimize_program(stmts, lambda c: False)
         assert reduced == stmts
+
+
+class TestReferenceExecutor:
+    def test_reference_is_the_hand_written_interpreter(self, monkeypatch):
+        """The oracle run must be the reference interpreter itself, not
+        a generated tier; targets stay on the engine's default tier."""
+        loaded = []
+        load = Engine.load
+
+        def spy(self, *args, **kwargs):
+            loaded.append(load(self, *args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(Engine, "load", spy)
+        program = ProgramGenerator("reference").program(0).build()
+        engine = Engine(cache=False)
+        run_one(engine, program, INTERPRETER)
+        run_one(engine, program, "mips")
+        assert type(loaded[0].vm) is OmniVM
+        assert type(loaded[1].machine) is JitTargetMachine
 
 
 class TestSmoke:

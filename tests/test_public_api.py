@@ -113,14 +113,6 @@ class TestRunConfig:
         with pytest.raises(Exception):
             RunConfig().fuel = 7  # type: ignore[misc]
 
-    def test_merged(self):
-        config = RunConfig(fuel=10).merged(engine="legacy")
-        assert (config.fuel, config.engine) == (10, "legacy")
-
-    def test_merged_rejects_unknown_fields(self):
-        with pytest.raises(TypeError, match="unknown RunConfig"):
-            RunConfig().merged(bogus=1)
-
 
 class TestEngineSignatures:
     def test_load_takes_config(self):
@@ -137,29 +129,6 @@ class TestEngineSignatures:
         for name in ("register_module", "revoke_module",
                      "link_modules", "load_program", "registry"):
             assert hasattr(Engine, name) or name == "registry"
-
-    def test_legacy_kwargs_warn_but_work(self):
-        engine = Engine()
-        program = engine.compile(
-            "int main() { emit_int(9); return 0; }")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, module = engine.run(program, fuel=1_000_000)
-        assert code == 0
-        assert module.host.output_values() == [9]
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_positional_host_still_accepted(self):
-        from repro.runtime.host import Host
-
-        engine = Engine()
-        program = engine.compile("int main() { return 0; }")
-        host = Host()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            module = engine.load(program, None, None, host)
-        assert module.host is host
 
     def test_unknown_legacy_kwarg_rejected(self):
         engine = Engine()
@@ -199,57 +168,3 @@ class TestErrorHierarchy:
         assert err.name == "lib" and err.epoch == 3
         err = CrossModuleViolation("bad", module="m", target=64)
         assert err.module == "m" and err.target == 64
-
-
-class TestConfigKwargConflicts:
-    """A field set both in ``config=`` and as a legacy keyword is a
-    programming error: the old shim let the keyword silently win."""
-
-    def _program(self, engine):
-        return engine.compile("int main() { return 0; }")
-
-    def test_load_conflict_raises_type_error(self):
-        engine = Engine()
-        program = self._program(engine)
-        with pytest.raises(TypeError, match=r"fuel="):
-            engine.load(program, config=RunConfig(fuel=5), fuel=9)
-
-    def test_run_conflict_raises_type_error(self):
-        engine = Engine()
-        program = self._program(engine)
-        with pytest.raises(TypeError, match=r"engine="):
-            engine.run(program, config=RunConfig(engine="legacy"),
-                       engine="threaded")
-
-    def test_conflict_message_names_every_field(self):
-        engine = Engine()
-        program = self._program(engine)
-        with pytest.raises(TypeError, match=r"engine=, fuel="):
-            engine.load(program, config=RunConfig(fuel=5, engine="jit"),
-                        fuel=9, engine="legacy")
-
-    def test_distinct_fields_merge_with_warning_only(self):
-        engine = Engine()
-        program = self._program(engine)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = engine.load(program, config=RunConfig(verify=False),
-                                 fuel=1_000_000)
-        assert module.vm.fuel == 1_000_000
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_deprecation_warning_points_at_user_call_site(self):
-        """`stacklevel` must attribute the warning to the caller of
-        Engine.load / Engine.run, not to engine.py internals."""
-        engine = Engine()
-        program = self._program(engine)
-        for invoke in (lambda: engine.load(program, fuel=1_000_000),
-                       lambda: engine.run(program, fuel=1_000_000)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                invoke()
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert deprecations[0].filename == __file__
