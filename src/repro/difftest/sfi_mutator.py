@@ -209,7 +209,7 @@ def clone_module(module: TranslatedModule) -> TranslatedModule:
         copy = dataclasses.replace(instr)
         copy.creads = None
         copy.cwrites = None
-        copy.clat = -1
+        copy.cissue = None
         copy.cclass = ""
         instrs.append(copy)
     return TranslatedModule(

@@ -120,17 +120,6 @@ def natural_loops(func: Function) -> list[Loop]:
     return result
 
 
-def loop_exits(func: Function, loop: Loop) -> list[tuple[str, str]]:
-    """Edges leaving the loop, as (from_label, to_label) pairs."""
-    exits: list[tuple[str, str]] = []
-    block_map = func.block_map()
-    for label in loop.body:
-        for succ_label in block_map[label].successors():
-            if succ_label not in loop.body:
-                exits.append((label, succ_label))
-    return exits
-
-
 def block_order_for_layout(func: Function) -> list[BasicBlock]:
     """Blocks in reverse postorder, for final code layout (keeps fallthrough
     chains mostly intact and deterministic)."""

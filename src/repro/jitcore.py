@@ -16,9 +16,12 @@ not ISA-specific are hoisted here:
   scaffolding (cache cells, entry guard, the ``_FLUSH`` placeholder
   expanded after inlined hostcalls);
 * the fresh-namespace builder for ``exec``'d superblocks;
-* :class:`SideExitPromotion`, the shared deopt-promotion policy: when a
-  guarded side exit's counter crosses the JIT heat threshold, re-form a
-  trace that covers the hot path instead of deopting forever.
+* :class:`BlockDispatch`, the state and counters of each ISA's one
+  block-dispatch loop, and :class:`SuperblockTier`, the one tier-up
+  path: heat-triggered compilation, the side table, one superblock
+  closure per machine, and the deopt-promotion policy — when a guarded
+  side exit's counter crosses the JIT heat threshold, re-form a trace
+  that covers the hot path instead of deopting forever.
 
 Emitted source must stay a pure function of the instruction stream (and
 the per-entry override table): no ``id()``, hashes, or dict iteration
@@ -28,12 +31,17 @@ order may leak into generated code.
 from __future__ import annotations
 
 import struct
+import time
 
+from repro import metrics
 from repro.errors import FuelExhausted
 from repro.optable import exec_env
 
 #: Block-entry dispatch count at which a superblock is formed.
 JIT_HEAT = 16
+#: Heat threshold of a machine that never tiers up: ``engine="threaded"``
+#: runs the same dispatch loop, and its superblock probe never fires.
+NO_TIER_UP = 1 << 62
 #: Formation limits: constituent blocks / instructions per superblock.
 MAX_TRACE_BLOCKS = 32
 MAX_TRACE_INSTRS = 512
@@ -48,7 +56,8 @@ __all__ = [
     "FLUSH",
     "Emitter",
     "Acct",
-    "SideExitPromotion",
+    "BlockDispatch",
+    "SuperblockTier",
     "base_exec_globals",
     "cache_cells",
     "emit_lines",
@@ -211,16 +220,69 @@ def cache_cells(em) -> tuple[list[str], str]:
 
 
 # ---------------------------------------------------------------------------
-# side-exit heat promotion
+# the dispatch loop's state and the tier-up path
 # ---------------------------------------------------------------------------
 
-class SideExitPromotion:
-    """Deopt-promotion policy shared by both JIT tiers.
+class BlockDispatch:
+    """State and counters of the one block-dispatch loop per ISA
+    (:meth:`repro.omnivm.threaded.ThreadedVM._run_loop` and
+    :meth:`repro.targets.threaded.ThreadedTargetMachine._run`).
 
-    Every guarded side exit calls ``vm._note_exit(entry, site, taken,
-    exit_loc)`` on its way back to the dispatcher.  When one site's
-    counter crosses the VM's heat threshold the trace is re-formed so
-    the hot path stops deopting:
+    The loop probes ``_superblocks`` at every block entry and counts the
+    entry's heat in ``_heat``.  As set up here the probe never fires —
+    ``engine="threaded"`` — and :class:`SuperblockTier` switches it on.
+    Each ``run`` reports the growth of the :attr:`COUNTERS` as metrics.
+    """
+
+    #: (metrics counter, attribute) pairs, in reporting order.
+    COUNTERS = (("execute.blocks", "_blocks_run"),
+                ("execute.fused", "_fused_run"))
+
+    def _init_dispatch(self, length: int) -> None:
+        self._blocks_run = 0
+        self._fused_run = 0
+        self._superblocks: dict[int, object] = {}
+        self._heat = [0] * length
+        self._jit_heat = NO_TIER_UP
+        self._side_key = None
+        self._superblocks_run = 0
+
+    def run(self, *args):
+        before = [getattr(self, attr) for _name, attr in self.COUNTERS]
+        try:
+            return super().run(*args)
+        finally:
+            if metrics.active():
+                for (name, attr), then in zip(self.COUNTERS, before):
+                    delta = getattr(self, attr) - then
+                    if delta:
+                        metrics.count(name, delta)
+
+
+class SuperblockTier(BlockDispatch):
+    """Tier-up path and deopt-promotion policy shared by both JIT machines.
+
+    A JIT machine is its ISA's threaded machine with this class in
+    front: an entry that reaches ``_jit_heat`` dispatches goes through
+    :meth:`_compile_entry`, and in a warm process an entry's first
+    dispatch through :meth:`_warm_entry`.  Each ISA supplies only its
+    compile function ``_compile_superblock(program, index, overrides)``
+    returning ``(source, factory)`` (``(None, None)`` for an entry
+    outside the emitter's vocabulary), its side-table keys (see
+    :meth:`_init_tier`), and the promotion hooks
+    ``_promotion_profitable`` and ``_anchor_exit``.
+
+    **One closure per machine.**  A superblock keeps its per-site inline
+    memory caches in the cells of its ``_make_superblock`` closure.  The
+    side table and the promotion profile therefore hold that *factory*,
+    never a closure, and every machine calls it once per entry it
+    installs: machines running the same module on other threads never
+    see (or overwrite) each other's cached segments.
+
+    **Promotion.**  Every guarded side exit calls ``vm._note_exit(entry,
+    site, taken, exit_loc)`` on its way back to the dispatcher.  When one
+    site's counter crosses the machine's heat threshold the trace is
+    re-formed so the hot path stops deopting:
 
     * if the exit target leads back to the trace entry (a cycle the
       static predictor laid out the wrong way), the branch's prediction
@@ -243,18 +305,22 @@ class SideExitPromotion:
     recompiles.
 
     The learned state — exit heat, overrides, pinned sites, and the
-    override-compiled superblocks — forms the entry's **promotion
-    profile**.  With a translation cache the profile object lives in
-    the in-memory side table under a digest-derived key and is adopted
-    *by reference* by every machine of the same translation, so the
-    heat ramp, flips, and reverts are paid once per program, not once
-    per machine; digest-filtered invalidation drops the profile with
-    the translations.  Without a cache the profile is per-machine.
-
-    Hosting classes provide ``_jit_heat``, ``_jit_deopts``, and the
-    hooks ``_promotion_profitable``, ``_repromote_entry`` and
-    ``_anchor_exit``.
+    factories of the override-compiled superblocks — forms the entry's
+    **promotion profile**.  With a translation cache the profile object
+    lives in the in-memory side table under a digest-derived key and is
+    adopted *by reference* by every machine of the same translation, so
+    the heat ramp, flips, and reverts are paid once per program, not
+    once per machine; digest-filtered invalidation drops the profile
+    with the translations.  Without a cache the profile is per-machine.
     """
+
+    COUNTERS = BlockDispatch.COUNTERS + (
+        ("execute.superblocks", "_superblocks_compiled"),
+        ("execute.deopts", "_jit_deopts"),
+        ("execute.jit_compile_ms", "_jit_compile_ms"),
+        ("execute.superblock_runs", "_superblocks_run"),
+        ("execute.jit_promotions", "_jit_promotions"),
+    )
 
     #: Hard cap on overridden branches per trace entry.
     PROMOTE_LIMIT = 8
@@ -262,19 +328,98 @@ class SideExitPromotion:
     @staticmethod
     def fresh_profile() -> dict:
         return {"exit_heat": {}, "overrides": {}, "promoted": set(),
-                "pinned": set(), "fns": {}}
+                "pinned": set(), "makers": {}}
 
-    def _init_promotion(self, profile: dict | None = None) -> None:
-        if profile is None:
+    def _init_tier(self, cache, side_key, profile_key) -> None:
+        """Switch the threaded machine's probe on.  With a *cache*, the
+        factory of entry ``i`` lives in its side table under ``side_key
+        + (i,)`` and the shared promotion profile under *profile_key*."""
+        self._jit_heat = JIT_HEAT
+        self._jit_cache = cache
+        self._side_key = side_key if cache is not None else None
+        self._superblocks_compiled = 0
+        self._jit_deopts = 0
+        self._jit_compile_ms = 0.0
+        self._jit_promotions = 0
+        self._jit_reverts = 0
+        if self._side_key is None:
             profile = self.fresh_profile()
-        self._jit_profile = profile
+        else:
+            profile = cache.probe_predecoded(profile_key)
+            if profile is None:
+                profile = self.fresh_profile()
+                cache.put_predecoded(profile_key, profile)
         self._exit_heat: dict[tuple, int] = profile["exit_heat"]
         self._trace_overrides: dict = profile["overrides"]
         self._promoted_sites: set[tuple] = profile["promoted"]
         self._pinned_sites: set[tuple] = profile["pinned"]
-        self._promoted_fns: dict = profile["fns"]
-        self._jit_promotions = 0
-        self._jit_reverts = 0
+        self._promoted_makers: dict = profile["makers"]
+        # Adopted-profile entries dispatch straight to their promoted
+        # superblocks (the warm path would find the unpromoted form
+        # under the side-table keys).  The profile is shared with
+        # machines on other threads, so iterate over a snapshot.
+        for index, make in list(self._promoted_makers.items()):
+            self._superblocks[index] = make()
+
+    def _compile(self, index, overrides):
+        """Compile the superblock at *index*; return its factory, or
+        None when the entry block is outside the emitter's vocabulary."""
+        start = time.perf_counter()
+        _source, make = self._compile_superblock(self._threaded, index,
+                                                 overrides)
+        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
+        if make is not None:
+            self._superblocks_compiled += 1
+        return make
+
+    def _compile_entry(self, index):
+        """Install the superblock at *index* in the dispatch map: from
+        the promotion profile when the entry has overrides (such a form
+        is profile-specialized and never published under the side-table
+        keys), else from the side table, else compiled here and
+        published.  An entry that cannot be compiled has its heat
+        pinned so the threaded tier keeps it for good."""
+        overrides = self._trace_overrides.get(index)
+        key = None
+        make = None
+        if overrides:
+            make = self._promoted_makers.get(index)
+        elif self._side_key is not None:
+            key = self._side_key + (index,)
+            make = self._jit_cache.probe_predecoded(key)
+        if make is None:
+            make = self._compile(index, overrides)
+            if make is None:
+                self._heat[index] = -(1 << 30)
+                return None
+            if overrides:
+                self._promoted_makers[index] = make
+            elif key is not None:
+                self._jit_cache.put_predecoded(key, make)
+        fn = self._superblocks[index] = make()
+        return fn
+
+    def _warm_entry(self, index):
+        """First dispatch of *index* in a warm process: install the
+        superblock another machine of the same program already compiled,
+        without waiting out the heat ramp."""
+        make = self._jit_cache.probe_predecoded(self._side_key + (index,))
+        if make is None:
+            return None
+        fn = self._superblocks[index] = make()
+        return fn
+
+    def _repromote_entry(self, entry) -> None:
+        overrides = self._trace_overrides.get(entry)
+        make = self._compile(entry, overrides)
+        if make is None:
+            return
+        self._superblocks[entry] = make()
+        if overrides:
+            self._promoted_makers[entry] = make
+        else:
+            # all overrides reverted: the plain trace is current again
+            self._promoted_makers.pop(entry, None)
 
     def _note_exit(self, entry, site, taken, exit_loc) -> None:
         self._jit_deopts += 1
@@ -310,9 +455,6 @@ class SideExitPromotion:
     # Hooks ----------------------------------------------------------------
 
     def _promotion_profitable(self, entry, site, exit_loc) -> bool:
-        raise NotImplementedError
-
-    def _repromote_entry(self, entry) -> None:
         raise NotImplementedError
 
     def _anchor_exit(self, exit_loc) -> None:

@@ -46,24 +46,19 @@ instruction stream — two predecode runs of the same program produce
 byte-identical superblock source (pinned by tests; no ``id()`` or
 hash/dict iteration order may leak into the emitted code).
 
-Compiled superblocks bind no VM state (they receive the register files
-and memory as arguments), so — like the predecode artifact — they are
-shared between VM instances via the in-memory predecode side table of
-:class:`~repro.cache.TranslationCache` under ``("jit-omni", digest,
-entry)`` keys, which module revocation invalidates together with the
-``("predecode-*", ...)`` entries.
+Compiled superblocks receive the register files and memory as
+arguments, but each keeps its per-site inline memory caches in the
+cells of its ``_make_superblock`` closure — that is VM state.  So the
+in-memory predecode side table of :class:`~repro.cache.TranslationCache`
+shares the compiled *factory* between VM instances under ``("jit-omni",
+digest, entry)`` keys, each VM calls it for a closure of its own (see
+:class:`repro.jitcore.SuperblockTier`), and module revocation
+invalidates the factories together with the ``("predecode-*", ...)``
+entries.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro import metrics
-from repro.errors import (
-    AccessViolation,
-    FuelExhausted,
-    VMRuntimeError,
-)
 from repro.jitcore import (
     FLUSH as _FLUSH,
     JIT_HEAT,
@@ -71,19 +66,18 @@ from repro.jitcore import (
     MAX_TRACE_INSTRS,
     Acct as _Acct,
     Emitter as _Emitter,
-    SideExitPromotion,
+    SuperblockTier,
     base_exec_globals,
     cache_cells,
     emit_lines,
     emit_mem_access,
 )
-from repro.omnivm.interp import OmniVM
 from repro.omnivm.isa import INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
 from repro.omnivm.ops import OPS, TABLE, fold_branch
 from repro.omnivm.threaded import BLOCK_ENDS, ThreadedVM
 from repro.optable import DIV, FPDIV, FPDIV_RAISE, MEM
-from repro.utils.bits import s32, u32
+from repro.utils.bits import u32
 
 #: Longest arm (in instructions) an inlined branch diamond may have.
 MAX_DIAMOND_ARM = 8
@@ -257,7 +251,7 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
     inlined diamond resets it to zero (the join becomes the new
     accounting base) and reports how many arm instructions it emitted.
     *overrides* maps branch pcs to promoted predictions (see
-    :class:`repro.jitcore.SideExitPromotion`); they replace only the
+    :class:`repro.jitcore.SuperblockTier`); they replace only the
     BTFN default — loop closure and diamonds keep priority.
     """
     target = u32(instr.imm)
@@ -431,10 +425,10 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
     # The superblock is a closure: the inline-cache sites live in cells
     # of the enclosing ``_make_superblock`` scope, so they survive
     # across invocations — a short trace dispatched thousands of times
-    # warms each site once, not once per call.  The entry guard flushes
-    # every site when the function is handed a different Memory (the
-    # compiled fn is shared across VMs of the same program content) or
-    # when segment permissions changed since the last call.
+    # warms each site once, not once per call.  Each VM calls the
+    # factory for a closure of its own.  The entry guard flushes every
+    # site on the first call (``_mem`` starts as None) and whenever
+    # segment permissions changed since the last call.
     cells, invalidate = cache_cells(em)
     out = [f"# superblock @{entry_pc:#010x} "
            f"({len(visited)} blocks, {total} instrs"
@@ -491,18 +485,19 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
 def compile_superblock(program, entry_index: int, overrides=None):
     """Compile the superblock entered at *entry_index*.
 
-    Returns ``(source, function)``; the function has the signature
-    ``fn(vm, state, regs, fregs, memory)`` and binds no VM state, so it
-    is shareable across VMs (and cacheable under ``("jit-omni", digest,
-    entry)`` keys — but only when compiled without *overrides*, which
-    encode one VM's runtime profile).
+    Returns ``(source, factory)``: each call of the factory (the
+    source's ``_make_superblock``) returns a fresh superblock closure
+    ``fn(vm, state, regs, fregs, memory)`` with inline caches of its
+    own.  The factory binds no VM state, so it is shareable across VMs
+    (and cacheable under ``("jit-omni", digest, entry)`` keys — but only
+    when compiled without *overrides*, which encode a runtime profile).
     """
     source = superblock_source(program, entry_index, overrides)
     entry_pc = CODE_BASE + entry_index * INSTR_SIZE
     code = compile(source, f"<jit-omni@{entry_pc:#010x}>", "exec")
     namespace = dict(_EXEC_GLOBALS)
     exec(code, namespace)
-    return source, namespace["_superblock"]
+    return source, namespace["_make_superblock"]
 
 
 def _path_reaches(instrs, n, start, entry, limit=MAX_TRACE_BLOCKS):
@@ -548,106 +543,33 @@ def _path_reaches(instrs, n, start, entry, limit=MAX_TRACE_BLOCKS):
 # the tiering VM
 # ---------------------------------------------------------------------------
 
-class JitVM(SideExitPromotion, ThreadedVM):
+class JitVM(SuperblockTier, ThreadedVM):
     """ThreadedVM with the superblock JIT tier on top.
 
-    Cold blocks run on the inherited threaded tier while per-entry heat
-    counters accumulate; entries that reach ``heat`` dispatches are
-    compiled (or fetched from the shared side table) and dispatch to
-    their superblock from then on.  ``count_opcodes`` still forces the
-    legacy per-instruction loop, exactly as for :class:`ThreadedVM`.
-    Guarded side exits that themselves cross the heat threshold are
-    promoted (see :class:`repro.jitcore.SideExitPromotion`): the trace
-    is re-formed with the hot direction on trace, or — when the exit
-    genuinely leaves the trace's cycle — a trace is anchored at the
-    exit target without waiting out the dispatch heat ramp.
+    Cold blocks run on the threaded tier while per-entry heat counters
+    accumulate; entries that reach the heat threshold are compiled (or
+    fetched from the shared side table under ``("jit-omni", digest,
+    entry)``) and dispatch to their superblock from then on — all
+    through the one dispatch loop, :meth:`ThreadedVM._run_loop`, and the
+    tier-up path of :class:`repro.jitcore.SuperblockTier`.
+    ``count_opcodes`` still forces the legacy per-instruction loop,
+    exactly as for :class:`ThreadedVM`.  Guarded side exits that
+    themselves cross the heat threshold are promoted: the trace is
+    re-formed with the hot direction on trace, or — when the exit
+    genuinely leaves the trace's cycle — a trace is anchored at the exit
+    target without waiting out the dispatch heat ramp.
     """
 
+    _compile_superblock = staticmethod(compile_superblock)
+
     def __init__(self, program, memory, hostcall=None, fuel=50_000_000,
-                 threaded=None, cache=None, digest=None, heat=JIT_HEAT):
+                 threaded=None, cache=None, digest=None):
         super().__init__(program, memory, hostcall, fuel, threaded=threaded)
-        self._jit_cache = cache
-        self._jit_digest = digest
-        self._jit_heat = heat
-        self._heat = [0] * self._threaded.length
-        self._superblocks: dict[int, object] = {}
-        self._jit_sources: dict[int, str] = {}
-        self._superblocks_run = 0
-        self._superblocks_compiled = 0
-        self._jit_deopts = 0
-        self._jit_compile_ms = 0.0
-        profile = None
-        if cache is not None and digest is not None:
-            profile_key = ("jit-profile-omni", digest)
-            profile = cache.probe_predecoded(profile_key)
-            if profile is None:
-                profile = self.fresh_profile()
-                cache.put_predecoded(profile_key, profile)
-        self._init_promotion(profile)
-        # Adopted-profile entries dispatch straight to their promoted
-        # superblocks (the plain warm path would find the unpromoted
-        # form under the ("jit-omni", …) keys).
-        self._superblocks.update(self._promoted_fns)
+        self._init_tier(cache,
+                        None if digest is None else ("jit-omni", digest),
+                        ("jit-profile-omni", digest))
 
-    def run(self, entry=None):
-        compiled_before = self._superblocks_compiled
-        deopts_before = self._jit_deopts
-        ms_before = self._jit_compile_ms
-        runs_before = self._superblocks_run
-        promotions_before = self._jit_promotions
-        try:
-            return super().run(entry)
-        finally:
-            if metrics.active():
-                compiled = self._superblocks_compiled - compiled_before
-                if compiled:
-                    metrics.count("execute.superblocks", compiled)
-                deopts = self._jit_deopts - deopts_before
-                if deopts:
-                    metrics.count("execute.deopts", deopts)
-                ms = self._jit_compile_ms - ms_before
-                if ms:
-                    metrics.count("execute.jit_compile_ms", ms)
-                runs = self._superblocks_run - runs_before
-                if runs:
-                    metrics.count("execute.superblock_runs", runs)
-                promotions = self._jit_promotions - promotions_before
-                if promotions:
-                    metrics.count("execute.jit_promotions", promotions)
-
-    def _compile_entry(self, index):
-        """Compile (or fetch from the side table) the superblock at
-        *index* and install it in the dispatch map.  Entries with
-        promotion overrides are profile-specialized: their compiled
-        form travels with the promotion profile, not the plain
-        ``("jit-omni", …)`` keys."""
-        overrides = self._trace_overrides.get(index)
-        cache = self._jit_cache
-        key = None
-        if overrides:
-            fn = self._promoted_fns.get(index)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        elif cache is not None and self._jit_digest is not None:
-            key = ("jit-omni", self._jit_digest, index)
-            fn = cache.probe_predecoded(key)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        start = time.perf_counter()
-        source, fn = compile_superblock(self._threaded, index, overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        self._superblocks_compiled += 1
-        self._jit_sources[index] = source
-        self._superblocks[index] = fn
-        if overrides:
-            self._promoted_fns[index] = fn
-        elif key is not None:
-            cache.put_predecoded(key, fn)
-        return fn
-
-    # -- promotion hooks (repro.jitcore.SideExitPromotion) ---------------
+    # -- promotion hooks (repro.jitcore.SuperblockTier) ------------------
 
     def _promotion_profitable(self, entry, site, exit_loc):
         instrs = self._threaded.instrs
@@ -667,20 +589,6 @@ class JitVM(SideExitPromotion, ThreadedVM):
             return False
         return _path_reaches(instrs, n, e_off >> 3, entry)
 
-    def _repromote_entry(self, entry):
-        start = time.perf_counter()
-        overrides = self._trace_overrides.get(entry)
-        source, fn = compile_superblock(self._threaded, entry, overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        self._superblocks_compiled += 1
-        self._jit_sources[entry] = source
-        self._superblocks[entry] = fn
-        if overrides:
-            self._promoted_fns[entry] = fn
-        else:
-            # all overrides reverted: the plain trace is current again
-            self._promoted_fns.pop(entry, None)
-
     def _anchor_exit(self, exit_loc):
         off = exit_loc - CODE_BASE
         if off & 7 or not 0 <= (off >> 3) < self._threaded.length:
@@ -688,117 +596,3 @@ class JitVM(SideExitPromotion, ThreadedVM):
         index = off >> 3
         if index not in self._superblocks:
             self._compile_entry(index)
-
-    def _run_loop(self, state, instrs, sentinel):
-        if self.count_opcodes:
-            # Instruction-mix instrumentation needs per-instruction
-            # dispatch; the legacy loop is the measurement path.
-            return OmniVM._run_loop(self, state, instrs, sentinel)
-        program = self._threaded
-        blocks = program.blocks
-        build = program.build_block
-        n = program.length
-        regs = state.regs
-        fregs = state.fregs
-        memory = self.memory
-        heat = self._heat
-        threshold = self._jit_heat
-        sb_get = self._superblocks.get
-        digest = self._jit_digest
-        cache_get = (self._jit_cache.probe_predecoded
-                     if self._jit_cache is not None and digest is not None
-                     else None)
-        blocks_run = 0
-        fused_run = 0
-        sb_run = 0
-        try:
-            while not state.halted:
-                pc = state.pc
-                if pc == sentinel:
-                    break
-                offset = pc - CODE_BASE
-                index = offset >> 3
-                if offset & 7 or index < 0 or index >= n:
-                    raise AccessViolation(
-                        f"execute at bad address {pc:#010x}", pc, "execute"
-                    )
-                fn = sb_get(index)
-                if fn is None:
-                    h = heat[index] + 1
-                    heat[index] = h
-                    if h >= threshold:
-                        fn = self._compile_entry(index)
-                    elif h == 1 and cache_get is not None:
-                        # Warm process: another VM of the same program
-                        # already compiled this entry — install it
-                        # without waiting out the heat threshold.
-                        fn = cache_get(("jit-omni", digest, index))
-                        if fn is not None:
-                            self._superblocks[index] = fn
-                if fn is not None:
-                    # -- superblock tier ---------------------------------
-                    sb_run += 1
-                    try:
-                        fn(self, state, regs, fregs, memory)
-                    except AccessViolation as violation:
-                        # The superblock committed the retired prefix and
-                        # fault pc before raising; deliver like the
-                        # threaded tier.
-                        self._deliver_violation(violation)
-                    if state.instret > self.fuel and not state.halted:
-                        raise FuelExhausted(
-                            f"exceeded fuel of {self.fuel} instructions"
-                        )
-                    continue
-                # -- threaded tier (identical to ThreadedVM._run_loop) ---
-                block = blocks[index]
-                if block is None:
-                    block = build(index)
-                body, body_count, term, term_pc, term_count, fused = block
-                blocks_run += 1
-                fused_run += fused
-                try:
-                    for fn in body:
-                        fn(regs, fregs, memory)
-                except AccessViolation as violation:
-                    fault_pc = violation.fault_pc
-                    state.instret += ((fault_pc - pc) >> 3) + 1
-                    state.pc = fault_pc
-                    self._deliver_violation(violation)
-                    if state.instret > self.fuel:
-                        raise FuelExhausted(
-                            f"exceeded fuel of {self.fuel} instructions"
-                        )
-                    continue
-                except VMRuntimeError as err:
-                    fault_pc = getattr(err, "fault_pc", None)
-                    if fault_pc is not None:
-                        state.instret += ((fault_pc - pc) >> 3) + 1
-                        state.pc = fault_pc
-                    raise
-                state.instret += body_count + term_count
-                state.pc = term_pc
-                if term is not None:
-                    try:
-                        state.pc = term(self, state, regs)
-                    except AccessViolation as violation:
-                        fault_pc = getattr(violation, "fault_pc", term_pc)
-                        retired = ((fault_pc - term_pc) >> 3) + 1
-                        state.instret -= term_count - retired
-                        state.pc = fault_pc
-                        self._deliver_violation(violation)
-                        if state.instret > self.fuel:
-                            raise FuelExhausted(
-                                f"exceeded fuel of {self.fuel} instructions"
-                            )
-                        continue
-                if state.instret > self.fuel and not state.halted:
-                    raise FuelExhausted(
-                        f"exceeded fuel of {self.fuel} instructions"
-                    )
-        finally:
-            self._blocks_run += blocks_run
-            self._fused_run += fused_run
-            self._superblocks_run += sb_run
-        return s32(state.regs[1]) if not state.halted else state.exit_code
-

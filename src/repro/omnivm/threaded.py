@@ -35,6 +35,11 @@ register files and memory as arguments — so one predecoded artifact is
 shared by every :class:`ThreadedVM` running the same program and may be
 cached in the :class:`~repro.cache.TranslationCache` (in memory only;
 closures do not persist to disk).
+
+:meth:`ThreadedVM._run_loop` is the one OmniVM block-dispatch loop: the
+superblock JIT (:class:`~repro.omnivm.jit.JitVM`) runs it too, through
+the superblock probe at each block entry, which never fires under
+``engine="threaded"``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.errors import (
     FuelExhausted,
     VMRuntimeError,
 )
+from repro.jitcore import BlockDispatch
 from repro.omnivm.interp import OmniVM
 from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
@@ -263,7 +269,7 @@ def predecode_program(program) -> ThreadedProgram:
 # the threaded VM
 # ---------------------------------------------------------------------------
 
-class ThreadedVM(OmniVM):
+class ThreadedVM(BlockDispatch, OmniVM):
     """OmniVM with the threaded-code dispatch loop.
 
     Semantics match the reference interpreter bit-for-bit on the
@@ -284,22 +290,7 @@ class ThreadedVM(OmniVM):
         super().__init__(program, memory, hostcall, fuel)
         self._threaded = (threaded if threaded is not None
                           else predecode_program(program))
-        self._blocks_run = 0
-        self._fused_run = 0
-
-    def run(self, entry=None):
-        blocks_before = self._blocks_run
-        fused_before = self._fused_run
-        try:
-            return super().run(entry)
-        finally:
-            if metrics.active():
-                blocks = self._blocks_run - blocks_before
-                fused = self._fused_run - fused_before
-                if blocks:
-                    metrics.count("execute.blocks", blocks)
-                if fused:
-                    metrics.count("execute.fused", fused)
+        self._init_dispatch(self._threaded.length)
 
     def _run_loop(self, state, instrs, sentinel):
         if self.count_opcodes:
@@ -313,8 +304,13 @@ class ThreadedVM(OmniVM):
         regs = state.regs
         fregs = state.fregs
         memory = self.memory
+        heat = self._heat
+        threshold = self._jit_heat
+        sb_get = self._superblocks.get
+        warm = self._side_key is not None
         blocks_run = 0
         fused_run = 0
+        sb_run = 0
         try:
             while not state.halted:
                 pc = state.pc
@@ -326,6 +322,29 @@ class ThreadedVM(OmniVM):
                     raise AccessViolation(
                         f"execute at bad address {pc:#010x}", pc, "execute"
                     )
+                # -- superblock probe (repro.jitcore.SuperblockTier) -----
+                fn = sb_get(index)
+                if fn is None:
+                    h = heat[index] + 1
+                    heat[index] = h
+                    if h >= threshold:
+                        fn = self._compile_entry(index)
+                    elif h == 1 and warm:
+                        fn = self._warm_entry(index)
+                if fn is not None:
+                    sb_run += 1
+                    try:
+                        fn(self, state, regs, fregs, memory)
+                    except AccessViolation as violation:
+                        # The superblock committed the retired prefix and
+                        # fault pc before raising; deliver like a block.
+                        self._deliver_violation(violation)
+                    if state.instret > self.fuel and not state.halted:
+                        raise FuelExhausted(
+                            f"exceeded fuel of {self.fuel} instructions"
+                        )
+                    continue
+                # -- threaded tier -----------------------------------------
                 block = blocks[index]
                 if block is None:
                     block = build(index)
@@ -379,4 +398,5 @@ class ThreadedVM(OmniVM):
         finally:
             self._blocks_run += blocks_run
             self._fused_run += fused_run
+            self._superblocks_run += sb_run
         return s32(state.regs[1]) if not state.halted else state.exit_code

@@ -54,9 +54,12 @@ def _hoist_from_loop(
         return True  # Const / GlobalRef
 
     candidates: list[tuple[BasicBlock, Instr]] = []
-    block_map = func.block_map()
-    for label in body:
-        block = block_map[label]
+    # Walk the body in function order, never in set order: the order of
+    # hoisted instructions shapes register allocation, and a set of
+    # labels iterates in an order that follows the string-hash seed.
+    for block in func.blocks:
+        if block.label not in body:
+            continue
         for instr in block.instrs:
             if instr.op not in ("bin", "cmp", "cast", "copy", "frameaddr"):
                 continue

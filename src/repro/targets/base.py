@@ -85,12 +85,12 @@ class MInstr:
     annul: bool = False  # SPARC annulled branch
     omni_addr: int = 0
     category: str = "base"
-    # Cached operand sets / latency / issue class (computed on first use;
-    # invariant afterwards — the executor charges millions of dynamic
-    # instances of each instruction object).
+    # Cached operand sets / issue record / issue class (computed on first
+    # use; invariant afterwards — the executor charges millions of
+    # dynamic instances of each instruction object).
     creads: tuple | None = None
     cwrites: tuple | None = None
-    clat: int = -1
+    cissue: tuple | None = None
     cclass: str = ""
 
     def cached_reads(self) -> tuple:
@@ -189,9 +189,26 @@ _WRITES_NO_RS = frozenset(("li", "lui"))
 _TWO_OPERAND_READS_DEST = frozenset(())
 
 
+def _depends_on(instr: MInstr, prev: MInstr) -> bool:
+    """Does *instr* read a register *prev* writes?"""
+    written = prev.cached_writes()
+    if written:
+        for read in instr.cached_reads():
+            if read in written:
+                return True
+    return False
+
+
 @dataclass
 class Timing:
-    """First-order timing parameters for one target."""
+    """First-order timing parameters for one target.
+
+    The one statement of a target's issue cost: :meth:`issue` computes
+    each instruction's issue record and :meth:`pairs` is the dual-issue
+    test.  :meth:`TargetMachine._charge` applies them at run time, and
+    the native JIT folds the same record and test into its superblocks
+    at compile time.
+    """
 
     name: str = "generic"
     #: result latency by op class: cycles before a consumer may issue.
@@ -231,6 +248,40 @@ class Timing:
         if op in _CC_WRITERS:
             return self.cmp_latency
         return 1
+
+    def issue(self, instr: MInstr) -> tuple:
+        """The issue record of *instr*, cached on the instruction:
+        ``(reads, writes, latency, extra)`` — the scoreboard keys it
+        reads and writes, its result latency, and the x86
+        memory-resident-register surcharge added to its issue cycle.
+
+        Built at the first charge or the first superblock compile, never
+        earlier: a profile may still change a latency after translation
+        (``native_loader`` lowers ``cmp_latency`` for PPC ``native-cc``).
+        """
+        record = instr.cissue
+        if record is None:
+            reads = instr.cached_reads()
+            writes = instr.cached_writes()
+            extra = 0
+            if self.memory_reg_cost:
+                operands = 0
+                for kind, index in reads + writes:
+                    if kind == "r" and index >= self.memory_reg_threshold:
+                        operands += 1
+                if operands > 1:
+                    extra = self.memory_reg_cost * (operands - 1)
+            record = instr.cissue = (reads, writes,
+                                     self.result_latency(instr), extra)
+        return record
+
+    def pairs(self, prev: MInstr | None, instr: MInstr) -> bool:
+        """On a dual-issue target: may *instr* issue in the cycle of
+        *prev*, the instruction issued just before it?  Only when the
+        target's pairing rule admits the two and *instr* reads no
+        register *prev* writes."""
+        return (prev is not None and self.dual_issue(prev, instr)
+                and not _depends_on(instr, prev))
 
 
 @dataclass
@@ -310,9 +361,11 @@ class TargetMachine:
 
     def _charge(self, instr: MInstr) -> None:
         timing = self.spec.timing
+        record = instr.cissue
+        if record is None:
+            record = timing.issue(instr)
+        reads, writes, latency, extra = record
         ready_map = self._ready
-        reads = instr.creads if instr.creads is not None else instr.cached_reads()
-        writes = instr.cwrites if instr.cwrites is not None else instr.cached_writes()
         stall_until = 0
         for key in reads:
             ready = ready_map.get(key, 0)
@@ -320,49 +373,25 @@ class TargetMachine:
                 stall_until = ready
         # Dual issue: the previous instruction's issue slot may have room
         # for one partner.  A pair fills the slot (no triple issue).
-        paired = (
-            timing.dual_issue is not None
-            and self._pair_open
-            and self._last_issued is not None
-            and stall_until <= self._last_issue_cycle
-            and timing.dual_issue(self._last_issued, instr)
-            and not self._depends_on(instr, self._last_issued)
-        )
-        if paired:
+        if (timing.dual_issue is not None and self._pair_open
+                and stall_until <= self._last_issue_cycle
+                and timing.pairs(self._last_issued, instr)):
             issue_cycle = self._last_issue_cycle
             self._pair_open = False
         else:
             issue_cycle = max(stall_until, self._last_issue_cycle + 1)
             self._pair_open = True
-        extra = 0
-        if timing.memory_reg_cost:
-            threshold = timing.memory_reg_threshold
-            memory_operands = 0
-            for kind, index in reads:
-                if kind == "r" and index >= threshold:
-                    memory_operands += 1
-            for kind, index in writes:
-                if kind == "r" and index >= threshold:
-                    memory_operands += 1
-            if memory_operands > 1:
-                extra += timing.memory_reg_cost * (memory_operands - 1)
         issue_cycle += extra
         if issue_cycle > self.cycles:
             self.cycles = issue_cycle
-        latency = instr.clat
-        if latency < 0:
-            latency = instr.clat = timing.result_latency(instr)
         for key in writes:
             ready_map[key] = issue_cycle + latency
         self._last_issued = instr
         self._last_issue_cycle = issue_cycle
 
-    def _depends_on(self, instr: MInstr, prev: MInstr) -> bool:
-        written = prev.cached_writes()
-        if not written:
-            return False
-        reads = instr.cached_reads()
-        return any(read in written for read in reads)
+    #: The dependency half of the pairing test, read by superblocks that
+    #: pair against an instruction issued before they were entered.
+    _depends_on = staticmethod(_depends_on)
 
     def _branch_taken_penalty(self) -> None:
         self.cycles += self.spec.timing.taken_branch_penalty

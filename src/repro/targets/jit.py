@@ -15,11 +15,14 @@ What the generated code folds in, bit-identically to the threaded tier
 
 * **cycle accounting** — the scoreboard (`TargetMachine._ready`), the
   issue cursor, dual-issue pairing (PPC/x86) and the x86
-  memory-resident-register surcharge are computed on *locals*; the
-  read/write key sets, latencies and static pairability are resolved at
-  compile time, so a typical instruction costs one or two integer
-  compares.  Every side exit writes the scoreboard back before
-  returning, so ``cycles`` matches the threaded tier exactly.
+  memory-resident-register surcharge are computed on *locals*; each
+  instruction's issue record (read/write keys, latency, surcharge) and
+  the pairing test with a statically known predecessor come from the
+  target's :class:`~repro.targets.base.Timing` at compile time — the
+  same statement ``TargetMachine._charge`` applies at run time — so a
+  typical instruction costs one or two integer compares.  Every side
+  exit writes the scoreboard back before returning, so ``cycles``
+  matches the threaded tier exactly.
 * **SFI dynamic guard chains** — the sandboxing sequences the rewriter
   inserts (``category="sfi"``) are straight-line ALU ops and are
   emitted inline like any other instruction.  The trace former never
@@ -45,31 +48,25 @@ dispatcher; faults commit the exact retired prefix and annotate
 hostcall, trap, run-off-end) — the same documented relaxation as the
 block-level checks of the threaded tier.
 
-Compiled superblocks bind no machine state and are shared between
-machines via the predecode side table of
-:class:`~repro.cache.TranslationCache` under ``("jit-native", digest,
-arch, options_digest, entry)`` keys, which digest-filtered invalidation
-(module revoke/relink) drops together with the ``("predecode-native",
-...)`` artifacts.
+Each compiled superblock keeps its per-site inline memory caches in
+the cells of its ``_make_superblock`` closure, so the predecode side
+table of :class:`~repro.cache.TranslationCache` shares the *factory*
+between machines under ``("jit-native", digest, arch, options_digest,
+entry)`` keys and each machine calls it for a closure of its own (see
+:class:`repro.jitcore.SuperblockTier`); digest-filtered invalidation
+(module revoke/relink) drops the factories together with the
+``("predecode-native", ...)`` artifacts.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro import metrics
-from repro.errors import (
-    AccessViolation,
-    FuelExhausted,
-    VMRuntimeError,
-)
 from repro.jitcore import (
     FLUSH as _FLUSH,
     JIT_HEAT,
     MAX_TRACE_BLOCKS,
     MAX_TRACE_INSTRS,
     Emitter as _Emitter,
-    SideExitPromotion,
+    SuperblockTier,
     base_exec_globals,
     cache_cells,
     emit_lines,
@@ -78,14 +75,12 @@ from repro.jitcore import (
 from repro.optable import DIV, FPDIV, FPDIV_RAISE, MEM
 from repro.targets.ops import OPS, TABLE
 from repro.targets.threaded import (
-    _COND,
     _COND_OPS,
-    _JUMP,
     _JUMP_OPS,
     ThreadedTargetMachine,
     _is_term_op,
 )
-from repro.utils.bits import s32, u32
+from repro.utils.bits import u32
 
 #: Assembly-time placeholder for "write the scoreboard/cycle locals and
 #: the condition codes back to the machine" — expanded once the full
@@ -182,36 +177,11 @@ class _Trace:
 # cycle model emission
 # ---------------------------------------------------------------------------
 
-def _static_extra(w, reads, writes) -> int:
-    """x86 memory-resident-register surcharge, fully static."""
-    timing = w.timing
-    if not timing.memory_reg_cost:
-        return 0
-    threshold = timing.memory_reg_threshold
-    operands = 0
-    for kind, index in reads:
-        if kind == "r" and index >= threshold:
-            operands += 1
-    for kind, index in writes:
-        if kind == "r" and index >= threshold:
-            operands += 1
-    if operands > 1:
-        return timing.memory_reg_cost * (operands - 1)
-    return 0
-
-
-def _static_pairable(w, prev_mi, mi) -> bool:
-    """Mirror ``_charge``'s pairing test for two known instructions."""
-    if not w.timing.dual_issue(prev_mi, mi):
-        return False
-    written = prev_mi.cached_writes()
-    if not written:
-        return True
-    return not any(read in written for read in mi.cached_reads())
-
-
 def _emit_charge(w, em, k, depth=0) -> None:
-    """Fold one ``TargetMachine._charge`` into straight-line locals.
+    """Fold one ``TargetMachine._charge`` into straight-line locals: the
+    instruction's issue record (``Timing.issue``) and, where the
+    previous charge is known at compile time, the pairing test
+    ``Timing.pairs`` are resolved here.
 
     Invariant (holds for every charge shape): after a charge,
     ``cycles == _last_issue_cycle`` — ``issue_cycle >= _lic + 1 >
@@ -221,19 +191,13 @@ def _emit_charge(w, em, k, depth=0) -> None:
     mi = w.instrs[k]
     if mi.category == "fused":
         return  # zero issue cost; does not touch the pair window
-    reads = mi.cached_reads()
-    writes = mi.cached_writes()
-    read_keys = list(dict.fromkeys(reads))
-    write_keys = list(dict.fromkeys(writes))
-    extra = _static_extra(w, reads, writes)
-    lat = w.timing.result_latency(mi)
-    rnames = [w.key_name(key) for key in read_keys]
+    reads, writes, latency, extra = w.timing.issue(mi)
+    rnames = [w.key_name(key) for key in dict.fromkeys(reads)]
 
     paired_check = None
     if w.dual:
         if w.prev[0] == "static":
-            prev_mi = w.instrs[w.prev[1]]
-            if _static_pairable(w, prev_mi, mi):
+            if w.timing.pairs(w.instrs[w.prev[1]], mi):
                 paired_check = "_po and {stall} <= _lic"
         elif w.prev[0] == "runtime":
             paired_check = ("_po and _li is not None and {stall} <= _lic "
@@ -271,8 +235,8 @@ def _emit_charge(w, em, k, depth=0) -> None:
     if extra:
         em.emit(f"_ic += {extra}", depth)
     em.emit("_cy = _ic", depth)
-    for key in write_keys:
-        em.emit(f"{w.key_name(key)} = _ic + {lat}", depth)
+    for key in dict.fromkeys(writes):
+        em.emit(f"{w.key_name(key)} = _ic + {latency}", depth)
     em.emit("_lic = _ic", depth)
     w.prev = ("static", k)
     if not w.dual:
@@ -843,11 +807,14 @@ def native_superblock_source(program, entry: int, overrides=None) -> str:
 def compile_native_superblock(program, entry: int, overrides=None):
     """Compile the superblock entered at native index *entry*.
 
-    Returns ``(source, function)`` — ``fn(m, regs, fregs, memory)``
-    binds no machine state, so it is shareable across machines of the
-    same translation (and cacheable under ``("jit-native", digest,
-    arch, opts, entry)`` keys when compiled without *overrides*).
-    Returns ``(None, None)`` when the entry block is untraceable.
+    Returns ``(source, factory)``: each call of the factory (the
+    source's ``_make_superblock``) returns a fresh superblock closure
+    ``fn(m, regs, fregs, memory)`` with inline caches of its own.  The
+    factory binds no machine state, so it is shareable across machines
+    of the same translation (and cacheable under ``("jit-native",
+    digest, arch, opts, entry)`` keys when compiled without
+    *overrides*).  Returns ``(None, None)`` when the entry block is
+    untraceable.
     """
     try:
         source = native_superblock_source(program, entry, overrides)
@@ -856,7 +823,7 @@ def compile_native_superblock(program, entry: int, overrides=None):
     code = compile(source, f"<jit-native@{entry}>", "exec")
     namespace = dict(_EXEC_GLOBALS)
     exec(code, namespace)
-    return source, namespace["_superblock"]
+    return source, namespace["_make_superblock"]
 
 
 def _native_path_reaches(instrs, n, start, entry,
@@ -895,115 +862,36 @@ def _native_path_reaches(instrs, n, start, entry,
 # the JIT machine
 # ---------------------------------------------------------------------------
 
-class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
+class JitTargetMachine(SuperblockTier, ThreadedTargetMachine):
     """ThreadedTargetMachine with the native superblock JIT on top.
 
-    Cold blocks run on the inherited threaded tier while per-entry heat
-    counters accumulate; entries that reach ``heat`` dispatches are
-    compiled (or fetched from the shared predecode side table under the
-    machine's ``jit_key``) and dispatch to their superblock from then
-    on.  ``cycles``, ``instret``, register/memory state and fault
+    Cold blocks run on the threaded tier while per-entry heat counters
+    accumulate; entries that reach the heat threshold are compiled (or
+    fetched from the shared predecode side table under the machine's
+    ``jit_key``) and dispatch to their superblock from then on — all
+    through the one dispatch loop, :meth:`ThreadedTargetMachine._run`,
+    and the tier-up path of :class:`repro.jitcore.SuperblockTier`.
+    ``cycles``, ``instret``, register/memory state and fault
     attribution (``pc`` at the raise, ``fault_native`` on the
     violation) are bit-identical to the threaded tier; only fuel cuts
     are coarser (superblock boundaries instead of block boundaries).
     Guarded side exits that cross the heat threshold re-form the trace
     with the hot direction on trace, or anchor a new trace at the exit
-    target (:class:`repro.jitcore.SideExitPromotion`).
+    target.
     """
+
+    _compile_superblock = staticmethod(compile_native_superblock)
 
     def __init__(self, spec, instrs, memory, omni_to_native,
                  hostcall=None, fuel=100_000_000, threaded=None,
-                 cache=None, jit_key=None, heat=JIT_HEAT):
+                 cache=None, jit_key=None):
         super().__init__(spec, instrs, memory, omni_to_native,
                          hostcall, fuel, threaded=threaded)
-        self._jit_cache = cache
-        self._jit_key = tuple(jit_key) if jit_key is not None else None
-        self._jit_heat = heat
-        self._heat = [0] * self._threaded.length
-        self._superblocks: dict[int, object] = {}
-        self._jit_sources: dict[int, str] = {}
-        self._superblocks_run = 0
-        self._superblocks_compiled = 0
-        self._jit_deopts = 0
-        self._jit_compile_ms = 0.0
-        profile = None
-        if cache is not None and self._jit_key is not None:
-            profile_key = ("jit-profile",) + self._jit_key[1:]
-            profile = cache.probe_predecoded(profile_key)
-            if profile is None:
-                profile = self.fresh_profile()
-                cache.put_predecoded(profile_key, profile)
-        self._init_promotion(profile)
-        # Adopted-profile entries dispatch straight to their promoted
-        # superblocks (the plain warm path would find the unpromoted
-        # form under the ("jit-native", …) keys).
-        self._superblocks.update(self._promoted_fns)
+        side = tuple(jit_key) if jit_key is not None else None
+        self._init_tier(cache, side,
+                        None if side is None else ("jit-profile",) + side[1:])
 
-    def run(self, entry_native_index: int) -> int:
-        compiled_before = self._superblocks_compiled
-        deopts_before = self._jit_deopts
-        ms_before = self._jit_compile_ms
-        runs_before = self._superblocks_run
-        promotions_before = self._jit_promotions
-        try:
-            return super().run(entry_native_index)
-        finally:
-            if metrics.active():
-                compiled = self._superblocks_compiled - compiled_before
-                if compiled:
-                    metrics.count("execute.superblocks", compiled)
-                deopts = self._jit_deopts - deopts_before
-                if deopts:
-                    metrics.count("execute.deopts", deopts)
-                ms = self._jit_compile_ms - ms_before
-                if ms:
-                    metrics.count("execute.jit_compile_ms", ms)
-                runs = self._superblocks_run - runs_before
-                if runs:
-                    metrics.count("execute.superblock_runs", runs)
-                promotions = self._jit_promotions - promotions_before
-                if promotions:
-                    metrics.count("execute.jit_promotions", promotions)
-
-    def _compile_entry(self, index):
-        """Compile (or fetch from the side table) the superblock at
-        *index* and install it in the dispatch map.  Entries with
-        promotion overrides are profile-specialized: their compiled
-        form travels with the promotion profile, not the plain
-        ``("jit-native", …)`` keys."""
-        overrides = self._trace_overrides.get(index)
-        cache = self._jit_cache
-        key = None
-        if overrides:
-            fn = self._promoted_fns.get(index)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        elif cache is not None and self._jit_key is not None:
-            key = self._jit_key + (index,)
-            fn = cache.probe_predecoded(key)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        start = time.perf_counter()
-        source, fn = compile_native_superblock(self._threaded, index,
-                                               overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        if fn is None:
-            # The entry block is outside the emitter's vocabulary: pin
-            # its heat so the threaded tier keeps it for good.
-            self._heat[index] = -(1 << 30)
-            return None
-        self._superblocks_compiled += 1
-        self._jit_sources[index] = source
-        self._superblocks[index] = fn
-        if overrides:
-            self._promoted_fns[index] = fn
-        elif key is not None:
-            cache.put_predecoded(key, fn)
-        return fn
-
-    # -- promotion hooks (repro.jitcore.SideExitPromotion) ---------------
+    # -- promotion hooks (repro.jitcore.SuperblockTier) ------------------
 
     def _promotion_profitable(self, entry, site, exit_loc):
         instrs = self.instrs
@@ -1019,171 +907,7 @@ class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
             return False
         return _native_path_reaches(instrs, n, exit_loc, entry)
 
-    def _repromote_entry(self, entry):
-        start = time.perf_counter()
-        overrides = self._trace_overrides.get(entry)
-        source, fn = compile_native_superblock(self._threaded, entry,
-                                               overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        if fn is None:
-            return
-        self._superblocks_compiled += 1
-        self._jit_sources[entry] = source
-        self._superblocks[entry] = fn
-        if overrides:
-            self._promoted_fns[entry] = fn
-        else:
-            # all overrides reverted: the plain trace is current again
-            self._promoted_fns.pop(entry, None)
-
     def _anchor_exit(self, exit_loc):
         if 0 <= exit_loc < self._threaded.length \
                 and exit_loc not in self._superblocks:
             self._compile_entry(exit_loc)
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _run(self, entry_native_index: int) -> int:
-        self.pc = entry_native_index
-        from repro.sfi.policy import RETURN_SENTINEL
-
-        self.regs[self.link_reg] = RETURN_SENTINEL
-        program = self._threaded
-        blocks = program.blocks
-        build = program.build_block
-        n = program.length
-        regs = self.regs
-        fregs = self.fregs
-        memory = self.memory
-        counts = self.category_counts
-        heat = self._heat
-        threshold = self._jit_heat
-        sb_get = self._superblocks.get
-        jit_key = self._jit_key
-        cache_get = (self._jit_cache.probe_predecoded
-                     if self._jit_cache is not None and jit_key is not None
-                     else None)
-        blocks_run = 0
-        fused_run = 0
-        sb_run = 0
-        try:
-            while not self.halted:
-                pc = self.pc
-                if pc == 0xFFFFFFFF or pc >= n:
-                    if pc == 0xFFFFFFFF:
-                        break
-                    raise VMRuntimeError(f"native pc out of range: {pc}")
-                fn = sb_get(pc)
-                if fn is None:
-                    h = heat[pc] + 1
-                    heat[pc] = h
-                    if h >= threshold:
-                        fn = self._compile_entry(pc)
-                    elif h == 1 and cache_get is not None:
-                        # Warm process: another machine of the same
-                        # translation already compiled this entry.
-                        fn = cache_get(jit_key + (pc,))
-                        if fn is not None:
-                            self._superblocks[pc] = fn
-                if fn is not None:
-                    # -- superblock tier ---------------------------------
-                    sb_run += 1
-                    try:
-                        fn(self, regs, fregs, memory)
-                    except AccessViolation as violation:
-                        if getattr(violation, "fault_final", False):
-                            # Delay-slot / hostcall-delivery faults: the
-                            # superblock already committed (and, for
-                            # hostcalls, delivered); propagate as the
-                            # threaded tier would.
-                            raise
-                        # Body fault: state is committed, deliver like
-                        # the threaded dispatcher.
-                        self.pc = self._deliver_violation(
-                            self.instrs[violation.fault_native], violation)
-                        self._branch_taken_penalty()
-                        if self.instret > self.fuel:
-                            raise FuelExhausted(
-                                "target simulation exceeded fuel")
-                        continue
-                    if self.instret > self.fuel and not self.halted:
-                        raise FuelExhausted(
-                            "target simulation exceeded fuel")
-                    continue
-                # -- threaded tier (identical to the parent's _run) ------
-                block = blocks[pc]
-                if block is None:
-                    block = build(pc)
-                (body, cats, total, term_kind, term_fn, term_mi,
-                 term_end, slot, fused) = block
-                blocks_run += 1
-                fused_run += fused
-                try:
-                    for step in body:
-                        step(self, regs, fregs, memory)
-                except AccessViolation as violation:
-                    fault = violation.fault_native
-                    self._charge_fault_prefix(pc, fault)
-                    redirect = self._deliver_violation(
-                        self.instrs[fault], violation)
-                    self.pc = redirect
-                    self._branch_taken_penalty()
-                    if self.instret > self.fuel:
-                        raise FuelExhausted(
-                            "target simulation exceeded fuel")
-                    continue
-                except VMRuntimeError as err:
-                    fault = getattr(err, "fault_native", None)
-                    if fault is not None:
-                        self._charge_fault_prefix(pc, fault)
-                    raise
-                self.instret += total
-                for category, count in cats:
-                    counts[category] += count
-                if self.instret > self.fuel:
-                    raise FuelExhausted("target simulation exceeded fuel")
-                if term_fn is None:
-                    self.pc = n
-                    continue
-                self.pc = term_end
-                try:
-                    redirect = term_fn(self, regs, fregs, memory)
-                except AccessViolation as violation:
-                    redirect = self._deliver_violation(term_mi, violation)
-                    self.pc = redirect
-                    self._branch_taken_penalty()
-                    continue
-                if term_kind == _COND:
-                    if slot is not None:
-                        slot_fn, slot_mi = slot
-                        if not (term_mi.annul and redirect == -2):
-                            self.instret += 1
-                            counts[slot_mi.category] += 1
-                            slot_fn(self, regs, fregs, memory)
-                        if redirect == -2:
-                            self.pc = term_end + 2
-                        else:
-                            self.pc = redirect
-                            self._branch_taken_penalty()
-                    else:
-                        if redirect is None or redirect == -2:
-                            self.pc = term_end + 1
-                        else:
-                            self.pc = redirect
-                            self._branch_taken_penalty()
-                elif term_kind == _JUMP:
-                    if slot is not None:
-                        slot_fn, slot_mi = slot
-                        self.instret += 1
-                        counts[slot_mi.category] += 1
-                        slot_fn(self, regs, fregs, memory)
-                    self.pc = redirect
-                    self._branch_taken_penalty()
-                else:  # _HOST (trap raises out of the closure)
-                    self.pc = term_end + 1
-        finally:
-            self._blocks_run += blocks_run
-            self._fused_run += fused_run
-            self._superblocks_run += sb_run
-        return s32(self.exit_code if self.halted else self.regs[
-            self.spec.int_map.get(1, 1)])

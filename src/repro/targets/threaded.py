@@ -28,6 +28,11 @@ Delay-slot semantics (MIPS/SPARC) are preserved exactly: the slot
 instruction executes outside the violation try (slot faults propagate to
 the host, as in the legacy loop), annulled untaken branches skip the
 slot, and the taken-branch penalty lands after the slot.
+
+:meth:`ThreadedTargetMachine._run` is the one native block-dispatch
+loop: the superblock JIT (:class:`~repro.targets.jit.JitTargetMachine`)
+runs it too, through the superblock probe at each block entry, which
+never fires under ``engine="threaded"``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.errors import (
     FuelExhausted,
     VMRuntimeError,
 )
+from repro.jitcore import BlockDispatch
 from repro.optable import MEM, NONE
 from repro.targets.base import MInstr, TargetMachine, TargetSpec
 from repro.targets.ops import OPS, TABLE
@@ -274,7 +280,7 @@ def predecode_native(spec: TargetSpec,
 # the threaded machine
 # ---------------------------------------------------------------------------
 
-class ThreadedTargetMachine(TargetMachine):
+class ThreadedTargetMachine(BlockDispatch, TargetMachine):
     """TargetMachine with block dispatch over a predecoded program.
 
     ``cycles``, register state, memory, and the virtual exception model
@@ -295,22 +301,7 @@ class ThreadedTargetMachine(TargetMachine):
         super().__init__(spec, threaded.instrs, memory, omni_to_native,
                          hostcall, fuel)
         self._threaded = threaded
-        self._blocks_run = 0
-        self._fused_run = 0
-
-    def run(self, entry_native_index: int) -> int:
-        blocks_before = self._blocks_run
-        fused_before = self._fused_run
-        try:
-            return super().run(entry_native_index)
-        finally:
-            if metrics.active():
-                blocks = self._blocks_run - blocks_before
-                fused = self._fused_run - fused_before
-                if blocks:
-                    metrics.count("execute.blocks", blocks)
-                if fused:
-                    metrics.count("execute.fused", fused)
+        self._init_dispatch(self._threaded.length)
 
     def _charge_fault_prefix(self, start: int, fault: int) -> None:
         """Account instret/categories for block instructions up to and
@@ -335,8 +326,13 @@ class ThreadedTargetMachine(TargetMachine):
         fregs = self.fregs
         memory = self.memory
         counts = self.category_counts
+        heat = self._heat
+        threshold = self._jit_heat
+        sb_get = self._superblocks.get
+        warm = self._side_key is not None
         blocks_run = 0
         fused_run = 0
+        sb_run = 0
         try:
             while not self.halted:
                 pc = self.pc
@@ -344,6 +340,40 @@ class ThreadedTargetMachine(TargetMachine):
                     if pc == 0xFFFFFFFF:
                         break
                     raise VMRuntimeError(f"native pc out of range: {pc}")
+                # -- superblock probe (repro.jitcore.SuperblockTier) -----
+                fn = sb_get(pc)
+                if fn is None:
+                    h = heat[pc] + 1
+                    heat[pc] = h
+                    if h >= threshold:
+                        fn = self._compile_entry(pc)
+                    elif h == 1 and warm:
+                        fn = self._warm_entry(pc)
+                if fn is not None:
+                    sb_run += 1
+                    try:
+                        fn(self, regs, fregs, memory)
+                    except AccessViolation as violation:
+                        if getattr(violation, "fault_final", False):
+                            # Delay-slot / hostcall-delivery faults: the
+                            # superblock already committed (and, for
+                            # hostcalls, delivered); propagate as the
+                            # threaded tier would.
+                            raise
+                        # Body fault: state is committed; deliver like a
+                        # block fault.
+                        self.pc = self._deliver_violation(
+                            self.instrs[violation.fault_native], violation)
+                        self._branch_taken_penalty()
+                        if self.instret > self.fuel:
+                            raise FuelExhausted(
+                                "target simulation exceeded fuel")
+                        continue
+                    if self.instret > self.fuel and not self.halted:
+                        raise FuelExhausted(
+                            "target simulation exceeded fuel")
+                    continue
+                # -- threaded tier -----------------------------------------
                 block = blocks[pc]
                 if block is None:
                     block = build(pc)
@@ -421,5 +451,6 @@ class ThreadedTargetMachine(TargetMachine):
         finally:
             self._blocks_run += blocks_run
             self._fused_run += fused_run
+            self._superblocks_run += sb_run
         return s32(self.exit_code if self.halted else self.regs[
             self.spec.int_map.get(1, 1)])

@@ -5,6 +5,11 @@ only meaningful if repeated builds and runs are identical; these tests
 pin that property at each layer.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.compiler import CompileOptions, compile_to_object
 from repro.native.profiles import MOBILE_SFI
 from repro.omnivm.linker import link
@@ -45,6 +50,34 @@ class TestBuildDeterminism:
         second = translate(program, "mips", MOBILE_SFI)
         assert [str(i) for i in first.instrs] == [str(i) for i in second.instrs]
         assert first.omni_to_native == second.omni_to_native
+
+
+class TestHashSeedIndependence:
+    """Compiled code must not depend on ``PYTHONHASHSEED``: no pass may
+    let the iteration order of a set or dict of strings shape it."""
+
+    SCRIPT = (
+        "import hashlib\n"
+        "from repro.workloads import suite\n"
+        "for name in suite.WORKLOAD_NAMES:\n"
+        "    image = bytes(suite.build(name).text_image)\n"
+        "    print(name, hashlib.sha256(image).hexdigest())\n"
+    )
+
+    def test_spec_kernels_compile_alike_under_two_hash_seeds(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        images = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300, check=True)
+            images.append(done.stdout)
+        assert len(images[0].splitlines()) == 4
+        assert images[0] == images[1]
 
 
 class TestRunDeterminism:

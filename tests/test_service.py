@@ -8,6 +8,7 @@ All tests here are fast and deterministic (tier-1)."""
 import importlib.util
 import json
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -135,6 +136,49 @@ class TestConcurrency:
         host.stop()
         assert len(results) == 10 and all(r.ok for r in results)
         assert host.stats.counters["ok"] == 10
+
+    @pytest.mark.parametrize("target", [None, "x86"], ids=["omnivm", "x86"])
+    def test_machines_on_one_module_keep_their_own_memory_caches(
+            self, target):
+        """Two workers run the same module, so they install the same
+        compiled superblocks.  Each machine must get its own closure:
+        shared inline memory caches let one request read and write the
+        other's segments whenever a thread switch lands mid-loop."""
+        n = 3000
+        source = f"""
+int a[{n}];
+int b[{n}];
+int c[{n}];
+int main() {{
+    int i;
+    a[0] = 1;
+    for (i = 1; i < {n}; i = i + 1) {{ a[i] = a[i - 1] + i; }}
+    b[0] = 2;
+    for (i = 1; i < {n}; i = i + 1) {{ b[i] = b[i - 1] + a[i]; }}
+    c[0] = 3;
+    for (i = 1; i < {n}; i = i + 1) {{ c[i] = c[i - 1] ^ b[i]; }}
+    emit_int(c[{n - 1}]);
+    return 0;
+}}
+"""
+        program = compile_and_link([source])
+        a, b, c = [1], [2], [3]
+        for i in range(1, n):
+            a.append((a[-1] + i) & 0xFFFFFFFF)
+            b.append((b[-1] + a[i]) & 0xFFFFFFFF)
+            c.append(c[-1] ^ b[i])
+        expected = str(c[-1] - (1 << 32) if c[-1] >= 1 << 31 else c[-1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(2e-5)
+        try:
+            with Engine(target=target).serve(workers=2) as host:
+                responses = host.run_batch(
+                    [ModuleRequest(program=program) for _ in range(40)])
+        finally:
+            sys.setswitchinterval(interval)
+        wrong = [r.request_id for r in responses
+                 if not (r.ok and r.output == expected)]
+        assert len(responses) == 40 and not wrong
 
     def test_latency_percentiles_and_queue_depth(self, program):
         with Engine().serve(workers=2, queue_depth=8) as host:

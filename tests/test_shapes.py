@@ -7,6 +7,9 @@ These share the cached experiment runner, so the first test pays the
 simulation cost and the rest are free.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.evalharness import tables
@@ -15,6 +18,10 @@ from repro.evalharness.runner import ARCHS, RunKey, global_runner
 from repro.workloads.suite import WORKLOAD_NAMES
 
 pytestmark = [pytest.mark.slow, pytest.mark.shapes]
+
+#: The simulated results behind the tables and figures below, one per
+#: run key the shape tests simulate (keyed like the runner's disk cache).
+PINNED = Path(__file__).with_name("paper_cycles.json")
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +167,23 @@ class TestFigure1Shape:
             for workload in WORKLOAD_NAMES:
                 total = fig.total(arch, workload)
                 assert 0.0 < total < 1.2, (arch, workload, total)
+
+
+class TestPinnedCycles:
+    def test_runner_reproduces_pinned_results(self, runner):
+        """Absolute simulated cycles, retired counts and Figure-1
+        categories are the paper's measured quantities: a change to a
+        cycle model shifts them even when it shifts every execution
+        tier alike, which the cross-engine tests cannot see."""
+        pinned = json.loads(PINNED.read_text())
+        differ = []
+        for disk_key, expected in pinned.items():
+            workload, arch, profile, num_regs = disk_key.split("|")
+            result = runner.run(RunKey(workload, arch, profile,
+                                       int(num_regs)))
+            got = {"cycles": result.cycles, "instret": result.instret,
+                   "omni_instret": result.omni_instret,
+                   "categories": result.categories}
+            if got != expected:
+                differ.append(disk_key)
+        assert len(pinned) == 132 and not differ

@@ -461,6 +461,35 @@ class TestEnginePlumbing:
             module.run()
         assert collector.counters.get("execute.fused", 0) > 0
 
+    @pytest.mark.parametrize("executor", [INTERPRETER, "mips"])
+    def test_threaded_engine_never_tiers_up(self, executor):
+        """``threaded`` and ``jit`` share one dispatch loop; only the JIT
+        machine ever switches its superblock probe on."""
+        body = [("instr", I("li", rd=2, imm=0))]
+        body += [("label", "L"),
+                 ("instr", I("addi", rd=2, rs=2, imm=1)),
+                 ("instr", I("blti", rs=2, imm2=500, label="L")),
+                 ("instr", I("jr", rs=14))]
+        program = build(body, name="hot")
+        counters = {}
+        for engine in ("threaded", "jit"):
+            collector = metrics.MetricsCollector()
+            with metrics.collect(collector):
+                if executor == INTERPRETER:
+                    module = load_for_interpretation(program, engine=engine)
+                else:
+                    module = load_for_target(program, executor,
+                                             engine=engine)
+                module.run()
+            counters[engine] = collector.counters
+        threaded = counters["threaded"]
+        assert threaded.get("execute.superblocks", 0) == 0
+        assert threaded.get("execute.superblock_runs", 0) == 0
+        # the entry block, 499 more loop trips, and the return block
+        assert threaded["execute.blocks"] == 501
+        assert counters["jit"]["execute.superblocks"] >= 1
+        assert counters["jit"]["execute.blocks"] < 501
+
     def test_cli_engine_flag(self, tmp_path, capsys):
         from repro.cli import main
 
