@@ -11,11 +11,15 @@ for every executor on the four SPEC-derived workloads, and emits the
 All engines must retire the *same* dynamic instruction count and
 produce the same output (asserted per run), so the comparison is pure
 dispatch overhead: predecoded closures, superinstruction fusion, and
-compiled superblocks versus the big-switch loops.  JIT runs share a
-:class:`~repro.cache.TranslationCache` across repeats, so the best-of-N
-timing reflects warm superblocks — the steady state of a long-running
-module — while the cold compile cost is reported separately as
-``jit_compile_ms``.
+compiled superblocks versus the big-switch loops.  The JIT is measured
+twice.  ``jit_cold_seconds`` is one run on a fresh
+:class:`~repro.cache.TranslationCache`, compile time included — what a
+first request pays.  The warm runs then share that cache, so their
+best-of-N ``jit_seconds`` reflects compiled superblocks — the steady
+state of a long-running module.  Per executor, ``breakeven_dispatches``
+is the heat at which compiling a superblock pays for itself: cold
+compile ms per superblock over the threaded ms a dispatch would save
+(:data:`SAVED_FRACTION` of a threaded block).
 
 The artifact schema is guarded by :func:`validate_artifact`, which the
 tier-1 suite invokes (``tests/test_threaded_engine.py``) so the JSON
@@ -39,7 +43,7 @@ ARTIFACT_PATH = Path(__file__).resolve().parents[1] / (
     "BENCH_exec_engine.json"
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: The interpreter plus the four target simulators.
 EXECUTORS = ("omnivm",) + ARCHITECTURES
@@ -52,11 +56,18 @@ RESULT_KEYS = frozenset(
 )
 
 #: additional keys every entry carries for the JIT tier (schema v3:
-#: the superblock JIT covers the interpreter *and* all four targets)
+#: the superblock JIT covers the interpreter *and* all four targets;
+#: v4: the cold run with compile time, and threaded block dispatches)
 JIT_RESULT_KEYS = frozenset(
     ("jit_seconds", "jit_instret", "jit_ips", "jit_speedup",
-     "jit_superblocks", "jit_deopts", "jit_compile_ms")
+     "jit_superblocks", "jit_deopts", "jit_compile_ms",
+     "jit_cold_seconds", "threaded_blocks")
 )
+
+#: Share of a threaded block dispatch's time that running it inside a
+#: superblock saves, for ``breakeven_dispatches``: a round figure inside
+#: the 45-83% that the warm per-kernel speedups (1.8-5.9x) imply.
+SAVED_FRACTION = 0.7
 
 #: Acceptance bars from the issue: threaded must beat legacy by at
 #: least this factor, per executor (geometric mean over workloads).
@@ -100,6 +111,18 @@ def _measure(program, name: str, executor: str, engine: str,
     return best, instret, module
 
 
+def _machine(module):
+    return module.vm if hasattr(module, "vm") else module.machine
+
+
+def _geomean(values) -> float:
+    values = list(values)
+    product = 1.0
+    for value in values:
+        product *= value
+    return product ** (1.0 / len(values))
+
+
 def collect_benchmark(
     workloads: tuple[str, ...] = suite.WORKLOAD_NAMES,
     executors: tuple[str, ...] = EXECUTORS,
@@ -121,7 +144,7 @@ def collect_benchmark(
             program = suite.build(name)
             legacy_s, legacy_i, _ = _measure(
                 program, name, executor, "legacy", repeats)
-            threaded_s, threaded_i, _ = _measure(
+            threaded_s, threaded_i, threaded = _measure(
                 program, name, executor, "threaded", repeats)
             if legacy_i != threaded_i:
                 raise AssertionError(
@@ -142,7 +165,7 @@ def collect_benchmark(
             # compile cost; the timed repeats then reuse the
             # compiled superblocks, like a long-running module.
             cache = TranslationCache()
-            _, _, cold = _measure(
+            cold_s, _, cold = _measure(
                 program, name, executor, "jit", 1, cache=cache)
             jit_s, jit_i, warm = _measure(
                 program, name, executor, "jit", repeats, cache=cache)
@@ -150,9 +173,11 @@ def collect_benchmark(
                 raise AssertionError(
                     f"{executor}/{name}: instret diverged "
                     f"({threaded_i} threaded vs {jit_i} jit)")
-            cold_m = cold.vm if executor == "omnivm" else cold.machine
-            warm_m = warm.vm if executor == "omnivm" else warm.machine
+            cold_m = _machine(cold)
+            warm_m = _machine(warm)
             entry.update({
+                "threaded_blocks": _machine(threaded)._blocks_run,
+                "jit_cold_seconds": cold_s,
                 "jit_seconds": jit_s,
                 "jit_instret": jit_i,
                 "jit_ips": jit_i / jit_s,
@@ -164,21 +189,19 @@ def collect_benchmark(
             results.append(entry)
     summary = {}
     jit_summary = {}
+    cold_summary = {}
+    breakeven = {}
     for executor in executors:
-        speedups = [r["speedup"] for r in results
-                    if r["executor"] == executor]
-        product = 1.0
-        for value in speedups:
-            product *= value
-        summary[executor] = product ** (1.0 / len(speedups))
-        jit_speedups = [r["jit_speedup"] for r in results
-                        if r["executor"] == executor
-                        and "jit_speedup" in r]
-        if jit_speedups:
-            product = 1.0
-            for value in jit_speedups:
-                product *= value
-            jit_summary[executor] = product ** (1.0 / len(jit_speedups))
+        mine = [r for r in results if r["executor"] == executor]
+        summary[executor] = _geomean(r["speedup"] for r in mine)
+        jit_summary[executor] = _geomean(r["jit_speedup"] for r in mine)
+        cold_summary[executor] = _geomean(
+            r["threaded_seconds"] / r["jit_cold_seconds"] for r in mine)
+        compile_ms = (sum(r["jit_compile_ms"] for r in mine)
+                      / sum(r["jit_superblocks"] for r in mine))
+        block_ms = (sum(r["threaded_seconds"] for r in mine) * 1000.0
+                    / sum(r["threaded_blocks"] for r in mine))
+        breakeven[executor] = compile_ms / (SAVED_FRACTION * block_ms)
     return {
         "benchmark": "exec_engine",
         "schema_version": SCHEMA_VERSION,
@@ -187,6 +210,8 @@ def collect_benchmark(
         "results": results,
         "geomean_speedup": summary,
         "geomean_jit_over_threaded": jit_summary,
+        "geomean_jit_cold_over_threaded": cold_summary,
+        "breakeven_dispatches": breakeven,
     }
 
 
@@ -218,6 +243,8 @@ def validate_artifact(payload: dict) -> None:
         assert entry["jit_superblocks"] > 0, "jit never compiled"
         assert entry["jit_compile_ms"] > 0
         assert entry["jit_deopts"] >= 0
+        assert entry["jit_cold_seconds"] > 0
+        assert entry["threaded_blocks"] > 0
         executors.add(entry["executor"])
     summary = payload.get("geomean_speedup")
     assert isinstance(summary, dict) and set(summary) == executors
@@ -229,6 +256,12 @@ def validate_artifact(payload: dict) -> None:
         "schema v3: every executor reports a jit geomean")
     for executor, value in jit_summary.items():
         assert value > 0
+    for field in ("geomean_jit_cold_over_threaded", "breakeven_dispatches"):
+        per_executor = payload.get(field)
+        assert isinstance(per_executor, dict), f"schema v4: no {field}"
+        assert set(per_executor) == executors, (
+            f"schema v4: every executor reports {field}")
+        assert all(value > 0 for value in per_executor.values())
 
 
 def write_artifact(payload: dict, path: Path = ARTIFACT_PATH) -> Path:
@@ -251,10 +284,13 @@ def bench_exec_engine(save_result):
             f"   threaded {entry['threaded_ips'] / 1e3:8.1f}k ips"
             f"   speedup {entry['speedup']:5.2f}x"
         )
-        if "jit_ips" in entry:
-            line += (f"   jit {entry['jit_ips'] / 1e3:8.1f}k ips"
-                     f" ({entry['jit_speedup']:.2f}x over threaded,"
-                     f" {entry['jit_superblocks']} superblocks)")
+        cold_s = entry["jit_cold_seconds"]
+        line += (f"   jit cold {cold_s * 1e3:7.1f} ms"
+                 f" ({entry['threaded_seconds'] / cold_s:.2f}x over"
+                 f" threaded, {entry['jit_superblocks']} superblocks,"
+                 f" {entry['jit_compile_ms']:.1f} ms compile)"
+                 f"   warm {entry['jit_ips'] / 1e3:8.1f}k ips"
+                 f" ({entry['jit_speedup']:.2f}x)")
         lines.append(line)
     for executor, geomean in payload["geomean_speedup"].items():
         bar = MIN_SPEEDUP[executor]
@@ -263,12 +299,19 @@ def bench_exec_engine(save_result):
         assert geomean >= bar, (
             f"{executor}: threaded engine {geomean:.2f}x below the "
             f"{bar:.1f}x acceptance bar")
+    cold = payload["geomean_jit_cold_over_threaded"]
+    for executor, geomean in cold.items():
+        lines.append(f"  {executor:<6} jit-cold-over-threaded geomean "
+                     f"{geomean:5.2f}x  (compile included; no bar)")
     for executor, geomean in payload["geomean_jit_over_threaded"].items():
         bar = MIN_JIT_SPEEDUP[executor]
         lines.append(f"  {executor:<6} jit-over-threaded geomean "
-                     f"{geomean:5.2f}x  (bar {bar:.1f}x)")
+                     f"{geomean:5.2f}x  (warm; bar {bar:.1f}x)")
         assert geomean >= bar, (
             f"{executor}: jit tier {geomean:.2f}x over threaded, below "
             f"the {bar:.1f}x acceptance bar")
+    for executor, heat in payload["breakeven_dispatches"].items():
+        lines.append(f"  {executor:<6} break-even heat {heat:5.0f}"
+                     f" dispatches  (at {SAVED_FRACTION:.0%} saved each)")
     save_result("exec_engine", "\n".join(lines))
     print(f"\nartifact: {path}")

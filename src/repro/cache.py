@@ -216,11 +216,13 @@ class TranslationCache:
             OrderedDict()
         )
         # Predecoded threaded-engine artifacts (repro.omnivm.threaded /
-        # repro.targets.threaded).  Held beside the translation LRU, same
-        # capacity bound, but memory-only: the artifacts are closure
-        # tables and cannot be persisted.  Keys are tagged tuples whose
-        # second element is the program digest (see loaders), so
-        # invalidation can match them.
+        # repro.targets.threaded), one per translation; each carries the
+        # superblock JIT's state for it (heat, compiled factories,
+        # promotion profile), which is evicted and invalidated with it.
+        # Held beside the translation LRU, same capacity bound, but
+        # memory-only: the artifacts are closure tables and cannot be
+        # persisted.  Keys are tagged tuples whose second element is the
+        # program digest (see loaders), so invalidation can match them.
         self._predecoded: OrderedDict[tuple, object] = OrderedDict()
         self._stats = CacheStats()
         self._lock = threading.RLock()
@@ -421,18 +423,6 @@ class TranslationCache:
             self._stats.predecode_misses += 1
             metrics.count("cache.predecode_miss")
             return None
-
-    def probe_predecoded(self, key: tuple) -> object | None:
-        """Like :meth:`get_predecoded` but without touching the hit/miss
-        statistics.  The JIT tier probes the side table speculatively —
-        once per block on first dispatch and once per compile — and that
-        traffic would swamp the predecode counters the loaders rely on.
-        """
-        with self._lock:
-            artifact = self._predecoded.get(key)
-            if artifact is not None:
-                self._predecoded.move_to_end(key)
-            return artifact
 
     def put_predecoded(self, key: tuple, artifact: object) -> None:
         """Insert a threaded-engine artifact (memory only; its eviction

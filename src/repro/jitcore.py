@@ -17,11 +17,13 @@ not ISA-specific are hoisted here:
   expanded after inlined hostcalls);
 * the fresh-namespace builder for ``exec``'d superblocks;
 * :class:`BlockDispatch`, the state and counters of each ISA's one
-  block-dispatch loop, and :class:`SuperblockTier`, the one tier-up
-  path: heat-triggered compilation, the side table, one superblock
-  closure per machine, and the deopt-promotion policy — when a guarded
-  side exit's counter crosses the JIT heat threshold, re-form a trace
-  that covers the hot path instead of deopting forever.
+  block-dispatch loop; :class:`JitState`, the JIT's state for one
+  translation, shared by every machine running it; and
+  :class:`SuperblockTier`, the one tier-up path: heat-triggered
+  compilation, one superblock closure per machine, and the
+  deopt-promotion policy — when a guarded side exit's counter crosses
+  the JIT heat threshold, re-form a trace that covers the hot path
+  instead of deopting forever.
 
 Emitted source must stay a pure function of the instruction stream (and
 the per-entry override table): no ``id()``, hashes, or dict iteration
@@ -37,8 +39,12 @@ from repro import metrics
 from repro.errors import FuelExhausted
 from repro.optable import exec_env
 
-#: Block-entry dispatch count at which a superblock is formed.
-JIT_HEAT = 16
+#: Block-entry dispatch count at which a superblock is formed, counted
+#: per translation.  Ski-rental break-even: compiling one superblock
+#: costs about as much as 270-520 threaded dispatches of its entry block
+#: save at ~70% each (DESIGN.md §3a).  Side exits promote at the same
+#: count.
+JIT_HEAT = 256
 #: Heat threshold of a machine that never tiers up: ``engine="threaded"``
 #: runs the same dispatch loop, and its superblock probe never fires.
 NO_TIER_UP = 1 << 62
@@ -57,6 +63,7 @@ __all__ = [
     "Emitter",
     "Acct",
     "BlockDispatch",
+    "JitState",
     "SuperblockTier",
     "base_exec_globals",
     "cache_cells",
@@ -223,15 +230,43 @@ def cache_cells(em) -> tuple[list[str], str]:
 # the dispatch loop's state and the tier-up path
 # ---------------------------------------------------------------------------
 
+class JitState:
+    """The JIT's state for one translation.
+
+    Created with the predecoded artifact (``ThreadedProgram.jit`` /
+    ``ThreadedNativeProgram.jit``) and shared by every JIT machine that
+    runs it, so heat accumulates across requests for the same program
+    and the translation cache holds, evicts and invalidates it with the
+    artifact.  ``heat`` counts block-entry dispatches and ``makers``
+    holds the current ``_make_superblock`` factory of each compiled
+    entry; the rest is the promotion profile of :class:`SuperblockTier`:
+    exit heat per ``(entry, site)``, per-entry prediction overrides, and
+    the promoted and pinned sites.
+    """
+
+    __slots__ = ("heat", "makers", "exit_heat", "overrides", "promoted",
+                 "pinned")
+
+    def __init__(self, length: int):
+        self.heat = [0] * length
+        self.makers: dict[int, object] = {}
+        self.exit_heat: dict[tuple, int] = {}
+        self.overrides: dict[int, dict] = {}
+        self.promoted: set[tuple] = set()
+        self.pinned: set[tuple] = set()
+
+
 class BlockDispatch:
     """State and counters of the one block-dispatch loop per ISA
     (:meth:`repro.omnivm.threaded.ThreadedVM._run_loop` and
     :meth:`repro.targets.threaded.ThreadedTargetMachine._run`).
 
     The loop probes ``_superblocks`` at every block entry and counts the
-    entry's heat in ``_heat``.  As set up here the probe never fires —
-    ``engine="threaded"`` — and :class:`SuperblockTier` switches it on.
-    Each ``run`` reports the growth of the :attr:`COUNTERS` as metrics.
+    entry's heat in ``_heat``.  As set up here the heat list is the
+    machine's own and the probe never fires — ``engine="threaded"`` —
+    and :class:`SuperblockTier` switches it on over the translation's
+    shared heat.  Each ``run`` reports the growth of the
+    :attr:`COUNTERS` as metrics.
     """
 
     #: (metrics counter, attribute) pairs, in reporting order.
@@ -244,7 +279,6 @@ class BlockDispatch:
         self._superblocks: dict[int, object] = {}
         self._heat = [0] * length
         self._jit_heat = NO_TIER_UP
-        self._side_key = None
         self._superblocks_run = 0
 
     def run(self, *args):
@@ -263,21 +297,23 @@ class SuperblockTier(BlockDispatch):
     """Tier-up path and deopt-promotion policy shared by both JIT machines.
 
     A JIT machine is its ISA's threaded machine with this class in
-    front: an entry that reaches ``_jit_heat`` dispatches goes through
-    :meth:`_compile_entry`, and in a warm process an entry's first
-    dispatch through :meth:`_warm_entry`.  Each ISA supplies only its
-    compile function ``_compile_superblock(program, index, overrides)``
-    returning ``(source, factory)`` (``(None, None)`` for an entry
-    outside the emitter's vocabulary), its side-table keys (see
-    :meth:`_init_tier`), and the promotion hooks
+    front, counting heat in the :class:`JitState` of its translation:
+    an entry that reaches ``_jit_heat`` dispatches goes through
+    :meth:`_compile_entry`, which installs the translation's current
+    superblock for it, compiling it first if no machine has.  Heat is
+    shared, so on a warm translation a hot entry crosses the threshold
+    at its first dispatch.  Each ISA supplies only its compile function
+    ``_compile_superblock(program, index, overrides)`` returning
+    ``(source, factory)`` (``(None, None)`` for an entry outside the
+    emitter's vocabulary) and the promotion hooks
     ``_promotion_profitable`` and ``_anchor_exit``.
 
     **One closure per machine.**  A superblock keeps its per-site inline
     memory caches in the cells of its ``_make_superblock`` closure.  The
-    side table and the promotion profile therefore hold that *factory*,
-    never a closure, and every machine calls it once per entry it
-    installs: machines running the same module on other threads never
-    see (or overwrite) each other's cached segments.
+    shared state therefore holds that *factory*, never a closure, and
+    every machine calls it once per entry it installs: machines running
+    the same module on other threads never see (or overwrite) each
+    other's cached segments.
 
     **Promotion.**  Every guarded side exit calls ``vm._note_exit(entry,
     site, taken, exit_loc)`` on its way back to the dispatcher.  When one
@@ -289,9 +325,10 @@ class SuperblockTier(BlockDispatch):
       is recorded in the per-entry **override table** and the entry's
       superblock is recompiled with the formerly-exiting direction on
       trace — the cycle now closes inside one frame;
-    * otherwise a trace is **anchored at the exit target** immediately,
-      bypassing the dispatch heat ramp, so the deopt lands on compiled
-      code instead of warming up the threaded tier again.
+    * otherwise a trace is **anchored at the exit target** immediately
+      and its heat raised to the threshold, bypassing the dispatch heat
+      ramp, so the deopt lands on compiled code instead of warming up
+      the threaded tier again.
 
     Loop-closure edges (branches to/from the trace entry) are never
     overridden: a loop *exit* legitimately fires once per superblock
@@ -302,16 +339,9 @@ class SuperblockTier(BlockDispatch):
     rather than a real bias) the override is reverted and the site
     **pinned** to the static layout — predictions cannot flip-flop,
     and a wrong flip costs at most one more heat ramp plus two
-    recompiles.
-
-    The learned state — exit heat, overrides, pinned sites, and the
-    factories of the override-compiled superblocks — forms the entry's
-    **promotion profile**.  With a translation cache the profile object
-    lives in the in-memory side table under a digest-derived key and is
-    adopted *by reference* by every machine of the same translation, so
-    the heat ramp, flips, and reverts are paid once per program, not
-    once per machine; digest-filtered invalidation drops the profile
-    with the translations.  Without a cache the profile is per-machine.
+    recompiles.  The profile lives in the shared state too, so the heat
+    ramp, flips, and reverts are paid once per translation, not once
+    per machine.
     """
 
     COUNTERS = BlockDispatch.COUNTERS + (
@@ -325,41 +355,21 @@ class SuperblockTier(BlockDispatch):
     #: Hard cap on overridden branches per trace entry.
     PROMOTE_LIMIT = 8
 
-    @staticmethod
-    def fresh_profile() -> dict:
-        return {"exit_heat": {}, "overrides": {}, "promoted": set(),
-                "pinned": set(), "makers": {}}
-
-    def _init_tier(self, cache, side_key, profile_key) -> None:
-        """Switch the threaded machine's probe on.  With a *cache*, the
-        factory of entry ``i`` lives in its side table under ``side_key
-        + (i,)`` and the shared promotion profile under *profile_key*."""
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        jit = self._threaded.jit
+        self._heat = jit.heat
         self._jit_heat = JIT_HEAT
-        self._jit_cache = cache
-        self._side_key = side_key if cache is not None else None
+        self._makers = jit.makers
+        self._exit_heat = jit.exit_heat
+        self._trace_overrides = jit.overrides
+        self._promoted_sites = jit.promoted
+        self._pinned_sites = jit.pinned
         self._superblocks_compiled = 0
         self._jit_deopts = 0
         self._jit_compile_ms = 0.0
         self._jit_promotions = 0
         self._jit_reverts = 0
-        if self._side_key is None:
-            profile = self.fresh_profile()
-        else:
-            profile = cache.probe_predecoded(profile_key)
-            if profile is None:
-                profile = self.fresh_profile()
-                cache.put_predecoded(profile_key, profile)
-        self._exit_heat: dict[tuple, int] = profile["exit_heat"]
-        self._trace_overrides: dict = profile["overrides"]
-        self._promoted_sites: set[tuple] = profile["promoted"]
-        self._pinned_sites: set[tuple] = profile["pinned"]
-        self._promoted_makers: dict = profile["makers"]
-        # Adopted-profile entries dispatch straight to their promoted
-        # superblocks (the warm path would find the unpromoted form
-        # under the side-table keys).  The profile is shared with
-        # machines on other threads, so iterate over a snapshot.
-        for index, make in list(self._promoted_makers.items()):
-            self._superblocks[index] = make()
 
     def _compile(self, index, overrides):
         """Compile the superblock at *index*; return its factory, or
@@ -373,53 +383,34 @@ class SuperblockTier(BlockDispatch):
         return make
 
     def _compile_entry(self, index):
-        """Install the superblock at *index* in the dispatch map: from
-        the promotion profile when the entry has overrides (such a form
-        is profile-specialized and never published under the side-table
-        keys), else from the side table, else compiled here and
-        published.  An entry that cannot be compiled has its heat
+        """Install the superblock at *index* in the dispatch map, from
+        the translation's current factory for it, compiled here if no
+        machine has.  An entry that cannot be compiled has its heat
         pinned so the threaded tier keeps it for good."""
-        overrides = self._trace_overrides.get(index)
-        key = None
-        make = None
-        if overrides:
-            make = self._promoted_makers.get(index)
-        elif self._side_key is not None:
-            key = self._side_key + (index,)
-            make = self._jit_cache.probe_predecoded(key)
+        make = self._makers.get(index)
         if make is None:
-            make = self._compile(index, overrides)
+            make = self._compile(index, self._trace_overrides.get(index))
             if make is None:
                 self._heat[index] = -(1 << 30)
                 return None
-            if overrides:
-                self._promoted_makers[index] = make
-            elif key is not None:
-                self._jit_cache.put_predecoded(key, make)
+            self._makers[index] = make
         fn = self._superblocks[index] = make()
         return fn
 
-    def _warm_entry(self, index):
-        """First dispatch of *index* in a warm process: install the
-        superblock another machine of the same program already compiled,
-        without waiting out the heat ramp."""
-        make = self._jit_cache.probe_predecoded(self._side_key + (index,))
-        if make is None:
-            return None
-        fn = self._superblocks[index] = make()
-        return fn
+    def _anchor(self, index) -> None:
+        """Install the superblock at *index* now, and raise its heat to
+        the threshold so every machine of the translation installs it
+        at its first dispatch."""
+        if index not in self._superblocks \
+                and self._compile_entry(index) is not None \
+                and self._heat[index] < self._jit_heat:
+            self._heat[index] = self._jit_heat
 
     def _repromote_entry(self, entry) -> None:
-        overrides = self._trace_overrides.get(entry)
-        make = self._compile(entry, overrides)
-        if make is None:
-            return
-        self._superblocks[entry] = make()
-        if overrides:
-            self._promoted_makers[entry] = make
-        else:
-            # all overrides reverted: the plain trace is current again
-            self._promoted_makers.pop(entry, None)
+        make = self._compile(entry, self._trace_overrides.get(entry))
+        if make is not None:
+            self._makers[entry] = make
+            self._superblocks[entry] = make()
 
     def _note_exit(self, entry, site, taken, exit_loc) -> None:
         self._jit_deopts += 1

@@ -49,12 +49,12 @@ hash/dict iteration order may leak into the emitted code).
 Compiled superblocks receive the register files and memory as
 arguments, but each keeps its per-site inline memory caches in the
 cells of its ``_make_superblock`` closure — that is VM state.  So the
-in-memory predecode side table of :class:`~repro.cache.TranslationCache`
-shares the compiled *factory* between VM instances under ``("jit-omni",
-digest, entry)`` keys, each VM calls it for a closure of its own (see
-:class:`repro.jitcore.SuperblockTier`), and module revocation
-invalidates the factories together with the ``("predecode-*", ...)``
-entries.
+program's :class:`~repro.jitcore.JitState`, carried by its predecoded
+:class:`~repro.omnivm.threaded.ThreadedProgram`, shares the compiled
+*factory* between VM instances, and each VM calls it for a closure of
+its own (see :class:`repro.jitcore.SuperblockTier`).  The state is
+cached, evicted and invalidated with the artifact, under its one
+``("predecode-omni", digest)`` key.
 """
 
 from __future__ import annotations
@@ -488,9 +488,8 @@ def compile_superblock(program, entry_index: int, overrides=None):
     Returns ``(source, factory)``: each call of the factory (the
     source's ``_make_superblock``) returns a fresh superblock closure
     ``fn(vm, state, regs, fregs, memory)`` with inline caches of its
-    own.  The factory binds no VM state, so it is shareable across VMs
-    (and cacheable under ``("jit-omni", digest, entry)`` keys — but only
-    when compiled without *overrides*, which encode a runtime profile).
+    own.  The factory binds no VM state, so the program's
+    :class:`~repro.jitcore.JitState` shares it across VMs.
     """
     source = superblock_source(program, entry_index, overrides)
     entry_pc = CODE_BASE + entry_index * INSTR_SIZE
@@ -546,28 +545,21 @@ def _path_reaches(instrs, n, start, entry, limit=MAX_TRACE_BLOCKS):
 class JitVM(SuperblockTier, ThreadedVM):
     """ThreadedVM with the superblock JIT tier on top.
 
-    Cold blocks run on the threaded tier while per-entry heat counters
-    accumulate; entries that reach the heat threshold are compiled (or
-    fetched from the shared side table under ``("jit-omni", digest,
-    entry)``) and dispatch to their superblock from then on — all
-    through the one dispatch loop, :meth:`ThreadedVM._run_loop`, and the
-    tier-up path of :class:`repro.jitcore.SuperblockTier`.
-    ``count_opcodes`` still forces the legacy per-instruction loop,
-    exactly as for :class:`ThreadedVM`.  Guarded side exits that
-    themselves cross the heat threshold are promoted: the trace is
-    re-formed with the hot direction on trace, or — when the exit
-    genuinely leaves the trace's cycle — a trace is anchored at the exit
-    target without waiting out the dispatch heat ramp.
+    Cold blocks run on the threaded tier while the program's per-entry
+    heat counters accumulate; entries that reach the heat threshold
+    dispatch to their superblock from then on, compiled by the first VM
+    of the program to get there — all through the one dispatch loop,
+    :meth:`ThreadedVM._run_loop`, and the tier-up path of
+    :class:`repro.jitcore.SuperblockTier`.  ``count_opcodes`` still
+    forces the legacy per-instruction loop, exactly as for
+    :class:`ThreadedVM`.  Guarded side exits that themselves cross the
+    heat threshold are promoted: the trace is re-formed with the hot
+    direction on trace, or — when the exit genuinely leaves the trace's
+    cycle — a trace is anchored at the exit target without waiting out
+    the dispatch heat ramp.
     """
 
     _compile_superblock = staticmethod(compile_superblock)
-
-    def __init__(self, program, memory, hostcall=None, fuel=50_000_000,
-                 threaded=None, cache=None, digest=None):
-        super().__init__(program, memory, hostcall, fuel, threaded=threaded)
-        self._init_tier(cache,
-                        None if digest is None else ("jit-omni", digest),
-                        ("jit-profile-omni", digest))
 
     # -- promotion hooks (repro.jitcore.SuperblockTier) ------------------
 
@@ -593,6 +585,4 @@ class JitVM(SuperblockTier, ThreadedVM):
         off = exit_loc - CODE_BASE
         if off & 7 or not 0 <= (off >> 3) < self._threaded.length:
             return
-        index = off >> 3
-        if index not in self._superblocks:
-            self._compile_entry(index)
+        self._anchor(off >> 3)

@@ -34,7 +34,9 @@ A :class:`ThreadedProgram` binds no VM state — closures receive the
 register files and memory as arguments — so one predecoded artifact is
 shared by every :class:`ThreadedVM` running the same program and may be
 cached in the :class:`~repro.cache.TranslationCache` (in memory only;
-closures do not persist to disk).
+closures do not persist to disk).  It carries the superblock JIT's
+:class:`~repro.jitcore.JitState` for the program, so the JIT's heat and
+compiled superblocks are cached, evicted and invalidated with it.
 
 :meth:`ThreadedVM._run_loop` is the one OmniVM block-dispatch loop: the
 superblock JIT (:class:`~repro.omnivm.jit.JitVM`) runs it too, through
@@ -52,7 +54,7 @@ from repro.errors import (
     FuelExhausted,
     VMRuntimeError,
 )
-from repro.jitcore import BlockDispatch
+from repro.jitcore import BlockDispatch, JitState
 from repro.omnivm.interp import OmniVM
 from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
@@ -185,10 +187,11 @@ class ThreadedProgram:
     discovery.  The artifact holds no VM state and is safely shared
     between VM instances and threads — concurrent block construction for
     the same entry produces identical tuples and the final list store is
-    atomic.
+    atomic.  ``jit`` is the JIT state every :class:`~repro.omnivm.jit.JitVM`
+    running the program shares.
     """
 
-    __slots__ = ("instrs", "steps", "blocks", "length")
+    __slots__ = ("instrs", "steps", "blocks", "length", "jit")
 
     def __init__(self, program):
         instrs = program.instrs
@@ -199,6 +202,7 @@ class ThreadedProgram:
             for i, instr in enumerate(instrs)
         ]
         self.blocks: list[tuple | None] = [None] * len(instrs)
+        self.jit = JitState(self.length)
 
     def build_block(self, index):
         """Build (and memoize) the basic block entered at *index*.
@@ -307,7 +311,6 @@ class ThreadedVM(BlockDispatch, OmniVM):
         heat = self._heat
         threshold = self._jit_heat
         sb_get = self._superblocks.get
-        warm = self._side_key is not None
         blocks_run = 0
         fused_run = 0
         sb_run = 0
@@ -329,8 +332,6 @@ class ThreadedVM(BlockDispatch, OmniVM):
                     heat[index] = h
                     if h >= threshold:
                         fn = self._compile_entry(index)
-                    elif h == 1 and warm:
-                        fn = self._warm_entry(index)
                 if fn is not None:
                     sb_run += 1
                     try:

@@ -111,8 +111,8 @@ def load_for_interpretation(
     :mod:`repro.omnivm.threaded` alone (block-level fuel accounting,
     observably identical results); ``"legacy"`` runs the original
     per-instruction dispatch loop.  With a ``cache``, the predecode
-    artifact and compiled superblocks are reused across loads of the
-    same program content.
+    artifact — and with it the JIT's heat and compiled superblocks — is
+    reused across loads of the same program content.
     """
     _check_engine(engine)
     if verify:
@@ -134,13 +134,11 @@ def load_for_interpretation(
     host = host or Host()
     if engine != "legacy":
         threaded = None
-        digest = None
         key = None
         if cache is not None:
             from repro.cache import program_digest
 
-            digest = program_digest(program)
-            key = ("predecode-omni", digest)
+            key = ("predecode-omni", program_digest(program))
             threaded = cache.get_predecoded(key)
         if threaded is None:
             threaded = predecode_program(program)
@@ -150,14 +148,15 @@ def load_for_interpretation(
             from repro.omnivm.jit import JitVM
 
             vm: OmniVM = JitVM(program, memory, fuel=fuel,
-                               threaded=threaded, cache=cache,
-                               digest=digest)
+                               threaded=threaded)
         else:
             vm = ThreadedVM(program, memory, fuel=fuel, threaded=threaded)
     else:
         vm = OmniVM(program, memory, fuel=fuel)
-    adapter = _OmniVMAdapter(vm)
-    vm.hostcall = lambda _vm, index: host.hostcall(adapter, index)
+    # The adapter is built from the machine the call passes in: one
+    # captured here would close a vm -> hostcall -> adapter -> vm cycle
+    # and keep the address space alive until a cyclic collection.
+    vm.hostcall = lambda vm, index: host.hostcall(_OmniVMAdapter(vm), index)
     return LoadedModule(program, memory, vm, host)
 
 

@@ -121,7 +121,7 @@ def load_for_target(
 
     _check_engine(engine)
     if policy is not None and policy != DEFAULT_POLICY:
-        # Cache keys (translation, predecode, JIT) don't carry the
+        # Cache keys (translation, predecode) don't carry the
         # policy; a policy-variant load must not collide with default
         # entries.
         cache = None
@@ -201,10 +201,6 @@ def load_for_target(
         if engine in ("auto", "jit"):
             from repro.targets.jit import JitTargetMachine
 
-            jit_key = None
-            if cache is not None:
-                jit_key = ("jit-native",) + cache_key(program, arch,
-                                                      options)
             machine: TargetMachine = JitTargetMachine(
                 translated.spec,
                 translated.instrs,
@@ -212,8 +208,6 @@ def load_for_target(
                 translated.omni_to_native,
                 fuel=fuel,
                 threaded=threaded,
-                cache=cache,
-                jit_key=jit_key,
             )
         else:
             machine = ThreadedTargetMachine(
@@ -232,8 +226,9 @@ def load_for_target(
             translated.omni_to_native,
             fuel=fuel,
         )
-    adapter = _TargetAdapter(machine)
-    machine.hostcall = lambda _m, index: host.hostcall(adapter, index)
+    # Built per call from the machine passed in, like the interpreter's
+    # adapter: a captured one would keep the address space in a cycle.
+    machine.hostcall = lambda m, index: host.hostcall(_TargetAdapter(m), index)
     initial_register_state(translated.spec, machine)
     return NativeModule(program, translated, machine, memory, host)
 

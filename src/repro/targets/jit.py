@@ -49,13 +49,13 @@ hostcall, trap, run-off-end) — the same documented relaxation as the
 block-level checks of the threaded tier.
 
 Each compiled superblock keeps its per-site inline memory caches in
-the cells of its ``_make_superblock`` closure, so the predecode side
-table of :class:`~repro.cache.TranslationCache` shares the *factory*
-between machines under ``("jit-native", digest, arch, options_digest,
-entry)`` keys and each machine calls it for a closure of its own (see
-:class:`repro.jitcore.SuperblockTier`); digest-filtered invalidation
-(module revoke/relink) drops the factories together with the
-``("predecode-native", ...)`` artifacts.
+the cells of its ``_make_superblock`` closure, so the translation's
+:class:`~repro.jitcore.JitState`, carried by its predecoded
+:class:`~repro.targets.threaded.ThreadedNativeProgram`, shares the
+*factory* between machines and each machine calls it for a closure of
+its own (see :class:`repro.jitcore.SuperblockTier`); digest-filtered
+invalidation (module revoke/relink) drops the state together with the
+``("predecode-native", ...)`` artifact that carries it.
 """
 
 from __future__ import annotations
@@ -810,11 +810,9 @@ def compile_native_superblock(program, entry: int, overrides=None):
     Returns ``(source, factory)``: each call of the factory (the
     source's ``_make_superblock``) returns a fresh superblock closure
     ``fn(m, regs, fregs, memory)`` with inline caches of its own.  The
-    factory binds no machine state, so it is shareable across machines
-    of the same translation (and cacheable under ``("jit-native",
-    digest, arch, opts, entry)`` keys when compiled without
-    *overrides*).  Returns ``(None, None)`` when the entry block is
-    untraceable.
+    factory binds no machine state, so the translation's
+    :class:`~repro.jitcore.JitState` shares it across machines.
+    Returns ``(None, None)`` when the entry block is untraceable.
     """
     try:
         source = native_superblock_source(program, entry, overrides)
@@ -865,12 +863,12 @@ def _native_path_reaches(instrs, n, start, entry,
 class JitTargetMachine(SuperblockTier, ThreadedTargetMachine):
     """ThreadedTargetMachine with the native superblock JIT on top.
 
-    Cold blocks run on the threaded tier while per-entry heat counters
-    accumulate; entries that reach the heat threshold are compiled (or
-    fetched from the shared predecode side table under the machine's
-    ``jit_key``) and dispatch to their superblock from then on — all
-    through the one dispatch loop, :meth:`ThreadedTargetMachine._run`,
-    and the tier-up path of :class:`repro.jitcore.SuperblockTier`.
+    Cold blocks run on the threaded tier while the translation's
+    per-entry heat counters accumulate; entries that reach the heat
+    threshold dispatch to their superblock from then on, compiled by
+    the first machine of the translation to get there — all through the
+    one dispatch loop, :meth:`ThreadedTargetMachine._run`, and the
+    tier-up path of :class:`repro.jitcore.SuperblockTier`.
     ``cycles``, ``instret``, register/memory state and fault
     attribution (``pc`` at the raise, ``fault_native`` on the
     violation) are bit-identical to the threaded tier; only fuel cuts
@@ -881,15 +879,6 @@ class JitTargetMachine(SuperblockTier, ThreadedTargetMachine):
     """
 
     _compile_superblock = staticmethod(compile_native_superblock)
-
-    def __init__(self, spec, instrs, memory, omni_to_native,
-                 hostcall=None, fuel=100_000_000, threaded=None,
-                 cache=None, jit_key=None):
-        super().__init__(spec, instrs, memory, omni_to_native,
-                         hostcall, fuel, threaded=threaded)
-        side = tuple(jit_key) if jit_key is not None else None
-        self._init_tier(cache, side,
-                        None if side is None else ("jit-profile",) + side[1:])
 
     # -- promotion hooks (repro.jitcore.SuperblockTier) ------------------
 
@@ -908,6 +897,5 @@ class JitTargetMachine(SuperblockTier, ThreadedTargetMachine):
         return _native_path_reaches(instrs, n, exit_loc, entry)
 
     def _anchor_exit(self, exit_loc):
-        if 0 <= exit_loc < self._threaded.length \
-                and exit_loc not in self._superblocks:
-            self._compile_entry(exit_loc)
+        if 0 <= exit_loc < self._threaded.length:
+            self._anchor(exit_loc)

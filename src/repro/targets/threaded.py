@@ -45,7 +45,7 @@ from repro.errors import (
     FuelExhausted,
     VMRuntimeError,
 )
-from repro.jitcore import BlockDispatch
+from repro.jitcore import BlockDispatch, JitState
 from repro.optable import MEM, NONE
 from repro.targets.base import MInstr, TargetMachine, TargetSpec
 from repro.targets.ops import OPS, TABLE
@@ -172,10 +172,13 @@ class ThreadedNativeProgram:
     Holds no machine state — closures receive the machine and its
     register files per call — so one artifact serves every machine
     instance running the same translation (the content-addressed cache
-    stores these in its in-memory predecode side table).
+    stores these in its in-memory predecode side table).  ``jit`` is
+    the JIT state every :class:`~repro.targets.jit.JitTargetMachine`
+    running the translation shares.
     """
 
-    __slots__ = ("spec", "instrs", "steps", "blocks", "length", "_fusion")
+    __slots__ = ("spec", "instrs", "steps", "blocks", "length", "_fusion",
+                 "jit")
 
     def __init__(self, spec: TargetSpec, instrs: list[MInstr]):
         self.spec = spec
@@ -186,6 +189,7 @@ class ThreadedNativeProgram:
         # lazily inside build_block (they need block context anyway).
         self.steps = [None] * len(instrs)
         self.blocks: list[tuple | None] = [None] * len(instrs)
+        self.jit = JitState(self.length)
 
     def _body_step(self, index: int):
         step = self.steps[index]
@@ -329,7 +333,6 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
         heat = self._heat
         threshold = self._jit_heat
         sb_get = self._superblocks.get
-        warm = self._side_key is not None
         blocks_run = 0
         fused_run = 0
         sb_run = 0
@@ -347,8 +350,6 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                     heat[pc] = h
                     if h >= threshold:
                         fn = self._compile_entry(pc)
-                    elif h == 1 and warm:
-                        fn = self._warm_entry(pc)
                 if fn is not None:
                     sb_run += 1
                     try:

@@ -494,14 +494,13 @@ class TestBenchmarkSmoke:
 
 class TestExecutionArtifactLifetime:
     """Revoking (or hot-reloading) any module of a linked image must
-    also drop the image-level execution artifacts — the interpreter's
-    predecode and the JIT's compiled superblocks — from the cache's
-    side table, not just the module's translation chunks."""
+    also drop the image-level execution artifact — the interpreter's
+    predecode, which carries the JIT's compiled superblocks — from the
+    cache's side table, not just the module's translation chunks."""
 
     def _image_side_keys(self, engine, digest):
         return [k for k in engine.cache._predecoded
-                if k[1] == digest and k[0] in ("predecode-omni",
-                                               "jit-omni")]
+                if k[1] == digest and k[0] == "predecode-omni"]
 
     def _run_interpreted_hot(self, engine, roots):
         from repro.engine import INTERPRETER
@@ -518,10 +517,15 @@ class TestExecutionArtifactLifetime:
         module = self._run_interpreted_hot(engine, ["app"])
         assert module.host.output_values() == [30, 21]
         keys = self._image_side_keys(engine, digest)
-        assert any(k[0] == "predecode-omni" for k in keys)
-        assert any(k[0] == "jit-omni" for k in keys)
+        assert keys == [("predecode-omni", digest)]
+        # The compiled factories live in the artifact's JIT state: one
+        # side-table entry per translation, dropped whole on revoke.
+        artifact = engine.cache._predecoded[keys[0]]
+        assert artifact is module.vm._threaded
+        assert artifact.jit.makers
         engine.revoke_module("libmath")
         assert self._image_side_keys(engine, digest) == []
+        assert artifact not in engine.cache._predecoded.values()
 
     def test_reregistration_drops_image_artifacts(self):
         engine = make_engine()

@@ -1,5 +1,8 @@
 """The unified Engine facade and unknown-architecture normalization."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro
@@ -9,8 +12,10 @@ from repro.compiler import compile_and_link
 from repro.engine import INTERPRETER, RunConfig
 from repro.errors import ReproError, UnknownArchitectureError
 from repro.native.profiles import MOBILE_NOSFI, MOBILE_SFI
+from repro.omnivm.memory import Memory
 from repro.runtime.loader import run_module
 from repro.runtime.native_loader import load_for_target, run_on_target
+from repro.service import ModuleRequest
 from repro.translators import (
     ARCHITECTURES,
     make_translator,
@@ -132,6 +137,46 @@ class TestEngineCaching:
         assert code == 0
         assert engine.metrics is None
         assert engine.stats()["counters"] == {}
+
+
+class TestAddressSpaceLifetime:
+    """A finished request's address space is freed by reference counting
+    alone: no cycle runs through the machine (its hostcall hook builds
+    the host adapter per call), so no ``Memory`` lingers until a cyclic
+    garbage collection."""
+
+    @pytest.fixture
+    def memories(self, monkeypatch):
+        """Weak references to every Memory built, with the cyclic
+        collector off for the test."""
+        refs = []
+        init = Memory.__init__
+
+        def tracked(memory, *args, **kwargs):
+            init(memory, *args, **kwargs)
+            refs.append(weakref.ref(memory))
+
+        monkeypatch.setattr(Memory, "__init__", tracked)
+        enabled = gc.isenabled()
+        gc.disable()
+        yield refs
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("target", [INTERPRETER, "x86"])
+    def test_engine_run_frees_its_memory(self, memories, target):
+        _code, module = Engine().run(SRC, target=target)
+        assert module.host.output_values() == EXPECTED
+        del module
+        assert memories and all(ref() is None for ref in memories)
+
+    @pytest.mark.parametrize("target", [INTERPRETER, "mips"])
+    def test_hosted_request_frees_its_memory(self, memories, target):
+        with Engine().serve(workers=1) as host:
+            response = host.run(ModuleRequest(program=SRC, target=target))
+            assert response.ok
+            del response
+            assert memories and all(ref() is None for ref in memories)
 
 
 class TestRunForwardsLoadKnobs:

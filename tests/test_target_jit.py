@@ -21,9 +21,9 @@ chains inlined without weakening.  These tests pin:
   fault identically under both engines — the JIT neither reorders nor
   elides any part of a guard chain;
 * superblock source determinism across independent predecodes;
-* the ``("jit-native", …)`` cache side table: warm loads reuse
-  compiled superblocks, invalidation drops them, and superblock
-  probes never touch the predecode hit/miss statistics;
+* the JIT state on the cached predecode artifact: warm loads reuse
+  compiled superblocks, invalidation drops them, and tier-up never
+  touches the predecode hit/miss statistics;
 * side-exit heat promotion: a branch the static predictor lays out
   wrong is re-formed instead of deopting forever.
 """
@@ -373,8 +373,8 @@ class TestNativeSuperblockDeterminism:
 
 
 class TestJitCacheSideTable:
-    """Compiled superblocks live under ``("jit-native", digest, arch,
-    options, entry)`` keys in the cache's in-memory side table."""
+    """Compiled superblocks live in the JIT state of the translation's
+    ``("predecode-native", …)`` artifact in the cache's side table."""
 
     def _program(self):
         body = [("instr", I("li", rd=2, imm=0))]
@@ -411,9 +411,8 @@ class TestJitCacheSideTable:
         assert fresh.machine._superblocks_compiled > 0
 
     def test_superblock_probes_leave_predecode_stats_alone(self):
-        """The JIT probes the side table through the stats-free
-        accessor: warming up superblocks must not move the predecode
-        hit/miss counters that the threaded tier's tests pin."""
+        """Warming up superblocks must not move the predecode hit/miss
+        counters that the threaded tier's tests pin."""
         cache = TranslationCache()
         program = self._program()
         module = load_for_target(program, "mips", cache=cache, engine="jit")

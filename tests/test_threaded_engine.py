@@ -518,7 +518,7 @@ class TestBenchmarkSmoke:
         payload = bench.collect_benchmark(
             workloads=("li",), executors=("omnivm", "mips"), repeats=1)
         bench.validate_artifact(payload)
-        assert payload["schema_version"] == bench.SCHEMA_VERSION == 3
+        assert payload["schema_version"] == bench.SCHEMA_VERSION == 4
         assert {r["executor"] for r in payload["results"]} == \
             {"omnivm", "mips"}
         by_executor = {r["executor"]: r for r in payload["results"]}
@@ -528,6 +528,11 @@ class TestBenchmarkSmoke:
         assert bench.JIT_RESULT_KEYS <= by_executor["mips"].keys()
         assert set(payload["geomean_jit_over_threaded"]) == \
             {"omnivm", "mips"}
+        # schema v4: the cold run with compile time, and the break-even
+        # heat per executor
+        assert set(payload["geomean_jit_cold_over_threaded"]) == \
+            {"omnivm", "mips"}
+        assert set(payload["breakeven_dispatches"]) == {"omnivm", "mips"}
 
     def test_committed_artifact_validates_and_meets_bars(self, bench):
         payload = json.loads(ARTIFACT_PATH.read_text())
