@@ -93,20 +93,26 @@ int main() {
 _MINILISP_PART = "(defun lisp_entry (n) (if (< n 2) 1 (* n (lisp_entry (- n 1)))))"
 
 
-def figure2_demo() -> dict[str, list[object]]:
-    """Compile MiniC + MiniLisp into one mobile module, run it on the
-    reference VM and all four targets; returns outputs per engine."""
+def figure2_program():
+    """The MiniC + MiniLisp demo, compiled and linked into one mobile
+    module."""
     from repro.compiler import CompileOptions, compile_to_object
     from repro.lang2.compiler import compile_minilisp
     from repro.omnivm.linker import link
+
+    c_obj = compile_to_object(_MINIC_PART, CompileOptions(module_name="cpart"))
+    lisp_obj = compile_minilisp(_MINILISP_PART, module_name="lisppart")
+    return link([c_obj, lisp_obj], name="fig2")
+
+
+def figure2_demo() -> dict[str, list[object]]:
+    """Compile MiniC + MiniLisp into one mobile module, run it on the
+    reference VM and all four targets; returns outputs per engine."""
     from repro.runtime.loader import run_module
     from repro.runtime.native_loader import run_on_target
     from repro.native.profiles import MOBILE_SFI
 
-    c_obj = compile_to_object(_MINIC_PART, CompileOptions(module_name="cpart"))
-    lisp_obj = compile_minilisp(_MINILISP_PART, module_name="lisppart")
-    program = link([c_obj, lisp_obj], name="fig2")
-
+    program = figure2_program()
     outputs: dict[str, list[object]] = {}
     _code, host = run_module(program)
     outputs["omnivm"] = host.output_values()

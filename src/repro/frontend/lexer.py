@@ -3,11 +3,17 @@
 MiniC plays the role of the paper's gcc/lcc front ends: a realistic,
 optimizing compiler that targets OmniVM.  The lexer produces a flat list of
 :class:`Token` objects; the parser consumes them with one-token lookahead.
+
+Scanning is one compiled master pattern (:data:`_TOKEN_RE`): each match
+skips whitespace and comments, then takes exactly one token, so the whole
+source is consumed by C code and Python runs once per token.  Malformed
+literals fall through to single-character alternatives that a small error
+routine turns into the precise :class:`~repro.errors.LexError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from repro import metrics
 from repro.errors import LexError, SourceLocation
@@ -99,19 +105,48 @@ _ESCAPES = {
     "v": "\v",
 }
 
+# `unsigned` is accepted as an alias of `uint`.
+_KEYWORD_VALUE = {word: word for word in KEYWORDS}
+_KEYWORD_VALUE["unsigned"] = "uint"
 
-@dataclass(frozen=True)
+_ESCAPE = r"""\\(?:x[0-9a-fA-F]+|[ntr0\\'"abfv])"""
+
+# Each match is: skipped whitespace/comments/`#` lines, then one token.
+# Alternation order is maximal munch: numbers precede operators (".5"),
+# and the one-character alternatives at the end catch what no token
+# form accepts, so every position matches and finditer never skips.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>0[xX][0-9a-fA-F]*[uUlL]*"
+    r"|\d*\.\d+(?:[eE][+-]?\d+)?[fF]?"
+    r"|\d+(?:[eE][+-]?\d+[fF]?|[fF]|[uUlL]*))"
+    r"|(?P<comment>/\*)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + ")"
+    rf'|(?P<string>"(?:[^"\\]|{_ESCAPE})*")'
+    rf"|(?P<char>'(?:[^\\]|{_ESCAPE})')"
+    r"|(?P<bad>.)"
+    r"|(?P<eof>\Z))",
+    re.DOTALL,
+)
+
+_ESCAPE_RE = re.compile(r"\\(?:x([0-9a-fA-F]+)|(.))", re.DOTALL)
+
+
 class Token:
     """One lexical token.
 
-    ``kind`` is one of: ``"kw"``, ``"ident"``, ``"int"``, ``"float"``,
-    ``"char"``, ``"string"``, ``"op"``, ``"eof"``.  ``value`` holds the
-    decoded payload (int/float for literals, str otherwise).
+    ``kind`` is one of: ``"kw"``, ``"ident"``, ``"int"``, ``"uint"``,
+    ``"float"``, ``"char"``, ``"string"``, ``"op"``, ``"eof"``.  ``value``
+    holds the decoded payload (int/float for literals, str otherwise).
     """
 
-    kind: str
-    value: object
-    loc: SourceLocation
+    __slots__ = ("kind", "value", "loc")
+
+    def __init__(self, kind: str, value: object, loc: SourceLocation):
+        self.kind = kind
+        self.value = value
+        self.loc = loc
 
     def is_op(self, text: str) -> bool:
         return self.kind == "op" and self.value == text
@@ -119,202 +154,147 @@ class Token:
     def is_kw(self, text: str) -> bool:
         return self.kind == "kw" and self.value == text
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.kind, self.value, self.loc) == (
+            other.kind, other.value, other.loc)
+
+    __hash__ = None  # SourceLocation is unhashable too
+
+    def __repr__(self) -> str:
+        return f"Token(kind={self.kind!r}, value={self.value!r}, loc={self.loc!r})"
+
     def __str__(self) -> str:
         return f"{self.kind}:{self.value!r}"
 
 
-class Lexer:
-    """Tokenizes MiniC source text."""
-
-    def __init__(self, source: str, filename: str = "<input>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            elif ch == "#":
-                # Preprocessor lines are not supported; skip them so small
-                # snippets with `#include` headers still lex.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start : self.pos]
-            unsigned = self._skip_int_suffix()
-            return Token("uint" if unsigned else "int", int(text, 16), loc)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        if self._peek() and self._peek() in "fF":
-            self._advance()
-            return Token("float", float(text), loc)
-        if is_float:
-            return Token("float", float(text), loc)
-        unsigned = self._skip_int_suffix()
-        return Token("uint" if unsigned else "int", int(text, 10), loc)
-
-    def _skip_int_suffix(self) -> bool:
-        """Consume C integer suffixes (u/U/l/L combinations); returns True
-        if an unsigned suffix was present."""
-        unsigned = False
-        # NB: _peek() returns "" at end of input, and `"" in "uUlL"` is
-        # True — the emptiness guard is load-bearing.
-        while self._peek() and self._peek() in "uUlL":
-            if self._peek() in "uU":
-                unsigned = True
-            self._advance()
-        return unsigned
-
-    def _lex_char_escape(self, quote: str) -> str:
-        ch = self._peek()
-        if ch == "":
-            raise LexError(f"unterminated {quote} literal", self._loc())
-        if ch != "\\":
-            self._advance()
-            return ch
-        self._advance()
-        esc = self._peek()
-        if esc == "x":
-            self._advance()
-            digits = ""
-            # The emptiness guard matters: at EOF _peek() is "" and
-            # `"" in "0123..."` is True, which would loop forever.
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                raise LexError("bad hex escape", self._loc())
-            return chr(int(digits, 16) & 0xFF)
-        if esc in _ESCAPES:
-            self._advance()
-            return _ESCAPES[esc]
-        raise LexError(f"unknown escape sequence \\{esc}", self._loc())
-
-    def _lex_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                break
-            chars.append(self._lex_char_escape('"'))
-        return Token("string", "".join(chars), loc)
-
-    def _lex_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        ch = self._lex_char_escape("'")
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", loc)
-        self._advance()
-        return Token("char", ord(ch), loc)
-
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.source):
-            return Token("eof", None, self._loc())
-        loc = self._loc()
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.source[start : self.pos]
-            if text == "unsigned":
-                # `unsigned`/`unsigned int` are accepted as aliases of uint.
-                return Token("kw", "uint", loc)
-            if text in KEYWORDS:
-                return Token("kw", text, loc)
-            return Token("ident", text, loc)
-        if ch == '"':
-            return self._lex_string()
-        if ch == "'":
-            return self._lex_char()
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole input, returning tokens ending with one ``eof``."""
-        tokens: list[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind == "eof":
-                return tokens
+# Group numbers of the token alternatives, for a cheap dispatch.
+_IDENT, _NUMBER, _COMMENT, _OP, _STRING, _CHAR, _BAD, _EOF = (
+    _TOKEN_RE.groupindex[name] for name in (
+        "ident", "number", "comment", "op", "string", "char", "bad", "eof"))
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: lex *source* into a token list."""
-    tokens = Lexer(source, filename).tokenize()
+    """Lex *source* into a token list ending with one ``eof`` token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # index of the first character of the current line
+    end = 0         # where the previous match ended
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastindex
+        start = match.start(group)
+        if start != end:
+            newlines = source.count("\n", end, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", end, start) + 1
+        end = match.end()
+        text = source[start:end]
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        if group == _IDENT:
+            value = _KEYWORD_VALUE.get(text)
+            if value is not None:
+                append(Token("kw", value, loc))
+            elif text[0] > "\x7f" and not text[0].isalpha():
+                raise LexError(f"unexpected character {text[0]!r}", loc)
+            else:
+                append(Token("ident", text, loc))
+        elif group == _OP:
+            append(Token("op", text, loc))
+        elif group == _NUMBER:
+            append(_number(text, loc))
+        elif group == _EOF:
+            append(Token("eof", None, loc))
+            break
+        elif group == _STRING or group == _CHAR:
+            body = _unescape(text[1:-1])
+            if group == _STRING:
+                append(Token("string", body, loc))
+            else:
+                append(Token("char", ord(body), loc))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif group == _COMMENT:
+            raise LexError("unterminated block comment", loc)
+        else:
+            if text == '"' or text == "'":
+                _literal_error(source, start, filename)
+            raise LexError(f"unexpected character {text!r}", loc)
     if metrics.active():
         metrics.count("frontend.tokens", len(tokens))
     return tokens
+
+
+def _number(text: str, loc: SourceLocation) -> Token:
+    """Decode one numeric literal matched by the ``number`` alternative."""
+    if text[:2] in ("0x", "0X"):
+        digits = text[2:].rstrip("uUlL")
+        if not digits:
+            raise LexError(f"hex literal {text!r} has no digits", loc)
+        unsigned = "u" in text or "U" in text
+        return Token("uint" if unsigned else "int", int(digits, 16), loc)
+    if text[-1] in "fF":
+        return Token("float", float(text[:-1]), loc)
+    if "." in text or "e" in text or "E" in text:
+        return Token("float", float(text), loc)
+    unsigned = "u" in text or "U" in text
+    return Token("uint" if unsigned else "int", int(text.rstrip("uUlL")), loc)
+
+
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(_escape_value, body)
+
+
+def _escape_value(match: re.Match) -> str:
+    digits, char = match.groups()
+    if digits is not None:
+        return chr(int(digits, 16) & 0xFF)
+    return _ESCAPES[char]
+
+
+def _literal_error(source: str, start: int, filename: str) -> None:
+    """Raise the error for the malformed string or character literal
+    whose opening quote is at *start*."""
+
+    def loc(pos: int) -> SourceLocation:
+        line_start = source.rfind("\n", 0, pos) + 1
+        return SourceLocation(filename, source.count("\n", 0, pos) + 1,
+                              pos - line_start + 1)
+
+    quote = source[start]
+    pos = start + 1
+    while True:
+        if pos >= len(source):
+            if quote == '"':
+                raise LexError("unterminated string literal", loc(start))
+            raise LexError("unterminated ' literal", loc(pos))
+        ch = source[pos]
+        if ch == '"' and quote == '"':
+            return  # unreachable: a well-formed string matches its pattern
+        if ch != "\\":
+            pos += 1
+        else:
+            esc = source[pos + 1 : pos + 2]
+            if esc == "x":
+                digits = pos + 2
+                while source[digits : digits + 1] in _HEX_DIGITS:
+                    digits += 1
+                if digits == pos + 2:
+                    raise LexError("bad hex escape", loc(digits))
+                pos = digits
+            elif esc in _ESCAPES:
+                pos += 2
+            else:
+                raise LexError(f"unknown escape sequence \\{esc}", loc(pos + 1))
+        if quote == "'":
+            if source[pos : pos + 1] != "'":
+                raise LexError("unterminated character literal", loc(start))
+            return  # unreachable: a well-formed char matches its pattern
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")

@@ -60,57 +60,121 @@ _BINOP_PRECEDENCE = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: The deepest nesting the parser accepts.  One level is: a statement
+#: inside another; a full expression inside another (parenthesized, an
+#: argument, an index, the right side of an assignment, a branch of
+#: ``?:``); a unary operator or cast; a link of a left-associative chain
+#: (binary operators, commas, postfix operators), which pushes everything
+#: before it one level deeper; a pointer or array level of a type; and a
+#: brace of an initializer.  Sema, the IR builder and the parser itself
+#: all recurse once per level, spending at most seven frames on one (a
+#: parenthesized expression in the parser), so 100 levels stay well
+#: inside Python's default limit of 1000 frames on any thread, a service
+#: worker's included.  The SPEC kernels nest at most 13 levels (alvinn)
+#: and the benchmark corpora at most 10.
+MAX_NESTING = 100
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.frontend.ast.TranslationUnit`."""
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # Two more copies of the final eof make every lookahead in range.
+        self.tokens = list(tokens) + tokens[-1:] * 2
         self.pos = 0
         # Struct tag -> StructType, shared with sema via the returned AST.
         self.struct_types: dict[str, StructType] = {}
+        # Nesting levels open here, and the deepest level reached by the
+        # nodes of the chain being parsed (see MAX_NESTING).
+        self._depth = 0
+        self._deepest = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def _next(self) -> Token:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind != "eof":
             self.pos += 1
         return token
 
     def _expect_op(self, text: str) -> Token:
-        token = self._peek()
-        if not token.is_op(text):
+        token = self.tokens[self.pos]
+        if token.kind != "op" or token.value != text:
             raise ParseError(f"expected {text!r}, found {token}", token.loc)
-        return self._next()
+        self.pos += 1
+        return token
 
     def _expect_kw(self, text: str) -> Token:
-        token = self._peek()
-        if not token.is_kw(text):
+        token = self.tokens[self.pos]
+        if token.kind != "kw" or token.value != text:
             raise ParseError(f"expected {text!r}, found {token}", token.loc)
-        return self._next()
+        self.pos += 1
+        return token
 
     def _expect_ident(self) -> Token:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind != "ident":
             raise ParseError(f"expected identifier, found {token}", token.loc)
-        return self._next()
+        self.pos += 1
+        return token
 
     def _accept_op(self, text: str) -> bool:
-        if self._peek().is_op(text):
-            self._next()
+        token = self.tokens[self.pos]
+        if token.kind == "op" and token.value == text:
+            self.pos += 1
             return True
         return False
 
     def _accept_kw(self, text: str) -> bool:
-        if self._peek().is_kw(text):
-            self._next()
+        token = self.tokens[self.pos]
+        if token.kind == "kw" and token.value == text:
+            self.pos += 1
             return True
         return False
+
+    # -- nesting bound -------------------------------------------------------
+
+    def _nest(self, token: Token) -> None:
+        """Open one nesting level at *token* (close it with
+        ``self._depth -= 1``)."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             token.loc)
+        if self._depth > self._deepest:
+            self._deepest = self._depth
+
+    def _start_chain(self) -> int:
+        """Begin a left-associative chain; returns the state to restore."""
+        saved = self._deepest
+        self._deepest = self._depth
+        return saved
+
+    def _link(self, before: int, token: Token) -> None:
+        """The chain link at *token* pushes what the chain held before it
+        (reaching level *before*) one level deeper; its own operand was
+        parsed one level down already."""
+        if before + 1 > self._deepest:
+            self._deepest = before + 1
+        if self._deepest > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             token.loc)
+
+    def _end_chain(self, saved: int) -> None:
+        if saved > self._deepest:
+            self._deepest = saved
+
+    def _type_level(self, depth: int, token: Token) -> None:
+        """A type nested *depth* pointer/array levels deep ends at *token*."""
+        level = self._depth + depth
+        if level > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             token.loc)
+        if level > self._deepest:
+            self._deepest = level
 
     # -- types ---------------------------------------------------------------
 
@@ -150,8 +214,14 @@ class Parser:
 
     def _parse_pointers(self, base: Type) -> Type:
         ty = base
-        while self._accept_op("*"):
+        token = self.tokens[self.pos]
+        depth = _type_depth(base)
+        while token.kind == "op" and token.value == "*":
+            depth += 1
+            self._type_level(depth, token)
+            self.pos += 1
             ty = PointerType(ty)
+            token = self.tokens[self.pos]
         return ty
 
     def _parse_type(self) -> Type:
@@ -169,7 +239,10 @@ class Parser:
     def _parse_array_suffix(self, ty: Type) -> Type:
         """Parse zero or more `[N]` suffixes; sizes are constant exprs."""
         dims: list[int] = []
-        while self._accept_op("["):
+        depth = _type_depth(ty)
+        while self._peek().is_op("["):
+            depth += 1
+            self._type_level(depth, self._next())
             if self._peek().is_op("]"):
                 # Unsized: completed later from the initializer.
                 dims.append(-1)
@@ -277,7 +350,7 @@ class Parser:
         return ast.GlobalVar(loc, name, ty, init, init_list, init_string, is_extern)
 
     def _parse_init_list(self) -> list[ast.Expr]:
-        self._expect_op("{")
+        self._nest(self._expect_op("{"))
         items: list[ast.Expr] = []
         if not self._peek().is_op("}"):
             while True:
@@ -290,6 +363,7 @@ class Parser:
                 if self._peek().is_op("}"):
                     break  # trailing comma
         self._expect_op("}")
+        self._depth -= 1
         return items
 
     def _parse_param_types(self) -> tuple[list[Type], bool]:
@@ -316,7 +390,10 @@ class Parser:
 
     def _decay_param(self, ty: Type) -> Type:
         # `int a[]` / `int a[N]` parameters decay to pointers.
-        while self._accept_op("["):
+        depth = _type_depth(ty)
+        while self._peek().is_op("["):
+            depth += 1
+            self._type_level(depth, self._next())
             if not self._peek().is_op("]"):
                 self.parse_expression()
             self._expect_op("]")
@@ -376,37 +453,46 @@ class Parser:
         return ast.Block(loc, statements)
 
     def parse_statement(self) -> ast.Stmt:
-        token = self._peek()
-        if token.is_op("{"):
-            return self.parse_block()
-        if token.is_kw("if"):
-            return self._parse_if()
-        if token.is_kw("while"):
-            return self._parse_while()
-        if token.is_kw("do"):
-            return self._parse_do_while()
-        if token.is_kw("for"):
-            return self._parse_for()
-        if token.is_kw("break"):
-            self._next()
-            self._expect_op(";")
-            return ast.Break(token.loc)
-        if token.is_kw("continue"):
-            self._next()
-            self._expect_op(";")
-            return ast.Continue(token.loc)
-        if token.is_kw("return"):
-            self._next()
-            value = None if self._peek().is_op(";") else self.parse_expression()
-            self._expect_op(";")
-            return ast.Return(token.loc, value)
-        if self._at_type() and not (
-            token.is_kw("struct") and not self._peek(1).kind == "ident"
-        ):
-            return self._parse_local_decl()
-        if token.is_op(";"):
-            self._next()
-            return ast.Block(token.loc, [])
+        token = self.tokens[self.pos]
+        self._nest(token)
+        stmt = self._parse_statement(token)
+        self._depth -= 1
+        return stmt
+
+    def _parse_statement(self, token: Token) -> ast.Stmt:
+        kind, value = token.kind, token.value
+        if kind == "op":
+            if value == "{":
+                return self.parse_block()
+            if value == ";":
+                self.pos += 1
+                return ast.Block(token.loc, [])
+        elif kind == "kw":
+            if value == "if":
+                return self._parse_if()
+            if value == "while":
+                return self._parse_while()
+            if value == "do":
+                return self._parse_do_while()
+            if value == "for":
+                return self._parse_for()
+            if value == "break":
+                self.pos += 1
+                self._expect_op(";")
+                return ast.Break(token.loc)
+            if value == "continue":
+                self.pos += 1
+                self._expect_op(";")
+                return ast.Continue(token.loc)
+            if value == "return":
+                self.pos += 1
+                value = None if self._peek().is_op(";") else self.parse_expression()
+                self._expect_op(";")
+                return ast.Return(token.loc, value)
+            if value in _TYPE_KEYWORDS and not (
+                value == "struct" and self._peek(1).kind != "ident"
+            ):
+                return self._parse_local_decl()
         expr = self.parse_expression()
         self._expect_op(";")
         return ast.ExprStmt(token.loc, expr)
@@ -495,21 +581,27 @@ class Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
+        saved = self._start_chain()
         expr = self.parse_assignment()
         while self._peek().is_op(","):
             # Comma expressions are rare; model as a Binary with op ','.
-            loc = self._next().loc
+            token = self._next()
+            before = self._deepest
             right = self.parse_assignment()
-            expr = ast.Binary(loc, ",", expr, right)
+            self._link(before, token)
+            expr = ast.Binary(token.loc, ",", expr, right)
+        self._end_chain(saved)
         return expr
 
     def parse_assignment(self) -> ast.Expr:
+        self._nest(self.tokens[self.pos])
         left = self._parse_conditional()
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind == "op" and token.value in _ASSIGN_OPS:
-            self._next()
+            self.pos += 1
             right = self.parse_assignment()
-            return ast.Assign(token.loc, str(token.value), left, right)
+            left = ast.Assign(token.loc, token.value, left, right)
+        self._depth -= 1
         return left
 
     def _parse_conditional(self) -> ast.Expr:
@@ -523,45 +615,61 @@ class Parser:
         return cond
 
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        saved = self._start_chain()
         left = self._parse_unary()
         while True:
-            token = self._peek()
+            token = self.tokens[self.pos]
             if token.kind != "op":
-                return left
-            precedence = _BINOP_PRECEDENCE.get(str(token.value), 0)
+                break
+            precedence = _BINOP_PRECEDENCE.get(token.value, 0)
             if precedence < min_precedence or precedence == 0:
-                return left
-            self._next()
+                break
+            self.pos += 1
+            before = self._deepest
+            self._nest(token)
             right = self._parse_binary(precedence + 1)
-            left = ast.Binary(token.loc, str(token.value), left, right)
+            self._depth -= 1
+            self._link(before, token)
+            left = ast.Binary(token.loc, token.value, left, right)
+        self._end_chain(saved)
+        return left
+
+    def _unary_operand(self, token: Token) -> ast.Expr:
+        """The operand of the prefix operator, cast or sizeof at *token*."""
+        self._nest(token)
+        operand = self._parse_unary()
+        self._depth -= 1
+        return operand
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind == "op" and token.value in ("-", "+", "!", "~", "*", "&"):
-            self._next()
-            operand = self._parse_unary()
-            if token.value == "+":
-                return operand
-            return ast.Unary(token.loc, str(token.value), operand)
-        if token.is_op("++") or token.is_op("--"):
-            self._next()
-            return ast.Unary(token.loc, str(token.value), self._parse_unary())
-        if token.is_kw("sizeof"):
-            self._next()
+        token = self.tokens[self.pos]
+        kind, value = token.kind, token.value
+        if kind == "op":
+            if value in ("-", "+", "!", "~", "*", "&"):
+                self.pos += 1
+                operand = self._unary_operand(token)
+                if value == "+":
+                    return operand
+                return ast.Unary(token.loc, value, operand)
+            if value == "++" or value == "--":
+                self.pos += 1
+                return ast.Unary(token.loc, value, self._unary_operand(token))
+            if value == "(" and self._is_type_ahead(1):
+                self.pos += 1
+                ty = self._parse_type()
+                self._expect_op(")")
+                operand = self._unary_operand(token)
+                return ast.Cast(token.loc, ty, operand)
+        elif kind == "kw" and value == "sizeof":
+            self.pos += 1
             if self._peek().is_op("(") and self._is_type_ahead(1):
                 self._expect_op("(")
                 ty = self._parse_type()
                 ty = self._parse_array_suffix(ty)
                 self._expect_op(")")
                 return ast.SizeOf(token.loc, ty, None)
-            operand = self._parse_unary()
+            operand = self._unary_operand(token)
             return ast.SizeOf(token.loc, None, operand)
-        if token.is_op("(") and self._is_type_ahead(1):
-            self._next()
-            ty = self._parse_type()
-            self._expect_op(")")
-            operand = self._parse_unary()
-            return ast.Cast(token.loc, ty, operand)
         return self._parse_postfix()
 
     def _is_type_ahead(self, offset: int) -> bool:
@@ -569,11 +677,16 @@ class Parser:
         return token.kind == "kw" and token.value in _TYPE_KEYWORDS
 
     def _parse_postfix(self) -> ast.Expr:
+        saved = self._start_chain()
         expr = self._parse_primary()
         while True:
-            token = self._peek()
-            if token.is_op("("):
-                self._next()
+            token = self.tokens[self.pos]
+            if token.kind != "op":
+                break
+            value = token.value
+            before = self._deepest
+            if value == "(":
+                self.pos += 1
                 args: list[ast.Expr] = []
                 if not self._peek().is_op(")"):
                     while True:
@@ -582,24 +695,23 @@ class Parser:
                             break
                 self._expect_op(")")
                 expr = ast.Call(token.loc, expr, args)
-            elif token.is_op("["):
-                self._next()
+            elif value == "[":
+                self.pos += 1
                 index = self.parse_expression()
                 self._expect_op("]")
                 expr = ast.Index(token.loc, expr, index)
-            elif token.is_op("."):
-                self._next()
+            elif value == "." or value == "->":
+                self.pos += 1
                 name = str(self._expect_ident().value)
-                expr = ast.Member(token.loc, expr, name, arrow=False)
-            elif token.is_op("->"):
-                self._next()
-                name = str(self._expect_ident().value)
-                expr = ast.Member(token.loc, expr, name, arrow=True)
-            elif token.is_op("++") or token.is_op("--"):
-                self._next()
-                expr = ast.Postfix(token.loc, str(token.value), expr)
+                expr = ast.Member(token.loc, expr, name, arrow=value == "->")
+            elif value == "++" or value == "--":
+                self.pos += 1
+                expr = ast.Postfix(token.loc, value, expr)
             else:
-                return expr
+                break
+            self._link(before, token)
+        self._end_chain(saved)
+        return expr
 
     def _parse_primary(self) -> ast.Expr:
         token = self._next()
@@ -633,6 +745,15 @@ def _complete_array(
             return ArrayType(ty.element, len(init_list))
         raise ParseError("unsized array requires an initializer", SourceLocationDefault())
     return ty
+
+
+def _type_depth(ty: Type) -> int:
+    """Pointer and array levels above the innermost element type."""
+    depth = 0
+    while isinstance(ty, (PointerType, ArrayType)):
+        depth += 1
+        ty = ty.pointee if isinstance(ty, PointerType) else ty.element
+    return depth
 
 
 def SourceLocationDefault():

@@ -1,6 +1,6 @@
 """Control-flow graph analyses over the IR.
 
-Provides predecessor maps, reverse postorder, iterative dominators, and
+Provides predecessor maps, reverse postorder, the dominator tree, and
 natural-loop detection.  These are consumed by the optimizer (LICM needs
 loops; DCE and liveness need orderings) and by the register allocator.
 """
@@ -16,35 +16,44 @@ def successors(func: Function) -> dict[str, list[str]]:
     return {b.label: b.successors() for b in func.blocks}
 
 
+def _targets(func: Function) -> dict[str, list[str]]:
+    """Like :func:`successors`, but sharing the terminators' target
+    lists: for analyses that only read them."""
+    return {b.label: b.terminator.targets if b.terminator is not None else []
+            for b in func.blocks}
+
+
 def predecessors(func: Function) -> dict[str, list[str]]:
     preds: dict[str, list[str]] = {b.label: [] for b in func.blocks}
     for block in func.blocks:
-        for succ in block.successors():
-            preds[succ].append(block.label)
+        if block.terminator is not None:
+            for succ in block.terminator.targets:
+                preds[succ].append(block.label)
     return preds
 
 
-def reverse_postorder(func: Function) -> list[str]:
+def reverse_postorder(
+    func: Function, succ: dict[str, list[str]] | None = None
+) -> list[str]:
     """Labels in reverse postorder from the entry (unreachable blocks are
     excluded — callers that mutate the function should run
-    :func:`remove_unreachable` first)."""
-    succ = successors(func)
-    visited: set[str] = set()
-    order: list[str] = []
-
+    :func:`remove_unreachable` first).  *succ* is the successor map, if
+    the caller has it already."""
+    if succ is None:
+        succ = _targets(func)
     entry = func.entry.label
-    # Iterative DFS to avoid recursion limits on long CFGs.
-    stack: list[tuple[str, int]] = [(entry, 0)]
-    visited.add(entry)
+    visited = {entry}
+    order: list[str] = []
+    # Iterative DFS to avoid recursion limits on long CFGs; each stack
+    # entry resumes its successor iterator where it left off.
+    stack = [(entry, iter(succ[entry]))]
     while stack:
-        label, index = stack[-1]
-        succs = succ[label]
-        if index < len(succs):
-            stack[-1] = (label, index + 1)
-            child = succs[index]
+        label, pending = stack[-1]
+        for child in pending:
             if child not in visited:
                 visited.add(child)
-                stack.append((child, 0))
+                stack.append((child, iter(succ[child])))
+                break
         else:
             order.append(label)
             stack.pop()
@@ -60,27 +69,80 @@ def remove_unreachable(func: Function) -> int:
     return before - len(func.blocks)
 
 
-def dominators(func: Function) -> dict[str, set[str]]:
-    """Classic iterative dominator sets (adequate for these CFG sizes)."""
-    order = reverse_postorder(func)
-    preds = predecessors(func)
-    entry = func.entry.label
-    all_labels = set(order)
-    dom: dict[str, set[str]] = {label: set(all_labels) for label in order}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            if label == entry:
-                continue
-            pred_doms = [dom[p] for p in preds[label] if p in dom]
-            new = set.intersection(*pred_doms) if pred_doms else set()
-            new.add(label)
-            if new != dom[label]:
-                dom[label] = new
-                changed = True
-    return dom
+class DominatorTree:
+    """Immediate dominators of the blocks reachable from the entry.
+
+    Built with Cooper, Harvey and Kennedy's iterative algorithm ("A
+    Simple, Fast Dominance Algorithm", 2001): it intersects predecessors'
+    idoms by walking up a reverse-postorder numbering, so each pass over
+    the blocks is linear and reducible CFGs converge in two passes.  A
+    preorder numbering of the resulting tree, with subtree sizes, answers
+    :meth:`dominates` in O(1), with no walk up the idom chain.
+    """
+
+    def __init__(
+        self,
+        func: Function,
+        order: list[str] | None = None,
+        preds: dict[str, list[str]] | None = None,
+    ):
+        #: Reachable labels in reverse postorder from the entry.
+        self.order = order = order if order is not None else reverse_postorder(func)
+        if preds is None:
+            preds = predecessors(func)
+        self._number = number = {label: i for i, label in enumerate(order)}
+        count = len(order)
+        pred_numbers = [
+            [number[p] for p in preds[label] if p in number] for label in order
+        ]
+        idom = [-1] * count
+        idom[0] = 0
+        changed = True
+        while changed:
+            changed = False
+            for b in range(1, count):
+                new = -1
+                for p in pred_numbers[b]:
+                    if idom[p] < 0:
+                        continue
+                    if new < 0:
+                        new = p
+                        continue
+                    while p != new:
+                        while p > new:
+                            p = idom[p]
+                        while new > p:
+                            new = idom[new]
+                if idom[b] != new:
+                    idom[b] = new
+                    changed = True
+        #: label -> immediate dominator label (the entry maps to itself).
+        self.idom = {label: order[idom[i]] for i, label in enumerate(order)}
+        # A parent precedes its children in reverse postorder, so one
+        # backward sweep sizes every subtree and one forward sweep lays
+        # the subtrees out in preorder.
+        size = [1] * count
+        for b in range(count - 1, 0, -1):
+            size[idom[b]] += size[b]
+        enter = [0] * count
+        free = [1] * count  # next preorder slot inside each subtree
+        for b in range(1, count):
+            parent = idom[b]
+            enter[b] = free[parent]
+            free[parent] += size[b]
+            free[b] = enter[b] + 1
+        self._enter = enter
+        self._size = size
+
+    def dominates(self, a: str, b: str) -> bool:
+        """True if every path from the entry to *b* passes through *a*
+        (a block dominates itself); False if either is unreachable."""
+        i = self._number.get(a)
+        j = self._number.get(b)
+        if i is None or j is None:
+            return False
+        start = self._enter[i]
+        return start <= self._enter[j] < start + self._size[i]
 
 
 @dataclass
@@ -89,32 +151,49 @@ class Loop:
 
     header: str
     body: set[str] = field(default_factory=set)  # includes the header
+    #: Discovery rank among the function's loops (the tie-break of the
+    #: innermost-first order).
+    rank: int = 0
 
     def __contains__(self, label: str) -> bool:
         return label in self.body
 
 
-def natural_loops(func: Function) -> list[Loop]:
+def natural_loops(
+    func: Function, preds: dict[str, list[str]] | None = None
+) -> list[Loop]:
     """Find natural loops from back edges (edges ``t -> h`` where ``h``
     dominates ``t``).  Loops sharing a header are merged.  The returned
-    list is sorted innermost-first (by body size) so LICM can process
-    inner loops before outer ones."""
-    dom = dominators(func)
-    succ = successors(func)
-    preds = predecessors(func)
+    list is sorted innermost-first (by body size, then discovery rank) so
+    LICM can process inner loops before outer ones.  *preds* is the
+    predecessor map, if the caller has it already."""
+    succ = _targets(func)
+    order = reverse_postorder(func, succ)
+    number = {label: i for i, label in enumerate(order)}
+    # A dominator precedes what it dominates in reverse postorder, so
+    # only retreating edges can be back edges; an acyclic CFG has none
+    # and needs no dominator tree.
+    retreating = [(tail, head) for i, tail in enumerate(order)
+                  for head in succ[tail] if number.get(head, i + 1) <= i]
+    if not retreating:
+        return []
+    if preds is None:
+        preds = predecessors(func)
+    tree = DominatorTree(func, order, preds)
     loops: dict[str, Loop] = {}
-    for tail_label in dom:
-        for head in succ.get(tail_label, []):
-            if head in dom.get(tail_label, set()):
-                loop = loops.setdefault(head, Loop(head, {head}))
-                # Walk predecessors from the tail to collect the body.
-                stack = [tail_label]
-                while stack:
-                    node = stack.pop()
-                    if node in loop.body:
-                        continue
-                    loop.body.add(node)
-                    stack.extend(p for p in preds.get(node, []))
+    for tail_label, head in retreating:
+        if tree.dominates(head, tail_label):
+            loop = loops.get(head)
+            if loop is None:
+                loop = loops[head] = Loop(head, {head}, len(loops))
+            # Walk predecessors from the tail to collect the body.
+            stack = [tail_label]
+            while stack:
+                node = stack.pop()
+                if node in loop.body:
+                    continue
+                loop.body.add(node)
+                stack.extend(preds[node])
     result = list(loops.values())
     result.sort(key=lambda lp: len(lp.body))
     return result

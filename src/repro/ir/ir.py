@@ -58,12 +58,30 @@ def is_float(ty: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Temp:
-    """A virtual register."""
+    """A virtual register.
 
-    id: int
-    ty: str
+    Two temps are equal when their ids and types are; the hash is the id
+    alone, which is cheap and, within one function, almost always
+    unique.  Passes never depend on the iteration order of a set of
+    temps, so the hash value does not shape any output."""
+
+    __slots__ = ("id", "ty")
+
+    def __init__(self, id: int, ty: str):
+        self.id = id
+        self.ty = ty
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Temp:
+            return NotImplemented
+        return self.id == other.id and self.ty == other.ty
+
+    def __hash__(self) -> int:
+        return self.id
+
+    def __repr__(self) -> str:
+        return f"Temp(id={self.id!r}, ty={self.ty!r})"
 
     def __str__(self) -> str:
         return f"%t{self.id}:{self.ty}"

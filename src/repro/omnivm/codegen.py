@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro import metrics
 from repro.errors import CompileError
 from repro.ir import ir
-from repro.ir.cfg import block_order_for_layout
 from repro.ir.ir import Const, Function, GlobalRef, Instr, Module, Operand, Temp
 from repro.omnivm.isa import (
     FREG_ARGS,
@@ -248,7 +247,7 @@ class FunctionEmitter:
         self.text_base = len(self.obj.text) * INSTR_SIZE
         self.obj.define(self.func.name, "text", self.text_base, is_global=True)
         self._prologue()
-        blocks = block_order_for_layout(self.func)
+        blocks = self.assignment.order.blocks  # the allocator's layout
         for position, block in enumerate(blocks):
             self.mark_label(self.local_label(block.label))
             for instr in block.instrs:

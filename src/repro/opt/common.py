@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.ir.ir import Function, Instr, Temp
+from repro.ir.ir import Function
 
 
 def definition_counts(func: Function) -> Counter:
@@ -12,47 +12,12 @@ def definition_counts(func: Function) -> Counter:
 
     Parameters count as one definition (they are defined at entry).
     """
-    counts: Counter = Counter()
-    for param in func.params:
-        counts[param] += 1
-    for block in func.blocks:
-        for instr in block.all_instrs():
-            if instr.dest is not None:
-                counts[instr.dest] += 1
+    counts = Counter(func.params)
+    counts.update([instr.dest for block in func.blocks
+                   for instr in block.instrs if instr.dest is not None])
     return counts
 
 
-def use_counts(func: Function) -> Counter:
-    counts: Counter = Counter()
-    for block in func.blocks:
-        for instr in block.all_instrs():
-            for temp in instr.used_temps():
-                counts[temp] += 1
-    return counts
-
-
-def is_pure(instr: Instr) -> bool:
-    """True for instructions with no side effects and no trap potential
-    other than arithmetic (loads are NOT pure: memory may change)."""
-    if instr.op in ("bin", "cmp", "cast", "copy", "frameaddr"):
-        return True
-    return False
-
-
-def defs_in_blocks(func: Function, labels: set[str]) -> Counter:
-    """Definition counts restricted to the given block labels."""
-    counts: Counter = Counter()
-    for block in func.blocks:
-        if block.label not in labels:
-            continue
-        for instr in block.all_instrs():
-            if instr.dest is not None:
-                counts[instr.dest] += 1
-    return counts
-
-
-def replace_temp_everywhere(func: Function, old: Temp, new) -> None:
-    mapping = {old: new}
-    for block in func.blocks:
-        for instr in block.all_instrs():
-            instr.replace_uses(mapping)
+#: Instructions with no side effects and no trap potential other than
+#: arithmetic (loads are NOT pure: memory may change).
+PURE_OPS = frozenset(("bin", "cmp", "cast", "copy", "frameaddr"))

@@ -166,6 +166,8 @@ def _simplify_identity(instr: Instr) -> Operand | None:
     ty = instr.dest.ty
     if ty in ("f32", "f64"):
         return None  # -0.0 / NaN make float identities unsafe
+    if a.__class__ is not Const and b.__class__ is not Const:
+        return None  # every identity below has a constant operand
     if subop == "add":
         if _is_zero(b):
             return a
@@ -202,17 +204,20 @@ def _simplify_identity(instr: Instr) -> Operand | None:
     return None
 
 
+_FOLDABLE = frozenset(("bin", "cmp", "cast"))
+
+
 def fold_function(func: Function) -> int:
     """Fold constants in place; returns the number of changes made."""
     changes = 0
     for block in func.blocks:
-        new_instrs: list[Instr] = []
-        for instr in block.instrs:
-            folded = _fold_instr(instr)
-            if folded is not instr:
-                changes += 1
-            new_instrs.append(folded)
-        block.instrs = new_instrs
+        instrs = block.instrs
+        for index, instr in enumerate(instrs):
+            if instr.op in _FOLDABLE:
+                folded = _fold_instr(instr)
+                if folded is not instr:
+                    changes += 1
+                    instrs[index] = folded
         term = block.terminator
         if term is not None and term.op == "br":
             a, b = term.args
@@ -239,11 +244,12 @@ def _fold_instr(instr: Instr) -> Instr:
         if replacement is not None:
             return Instr("copy", instr.dest, [replacement])
         # Canonicalize constant to the right for commutative ops, which
-        # helps CSE and lets back ends use immediate forms.
+        # helps CSE and lets back ends use immediate forms.  A new
+        # instruction, so the swap counts as a change like any other.
         if instr.subop in ("add", "mul", "and", "or", "xor") and isinstance(
             a, Const
         ) and not isinstance(b, Const):
-            instr.args = [b, a]
+            return Instr("bin", instr.dest, [b, a], subop=instr.subop)
         return instr
     if instr.op == "cmp":
         a, b = instr.args

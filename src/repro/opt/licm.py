@@ -16,109 +16,167 @@ Correctness conditions on the non-SSA IR, checked per candidate:
 
 Because hoisted instructions are speculatable (pure and non-trapping),
 they may execute even when the loop body would not have — that is safe.
+
+Loops are visited innermost-first.  A loop that hoists is visited again
+(what it hoisted may free instructions that depend on it) until it has
+nothing left; then the next loop.  The loops, their bodies, the
+predecessor map and the definition counts are computed once per run and
+updated in place when a preheader is inserted, so each visit costs the
+size of the loop's body, not of the function.  Hoisting only moves
+instructions, so the definition counts never change.
 """
 
 from __future__ import annotations
 
+from repro.ir.cfg import Loop, natural_loops, predecessors
 from repro.ir.ir import BasicBlock, Function, Instr, Temp
-from repro.ir.cfg import natural_loops, predecessors
-from repro.opt.common import definition_counts, defs_in_blocks
+from repro.opt.common import PURE_OPS, definition_counts
 
 
 def run(func: Function) -> int:
-    hoisted_total = 0
-    # Recompute loops after each hoist batch: preheader insertion changes
-    # the CFG.  Loop until no loop yields further motion.
-    progress = True
-    while progress:
-        progress = False
-        loops = natural_loops(func)
-        def_counts = definition_counts(func)
-        for loop in loops:
-            hoisted = _hoist_from_loop(func, loop.header, loop.body, def_counts)
-            if hoisted:
-                hoisted_total += hoisted
-                progress = True
-                break  # CFG changed; recompute loops
-    return hoisted_total
-
-
-def _hoist_from_loop(
-    func: Function, header: str, body: set[str], def_counts
-) -> int:
-    loop_defs = defs_in_blocks(func, body)
-
-    def is_invariant_operand(op) -> bool:
-        if isinstance(op, Temp):
-            return loop_defs[op] == 0
-        return True  # Const / GlobalRef
-
-    candidates: list[tuple[BasicBlock, Instr]] = []
-    # Walk the body in function order, never in set order: the order of
-    # hoisted instructions shapes register allocation, and a set of
-    # labels iterates in an order that follows the string-hash seed.
-    for block in func.blocks:
-        if block.label not in body:
-            continue
-        for instr in block.instrs:
-            if instr.op not in ("bin", "cmp", "cast", "copy", "frameaddr"):
-                continue
-            if instr.op == "bin" and instr.subop in ("div", "rem"):
-                continue  # may trap; do not speculate
-            if instr.dest is None or def_counts[instr.dest] != 1:
-                continue
-            if not all(is_invariant_operand(a) for a in instr.args):
-                continue
-            candidates.append((block, instr))
-
-    if not candidates:
-        return 0
-
-    preheader = _get_or_create_preheader(func, header, body)
-    hoisted = 0
-    # Iterate until no more candidates become hoistable (an invariant
-    # instruction may depend on another hoisted one).
-    moved: set[id] = set()
-    changed = True
-    while changed:
-        changed = False
-        loop_defs = defs_in_blocks(func, body)
-        for block, instr in candidates:
-            if id(instr) in moved:
-                continue
-            if instr not in block.instrs:
-                continue
-            if not all(is_invariant_operand(a) for a in instr.args):
-                continue
-            block.instrs.remove(instr)
-            preheader.instrs.append(instr)
-            moved.add(id(instr))
-            hoisted += 1
-            changed = True
-    return hoisted
-
-
-def _get_or_create_preheader(
-    func: Function, header: str, body: set[str]
-) -> BasicBlock:
-    """Return a block that is the unique out-of-loop predecessor of the
-    loop header, creating one and rewiring edges if necessary."""
     preds = predecessors(func)
-    outside = [p for p in preds[header] if p not in body]
-    block_map = func.block_map()
-    if len(outside) == 1:
-        candidate = block_map[outside[0]]
-        term = candidate.terminator
-        if term is not None and term.op == "jump" and term.targets == [header]:
-            return candidate
-    preheader = BasicBlock(f"{header}.pre", [], Instr("jump", targets=[header]))
-    for label in outside:
-        term = block_map[label].terminator
-        if term is not None:
-            term.targets = [
-                preheader.label if t == header else t for t in term.targets
-            ]
-    # Insert the preheader just before the header for readable layout.
-    index = next(i for i, b in enumerate(func.blocks) if b.label == header)
-    func.blocks.insert(index, preheader)
-    return preheader
+    loops = natural_loops(func, preds)
+    if not loops:
+        return 0
+    return _Hoister(func, loops, preds).run()
+
+
+class _Hoister:
+    """The state of one LICM run over *func*."""
+
+    def __init__(self, func: Function, loops: list[Loop],
+                 preds: dict[str, list[str]]):
+        self.func = func
+        self.loops = loops
+        self.def_counts = definition_counts(func)
+        self.blocks = func.block_map()
+        self.preds = preds
+        # Function order of the blocks.  A new preheader sorts just before
+        # its header; it joins func.blocks only when the run ends.
+        self.position: dict[str, float] = {
+            b.label: i for i, b in enumerate(func.blocks)}
+        self.new_preheaders: dict[str, BasicBlock] = {}
+        # label -> the loops whose body contains it; built at the first
+        # hoist (most runs find nothing to hoist).
+        self.containing: dict[str, list[Loop]] | None = None
+
+    def _loops_containing(self, label: str) -> list[Loop]:
+        if self.containing is None:
+            self.containing = {}
+            for loop in self.loops:
+                for member in loop.body:
+                    self.containing.setdefault(member, []).append(loop)
+        return self.containing.get(label, [])
+
+    def run(self) -> int:
+        """Hoist from the first loop, in innermost-first order, that has
+        anything to hoist, until no loop has."""
+        loops = self.loops
+        index_of = {id(loop): i for i, loop in enumerate(loops)}
+        settled: set[int] = set()  # loops with nothing to hoist as things stand
+        total = 0
+        i = 0
+        while i < len(loops):
+            loop = loops[i]
+            if id(loop) in settled:
+                i += 1
+                continue
+            hoisted, touched, grew = self._hoist(loop)
+            if not hoisted:
+                settled.add(id(loop))
+                i += 1
+                continue
+            total += hoisted
+            if grew:
+                # Only loops enclosing this one grow, and they stay behind
+                # it; re-rank the rest as a fresh natural_loops would.
+                rest = sorted(loops[i + 1:], key=lambda lp: (len(lp.body), lp.rank))
+                loops[i + 1:] = rest
+                for j, other in enumerate(rest, i + 1):
+                    index_of[id(other)] = j
+            # A loop that shares a block with this one may hoist now.
+            for label in touched:
+                for other in self._loops_containing(label):
+                    settled.discard(id(other))
+                    i = min(i, index_of[id(other)])
+        if self.new_preheaders:
+            blocks: list[BasicBlock] = []
+            for block in self.func.blocks:
+                preheader = self.new_preheaders.get(block.label)
+                if preheader is not None:
+                    blocks.append(preheader)
+                blocks.append(block)
+            self.func.blocks = blocks
+        return total
+
+    def _hoist(self, loop: Loop) -> tuple[int, list[str], bool]:
+        """Move the loop's invariant instructions to its preheader.
+
+        Returns how many moved, the labels of the blocks that changed, and
+        whether a new preheader grew the bodies of enclosing loops."""
+        def_counts = self.def_counts
+        # Walk the body in function order, never in set order: the order of
+        # hoisted instructions shapes register allocation, and a set of
+        # labels iterates in an order that follows the string-hash seed.
+        body = [self.blocks[label]
+                for label in sorted(loop.body, key=self.position.__getitem__)]
+        loop_defs: set[Temp] = set()
+        movable: list[tuple[BasicBlock, Instr]] = []
+        for block in body:
+            for instr in block.instrs:
+                dest = instr.dest
+                if dest is None:
+                    continue
+                loop_defs.add(dest)
+                if (instr.op in PURE_OPS and def_counts[dest] == 1
+                        and not (instr.op == "bin" and instr.subop in ("div", "rem"))):
+                    movable.append((block, instr))  # div/rem may trap
+        candidates: list[Instr] = []
+        sources: list[BasicBlock] = []
+        for block, instr in movable:
+            if any(a.__class__ is Temp and a in loop_defs for a in instr.args):
+                continue
+            candidates.append(instr)
+            if not sources or sources[-1] is not block:
+                sources.append(block)
+        if not candidates:
+            return 0, [], False
+        preheader, grew = self._preheader(loop)
+        moved = set(map(id, candidates))
+        for block in sources:
+            block.instrs = [i for i in block.instrs if id(i) not in moved]
+        preheader.instrs.extend(candidates)
+        touched = [block.label for block in sources]
+        touched.append(preheader.label)
+        return len(candidates), touched, grew
+
+    def _preheader(self, loop: Loop) -> tuple[BasicBlock, bool]:
+        """Return a block that is the unique out-of-loop predecessor of the
+        loop header, creating one and rewiring edges if necessary; the flag
+        says whether a new block grew any enclosing loop."""
+        header = loop.header
+        outside = [p for p in self.preds[header] if p not in loop.body]
+        if len(outside) == 1:
+            candidate = self.blocks[outside[0]]
+            term = candidate.terminator
+            if term is not None and term.op == "jump" and term.targets == [header]:
+                return candidate, False
+        preheader = BasicBlock(f"{header}.pre", [], Instr("jump", targets=[header]))
+        label = preheader.label
+        for pred in outside:
+            term = self.blocks[pred].terminator
+            if term is not None:
+                term.targets = [label if t == header else t for t in term.targets]
+        self.blocks[label] = preheader
+        self.position[label] = self.position[header] - 0.5
+        self.new_preheaders[header] = preheader
+        self.preds[label] = outside
+        self.preds[header] = [p for p in self.preds[header] if p in loop.body]
+        self.preds[header].append(label)
+        # The preheader belongs to every loop that encloses this one.
+        enclosing = [other for other in self._loops_containing(header)
+                     if other is not loop]
+        for other in enclosing:
+            other.body.add(label)
+        self.containing[label] = enclosing
+        return preheader, bool(enclosing)

@@ -41,25 +41,48 @@ class OptOptions:
 
 
 def optimize_function(func: Function, options: OptOptions | None = None) -> int:
-    """Run the pipeline on one function; returns total change count."""
+    """Run the pipeline on one function; returns total change count.
+
+    Each round runs the passes in a fixed order until a round changes
+    nothing (at most ``max_iterations`` rounds).  A pass is skipped when
+    the function has not changed since that pass last ran and reported
+    no change: every pass is a deterministic function of the IR and
+    counts every mutation it makes, so the skipped run would have found
+    nothing either.  The result is the same IR the full schedule gives.
+    """
     options = options or OptOptions()
     if options.level <= 0:
         return 0
+    # localopt's two halves are scheduled separately, in the same order,
+    # so that each can be skipped on its own.
+    local = [localopt.propagate_copies, localopt.local_cse]
+    schedule = [constfold.run, *local, strength.run]
+    if options.licm_enabled:
+        schedule += [licm.run, *local]
+    schedule += [constfold.run, dce.run, simplifycfg.run]
+    version = 0  # bumped by every pass run that changes the function
+    settled: dict = {}  # pass -> version it last ran at, changing nothing
+    runs = skips = 0
     total = 0
     for _ in range(options.max_iterations):
         changes = 0
-        changes += constfold.run(func)
-        changes += localopt.run(func)
-        changes += strength.run(func)
-        if options.licm_enabled:
-            changes += licm.run(func)
-            changes += localopt.run(func)
-        changes += constfold.run(func)
-        changes += dce.run(func)
-        changes += simplifycfg.run(func)
+        for run in schedule:
+            if settled.get(run) == version:
+                skips += 1
+                continue
+            runs += 1
+            made = run(func)
+            if made:
+                changes += made
+                version += 1
+            else:
+                settled[run] = version
         total += changes
         if changes == 0:
             break
+    if metrics.active():
+        metrics.count("opt.pass_runs", runs)
+        metrics.count("opt.pass_skips", skips)
     return total
 
 

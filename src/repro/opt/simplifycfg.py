@@ -96,8 +96,9 @@ def run(func: Function) -> int:
                 changes += 1
         changes += _forward_empty_blocks(func)
         changes += remove_unreachable(func)
+        # Merging a block into its only predecessor keeps every block
+        # reachable, so no second sweep is needed after it.
         changes += _merge_straight_lines(func)
-        changes += remove_unreachable(func)
         total += changes
         if changes == 0:
             return total

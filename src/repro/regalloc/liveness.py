@@ -10,6 +10,7 @@ block-level live-in/live-out; intervals are then grown per instruction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.ir.cfg import block_order_for_layout
@@ -105,30 +106,30 @@ def live_intervals(func: Function) -> tuple[list[Interval], LinearOrder]:
     start: dict[Temp, int] = {}
     end: dict[Temp, int] = {}
 
-    def touch(temp: Temp, number: int) -> None:
-        if temp not in start:
-            start[temp] = number
-            end[temp] = number
-        else:
-            start[temp] = min(start[temp], number)
-            end[temp] = max(end[temp], number)
+    def touch(temps, number: int) -> None:
+        for temp in temps:
+            first = start.get(temp)
+            if first is None:
+                start[temp] = end[temp] = number
+            elif number < first:
+                start[temp] = number
+            elif number > end[temp]:
+                end[temp] = number
 
-    for param in func.params:
-        touch(param, 0)
+    touch(func.params, 0)
 
     for block in order.blocks:
         span = order.block_span[block.label]
-        for temp in live_in[block.label]:
-            touch(temp, span[0])
-        for temp in live_out[block.label]:
-            touch(temp, span[1])
+        touch(live_in[block.label], span[0])
+        touch(live_out[block.label], span[1])
 
     for number, instr in order.numbered:
-        for temp in instr.used_temps():
-            touch(temp, number)
+        touch([a for a in instr.args if a.__class__ is Temp], number)
         if instr.dest is not None:
-            touch(instr.dest, number)
+            touch((instr.dest,), number)
 
+    # Sorted call sites: an interval crosses a call if the first site
+    # after its start comes before its end.
     call_points = [
         number
         for number, instr in order.numbered
@@ -136,11 +137,12 @@ def live_intervals(func: Function) -> tuple[list[Interval], LinearOrder]:
     ]
 
     intervals = []
-    for temp in start:
-        interval = Interval(temp, start[temp], end[temp])
-        interval.crosses_call = any(
-            start[temp] < point < end[temp] for point in call_points
-        )
+    for temp, first in start.items():
+        last = end[temp]
+        interval = Interval(temp, first, last)
+        after = bisect_right(call_points, first)
+        interval.crosses_call = (after < len(call_points)
+                                 and call_points[after] < last)
         intervals.append(interval)
     intervals.sort(key=lambda iv: (iv.start, iv.end, iv.temp.id))
     return intervals, order

@@ -78,9 +78,54 @@ class TestCFG:
         assert set(order) == {"entry", "left", "right", "join"}
 
     def test_dominators(self):
-        dom = cfg.dominators(make_diamond())
-        assert dom["join"] == {"entry", "join"}
-        assert dom["left"] == {"entry", "left"}
+        tree = cfg.DominatorTree(make_diamond())
+        assert tree.idom == {"entry": "entry", "left": "entry",
+                             "right": "entry", "join": "entry"}
+        assert tree.dominates("entry", "join")
+        assert tree.dominates("left", "left")
+        assert not tree.dominates("left", "join")
+        assert not tree.dominates("join", "entry")
+
+    def test_dominance_matches_the_path_definition(self):
+        """On random CFGs (with unreachable blocks and irreducible
+        edges), `a` dominates `b` exactly when `b` is reachable and no
+        longer is once `a` is removed."""
+        import random
+
+        rng = random.Random(7)
+        for _ in range(150):
+            labels = [f"b{i}" for i in range(rng.randint(1, 9))]
+            func = Function("g")
+            for label in labels:
+                targets = rng.choices(labels, k=rng.choice((0, 1, 2, 2)))
+                if len(targets) == 2:
+                    term = Instr("br", args=[Const(0, "i32"), Const(0, "i32")],
+                                 subop="eq", cmp_ty="i32", targets=targets)
+                elif targets:
+                    term = Instr("jump", targets=targets)
+                else:
+                    term = Instr("ret")
+                func.blocks.append(BasicBlock(label, [], term))
+            succ = cfg.successors(func)
+
+            def reach(without):
+                seen, stack = set(), ["b0"] if without != "b0" else []
+                while stack:
+                    node = stack.pop()
+                    if node not in seen:
+                        seen.add(node)
+                        stack.extend(s for s in succ[node] if s != without)
+                return seen
+
+            tree = cfg.DominatorTree(func)
+            reachable = reach(None)
+            assert set(tree.order) == reachable
+            for a in labels:
+                cut = reach(a)
+                for b in labels:
+                    expected = b in reachable and a in reachable and (
+                        a == b or b not in cut)
+                    assert tree.dominates(a, b) == expected, (a, b)
 
     def test_remove_unreachable(self):
         func = make_diamond()

@@ -88,8 +88,9 @@ class TestLexErrors:
 
 
 class TestEndOfInputRegressions:
-    """`Lexer._peek()` returns "" at EOF and `"" in "uUlL"` is True in
-    Python — these inputs previously hung or mis-tokenized."""
+    """Literals that end exactly at end of input.  A character-at-a-time
+    lexer once read "" there, and `"" in "uUlL"` is True in Python, so
+    these inputs hung or mis-tokenized."""
 
     def test_integer_at_end_of_input(self):
         assert kinds("42") == [("int", 42)]

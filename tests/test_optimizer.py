@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import CompileOptions, compile_to_ir
-from repro.ir.ir import Const, Instr
+from repro.ir.ir import BasicBlock, Const, Function, Instr, Temp
 from repro.opt import addrfold, constfold, dce, licm, localopt, simplifycfg, strength
 from repro.opt.pipeline import OptOptions, optimize_function
 from tests.conftest import compile_run
@@ -103,6 +103,33 @@ class TestLocalOpt:
         loads = [i for i in all_instrs(func) if i.op == "load"]
         assert len(loads) == 2  # the store invalidates the first load
 
+    @staticmethod
+    def one_block(*instrs, ret):
+        func = Function("f")
+        func.blocks = [BasicBlock("entry", list(instrs), Instr("ret", args=[ret]))]
+        return func
+
+    def test_cse_forgets_a_cast_whose_operand_changes(self):
+        x, y, f1, f2 = (Temp(0, "i32"), Temp(1, "i32"), Temp(2, "f64"),
+                        Temp(3, "f64"))
+        func = self.one_block(
+            Instr("cast", f1, [x], subop="i2f"),
+            Instr("bin", x, [y, Const(1, "i32")], subop="add"),
+            Instr("cast", f2, [x], subop="i2f"),
+            ret=f2)
+        assert localopt.local_cse(func) == 0
+        assert func.blocks[0].instrs[2].op == "cast"
+
+    def test_cse_forgets_a_value_that_overwrote_its_operand(self):
+        # After x = x + 1, another x + 1 is a new value, not x.
+        x, y = Temp(0, "i32"), Temp(1, "i32")
+        func = self.one_block(
+            Instr("bin", x, [x, Const(1, "i32")], subop="add"),
+            Instr("bin", y, [x, Const(1, "i32")], subop="add"),
+            ret=y)
+        assert localopt.local_cse(func) == 0
+        assert func.blocks[0].instrs[1].op == "bin"
+
     def test_load_cse_between_pure_code(self, minic):
         src = """
         int g = 5;
@@ -117,6 +144,17 @@ class TestDCE:
         func = mod.function("f")
         optimize_function(func)
         assert not any(i.op == "bin" for i in all_instrs(func))
+
+    def test_removes_a_dead_loop_carried_value(self):
+        # `s` feeds only itself around the loop: dead, though used.
+        mod = build("""
+        int f(int n) { int s = 0; int i;
+            for (i = 0; i < n; i++) s = s * 3 + i;
+            return n; }
+        """)
+        func = mod.function("f")
+        optimize_function(func)
+        assert not any(i.op == "bin" and i.subop == "mul" for i in all_instrs(func))
 
     def test_keeps_side_effects(self):
         mod = build("int g; int f(int a) { g = a; return 0; }")
