@@ -13,12 +13,8 @@ from repro.ir.ir import BasicBlock, Function
 
 
 def successors(func: Function) -> dict[str, list[str]]:
-    return {b.label: b.successors() for b in func.blocks}
-
-
-def _targets(func: Function) -> dict[str, list[str]]:
-    """Like :func:`successors`, but sharing the terminators' target
-    lists: for analyses that only read them."""
+    """Label -> successor labels.  The lists are the terminators' own
+    target lists: read them, do not change them."""
     return {b.label: b.terminator.targets if b.terminator is not None else []
             for b in func.blocks}
 
@@ -40,7 +36,7 @@ def reverse_postorder(
     :func:`remove_unreachable` first).  *succ* is the successor map, if
     the caller has it already."""
     if succ is None:
-        succ = _targets(func)
+        succ = successors(func)
     entry = func.entry.label
     visited = {entry}
     order: list[str] = []
@@ -167,7 +163,7 @@ def natural_loops(
     list is sorted innermost-first (by body size, then discovery rank) so
     LICM can process inner loops before outer ones.  *preds* is the
     predecessor map, if the caller has it already."""
-    succ = _targets(func)
+    succ = successors(func)
     order = reverse_postorder(func, succ)
     number = {label: i for i, label in enumerate(order)}
     # A dominator precedes what it dominates in reverse postorder, so
