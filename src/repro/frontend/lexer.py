@@ -112,9 +112,11 @@ _KEYWORD_VALUE["unsigned"] = "uint"
 _ESCAPE = r"""\\(?:x[0-9a-fA-F]+|[ntr0\\'"abfv])"""
 
 # Each match is: skipped whitespace/comments/`#` lines, then one token.
-# Alternation order is maximal munch: numbers precede operators (".5"),
-# and the one-character alternatives at the end catch what no token
-# form accepts, so every position matches and finditer never skips.
+# Alternation order is maximal munch: numbers precede operators (".5").
+# `/*` reaches `comment` only when unterminated (the skip takes whole
+# block comments), and the one-character alternatives at the end catch
+# what no token form accepts, so every position matches and finditer
+# never skips.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*"
     r"(?:(?P<ident>[^\W\d]\w*)"
@@ -159,8 +161,6 @@ class Token:
             return NotImplemented
         return (self.kind, self.value, self.loc) == (
             other.kind, other.value, other.loc)
-
-    __hash__ = None  # SourceLocation is unhashable too
 
     def __repr__(self) -> str:
         return f"Token(kind={self.kind!r}, value={self.value!r}, loc={self.loc!r})"
