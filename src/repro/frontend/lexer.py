@@ -109,7 +109,11 @@ _ESCAPES = {
 _KEYWORD_VALUE = {word: word for word in KEYWORDS}
 _KEYWORD_VALUE["unsigned"] = "uint"
 
-_ESCAPE = r"""\\(?:x[0-9a-fA-F]+|[ntr0\\'"abfv])"""
+# A hex escape takes every hex digit that follows it (the lookahead), so a
+# literal has one parse and a malformed one fails in linear time: were the
+# digits free to split between the escape and later plain characters, sre
+# would try every split of every escape before giving up.
+_ESCAPE = r"""\\(?:x[0-9a-fA-F]+(?![0-9a-fA-F])|[ntr0\\'"abfv])"""
 
 # Each match is: skipped whitespace/comments/`#` lines, then one token.
 # Alternation order is maximal munch: numbers precede operators (".5").

@@ -108,3 +108,31 @@ class TestEndOfInputRegressions:
     def test_truncated_hex_escape_does_not_hang(self):
         with pytest.raises(LexError):
             tokenize("'\\x")
+
+
+class TestHexEscapeRuns:
+    """A malformed string after a run of hex escapes.  When the digits of
+    an escape could also be read as plain characters, a regex scanner
+    tried every split of every escape before failing: about 2**64 steps
+    for the 64 escapes here."""
+
+    ESCAPES = "\\x00" * 64
+
+    def test_unterminated_string(self):
+        with pytest.raises(LexError) as err:
+            tokenize('s = "' + self.ESCAPES, "f.c")
+        assert str(err.value) == "f.c:1:5: unterminated string literal"
+
+    def test_unknown_escape_after_the_run(self):
+        with pytest.raises(LexError) as err:
+            tokenize('s = "' + self.ESCAPES + '\\q";', "f.c")
+        assert str(err.value) == "f.c:1:263: unknown escape sequence \\q"
+
+    def test_bad_hex_escape_after_the_run(self):
+        with pytest.raises(LexError) as err:
+            tokenize('"' + self.ESCAPES + '\\xg"', "f.c")
+        assert str(err.value) == "f.c:1:260: bad hex escape"
+
+    def test_hex_escape_takes_every_digit(self):
+        assert kinds('"\\x41BC" \'\\x141\'') == [
+            ("string", "\xbc"), ("char", 0x41)]
