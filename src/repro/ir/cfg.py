@@ -76,16 +76,11 @@ class DominatorTree:
     :meth:`dominates` in O(1), with no walk up the idom chain.
     """
 
-    def __init__(
-        self,
-        func: Function,
-        order: list[str] | None = None,
-        preds: dict[str, list[str]] | None = None,
-    ):
+    def __init__(self, order: list[str], preds: dict[str, list[str]]):
+        """*order* is :func:`reverse_postorder` of the function and *preds*
+        its :func:`predecessors` map."""
         #: Reachable labels in reverse postorder from the entry.
-        self.order = order = order if order is not None else reverse_postorder(func)
-        if preds is None:
-            preds = predecessors(func)
+        self.order = order
         self._number = number = {label: i for i, label in enumerate(order)}
         count = len(order)
         pred_numbers = [
@@ -147,22 +142,17 @@ class Loop:
 
     header: str
     body: set[str] = field(default_factory=set)  # includes the header
-    #: Discovery rank among the function's loops (the tie-break of the
-    #: innermost-first order).
-    rank: int = 0
 
     def __contains__(self, label: str) -> bool:
         return label in self.body
 
 
-def natural_loops(
-    func: Function, preds: dict[str, list[str]] | None = None
-) -> list[Loop]:
+def natural_loops(func: Function, preds: dict[str, list[str]]) -> list[Loop]:
     """Find natural loops from back edges (edges ``t -> h`` where ``h``
     dominates ``t``).  Loops sharing a header are merged.  The returned
-    list is sorted innermost-first (by body size, then discovery rank) so
+    list is sorted innermost-first (by body size, then discovery order) so
     LICM can process inner loops before outer ones.  *preds* is the
-    predecessor map, if the caller has it already."""
+    function's :func:`predecessors` map."""
     succ = successors(func)
     order = reverse_postorder(func, succ)
     number = {label: i for i, label in enumerate(order)}
@@ -173,15 +163,13 @@ def natural_loops(
                   for head in succ[tail] if number.get(head, i + 1) <= i]
     if not retreating:
         return []
-    if preds is None:
-        preds = predecessors(func)
-    tree = DominatorTree(func, order, preds)
+    tree = DominatorTree(order, preds)
     loops: dict[str, Loop] = {}
     for tail_label, head in retreating:
         if tree.dominates(head, tail_label):
             loop = loops.get(head)
             if loop is None:
-                loop = loops[head] = Loop(head, {head}, len(loops))
+                loop = loops[head] = Loop(head, {head})
             # Walk predecessors from the tail to collect the body.
             stack = [tail_label]
             while stack:

@@ -17,13 +17,19 @@ Correctness conditions on the non-SSA IR, checked per candidate:
 Because hoisted instructions are speculatable (pure and non-trapping),
 they may execute even when the loop body would not have — that is safe.
 
-Loops are visited innermost-first.  A loop that hoists is visited again
-(what it hoisted may free instructions that depend on it) until it has
-nothing left; then the next loop.  The loops, their bodies, the
-predecessor map and the definition counts are computed once per run and
-updated in place when a preheader is inserted, so each visit costs the
-size of the loop's body, not of the function.  Hoisting only moves
-instructions, so the definition counts never change.
+Loops are visited innermost-first, once each.  A loop is hoisted from
+again (what it hoisted may free instructions that depend on it) until it
+has nothing left; then the next loop.  A settled loop never regains work:
+natural loops with different headers are disjoint or nested, a loop's
+preheader lies only in the loops that enclose it (which are larger, so
+come later), and an instruction a later, enclosing loop could hoist from
+an inner one's body would have been hoistable from the inner loop
+already (the conditions are the same and the inner loop defines a subset
+of what the outer one does).  The loops, their bodies, the predecessor
+map and the definition counts are computed once per run and updated in
+place when a preheader is inserted, so each visit costs the size of the
+loop's body, not of the function.  Hoisting only moves instructions, so
+the definition counts never change.
 """
 
 from __future__ import annotations
@@ -57,48 +63,14 @@ class _Hoister:
             b.label: i for i, b in enumerate(func.blocks)}
         self.new_preheaders: dict[str, BasicBlock] = {}
         # label -> the loops whose body contains it; built at the first
-        # hoist (most runs find nothing to hoist).
+        # new preheader (most runs create none).
         self.containing: dict[str, list[Loop]] | None = None
 
-    def _loops_containing(self, label: str) -> list[Loop]:
-        if self.containing is None:
-            self.containing = {}
-            for loop in self.loops:
-                for member in loop.body:
-                    self.containing.setdefault(member, []).append(loop)
-        return self.containing.get(label, [])
-
     def run(self) -> int:
-        """Hoist from the first loop, in innermost-first order, that has
-        anything to hoist, until no loop has."""
-        loops = self.loops
-        index_of = {id(loop): i for i, loop in enumerate(loops)}
-        settled: set[int] = set()  # loops with nothing to hoist as things stand
         total = 0
-        i = 0
-        while i < len(loops):
-            loop = loops[i]
-            if id(loop) in settled:
-                i += 1
-                continue
-            hoisted, touched, grew = self._hoist(loop)
-            if not hoisted:
-                settled.add(id(loop))
-                i += 1
-                continue
-            total += hoisted
-            if grew:
-                # Only loops enclosing this one grow, and they stay behind
-                # it; re-rank the rest as a fresh natural_loops would.
-                rest = sorted(loops[i + 1:], key=lambda lp: (len(lp.body), lp.rank))
-                loops[i + 1:] = rest
-                for j, other in enumerate(rest, i + 1):
-                    index_of[id(other)] = j
-            # A loop that shares a block with this one may hoist now.
-            for label in touched:
-                for other in self._loops_containing(label):
-                    settled.discard(id(other))
-                    i = min(i, index_of[id(other)])
+        for loop in self.loops:
+            while hoisted := self._hoist(loop):
+                total += hoisted
         if self.new_preheaders:
             blocks: list[BasicBlock] = []
             for block in self.func.blocks:
@@ -109,11 +81,9 @@ class _Hoister:
             self.func.blocks = blocks
         return total
 
-    def _hoist(self, loop: Loop) -> tuple[int, list[str], bool]:
-        """Move the loop's invariant instructions to its preheader.
-
-        Returns how many moved, the labels of the blocks that changed, and
-        whether a new preheader grew the bodies of enclosing loops."""
+    def _hoist(self, loop: Loop) -> int:
+        """Move the loop's invariant instructions to its preheader; returns
+        how many moved."""
         def_counts = self.def_counts
         # Walk the body in function order, never in set order: the order of
         # hoisted instructions shapes register allocation, and a set of
@@ -140,27 +110,24 @@ class _Hoister:
             if not sources or sources[-1] is not block:
                 sources.append(block)
         if not candidates:
-            return 0, [], False
-        preheader, grew = self._preheader(loop)
+            return 0
+        preheader = self._preheader(loop)
         moved = set(map(id, candidates))
         for block in sources:
             block.instrs = [i for i in block.instrs if id(i) not in moved]
         preheader.instrs.extend(candidates)
-        touched = [block.label for block in sources]
-        touched.append(preheader.label)
-        return len(candidates), touched, grew
+        return len(candidates)
 
-    def _preheader(self, loop: Loop) -> tuple[BasicBlock, bool]:
+    def _preheader(self, loop: Loop) -> BasicBlock:
         """Return a block that is the unique out-of-loop predecessor of the
-        loop header, creating one and rewiring edges if necessary; the flag
-        says whether a new block grew any enclosing loop."""
+        loop header, creating one and rewiring edges if necessary."""
         header = loop.header
         outside = [p for p in self.preds[header] if p not in loop.body]
         if len(outside) == 1:
             candidate = self.blocks[outside[0]]
             term = candidate.terminator
             if term is not None and term.op == "jump" and term.targets == [header]:
-                return candidate, False
+                return candidate
         preheader = BasicBlock(f"{header}.pre", [], Instr("jump", targets=[header]))
         label = preheader.label
         for pred in outside:
@@ -174,9 +141,12 @@ class _Hoister:
         self.preds[header] = [p for p in self.preds[header] if p in loop.body]
         self.preds[header].append(label)
         # The preheader belongs to every loop that encloses this one.
-        enclosing = [other for other in self._loops_containing(header)
-                     if other is not loop]
-        for other in enclosing:
-            other.body.add(label)
-        self.containing[label] = enclosing
-        return preheader, bool(enclosing)
+        if self.containing is None:
+            self.containing = {}
+            for other in self.loops:
+                for member in other.body:
+                    self.containing.setdefault(member, []).append(other)
+        for other in self.containing[header]:
+            if other is not loop:
+                other.body.add(label)
+        return preheader

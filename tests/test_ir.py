@@ -78,7 +78,8 @@ class TestCFG:
         assert set(order) == {"entry", "left", "right", "join"}
 
     def test_dominators(self):
-        tree = cfg.DominatorTree(make_diamond())
+        func = make_diamond()
+        tree = cfg.DominatorTree(cfg.reverse_postorder(func), cfg.predecessors(func))
         assert tree.idom == {"entry": "entry", "left": "entry",
                              "right": "entry", "join": "entry"}
         assert tree.dominates("entry", "join")
@@ -117,7 +118,8 @@ class TestCFG:
                         stack.extend(s for s in succ[node] if s != without)
                 return seen
 
-            tree = cfg.DominatorTree(func)
+            tree = cfg.DominatorTree(cfg.reverse_postorder(func),
+                                     cfg.predecessors(func))
             reachable = reach(None)
             assert set(tree.order) == reachable
             for a in labels:
@@ -144,7 +146,8 @@ class TestCFG:
             return s;
         }
         """)
-        loops = cfg.natural_loops(ir_mod.function("f"))
+        func = ir_mod.function("f")
+        loops = cfg.natural_loops(func, cfg.predecessors(func))
         assert len(loops) == 1
         assert loops[0].header in loops[0].body
         assert len(loops[0].body) >= 2
@@ -160,7 +163,8 @@ class TestCFG:
             return s;
         }
         """)
-        loops = cfg.natural_loops(ir_mod.function("f"))
+        func = ir_mod.function("f")
+        loops = cfg.natural_loops(func, cfg.predecessors(func))
         assert len(loops) == 2
         assert len(loops[0].body) < len(loops[1].body)
         assert loops[0].body < loops[1].body  # inner nested in outer

@@ -212,9 +212,9 @@ class TestLICM:
         """)
         func = mod.function("f")
         optimize_function(func)
-        from repro.ir.cfg import natural_loops
+        from repro.ir.cfg import natural_loops, predecessors
 
-        loops = natural_loops(func)
+        loops = natural_loops(func, predecessors(func))
         assert loops
         body_labels = loops[0].body
         in_loop_muls = [
