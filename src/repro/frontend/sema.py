@@ -305,17 +305,8 @@ class SemanticAnalyzer:
         return ty
 
     def _check_expr_inner(self, expr: ast.Expr, scope: Scope) -> Type:
-        # The most frequent node kinds come first.
-        if isinstance(expr, ast.Identifier):
-            return self._check_identifier(expr, scope)
         if isinstance(expr, ast.IntLiteral):
             return UINT if expr.unsigned else INT
-        if isinstance(expr, ast.Binary):
-            return self._check_binary(expr, scope)
-        if isinstance(expr, ast.Assign):
-            return self._check_assign(expr, scope)
-        if isinstance(expr, ast.Call):
-            return self._check_call(expr, scope)
         if isinstance(expr, ast.CharLiteral):
             return INT
         if isinstance(expr, ast.FloatLiteral):
@@ -323,6 +314,8 @@ class SemanticAnalyzer:
         if isinstance(expr, ast.StringLiteral):
             expr.is_lvalue = False
             return PointerType(CHAR)
+        if isinstance(expr, ast.Identifier):
+            return self._check_identifier(expr, scope)
         if isinstance(expr, ast.Unary):
             return self._check_unary(expr, scope)
         if isinstance(expr, ast.Postfix):
@@ -331,8 +324,14 @@ class SemanticAnalyzer:
             if not decay(operand_ty).is_scalar():
                 raise TypeError_(f"cannot {expr.op} a {operand_ty}", expr.loc)
             return decay(operand_ty)
+        if isinstance(expr, ast.Binary):
+            return self._check_binary(expr, scope)
+        if isinstance(expr, ast.Assign):
+            return self._check_assign(expr, scope)
         if isinstance(expr, ast.Conditional):
             return self._check_conditional(expr, scope)
+        if isinstance(expr, ast.Call):
+            return self._check_call(expr, scope)
         if isinstance(expr, ast.Index):
             return self._check_index(expr, scope)
         if isinstance(expr, ast.Member):

@@ -239,11 +239,10 @@ def usual_arithmetic_conversion(a: Type, b: Type) -> Type:
     """The common type of two arithmetic operands (simplified C rules)."""
     if not (a.is_arithmetic() and b.is_arithmetic()):
         raise TypeError_(f"cannot combine {a} and {b} arithmetically")
-    if isinstance(a, FloatType) or isinstance(b, FloatType):
-        if DOUBLE in (a, b):
-            return DOUBLE
-        if FLOAT in (a, b):
-            return FLOAT
+    if DOUBLE in (a, b):
+        return DOUBLE
+    if FLOAT in (a, b):
+        return FLOAT
     a, b = promote(a), promote(b)
     assert isinstance(a, IntType) and isinstance(b, IntType)
     if not a.signed or not b.signed:

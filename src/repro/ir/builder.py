@@ -470,31 +470,30 @@ class IRBuilder:
     # -- expressions -----------------------------------------------------------------
 
     def lower_expr(self, expr: ast.Expr) -> Operand:
-        # The most frequent node kinds come first.
         if isinstance(expr, ast.IntLiteral):
             if expr.unsigned:
                 return Const(u32(expr.value), "u32")
             return Const(s32(expr.value), "i32")
-        if isinstance(expr, ast.Identifier):
-            return self._lower_identifier(expr)
-        if isinstance(expr, ast.Binary):
-            return self._lower_binary(expr)
-        if isinstance(expr, ast.Assign):
-            return self._lower_assign(expr)
-        if isinstance(expr, ast.Call):
-            return self._lower_call(expr)
         if isinstance(expr, ast.CharLiteral):
             return Const(expr.value, "i32")
         if isinstance(expr, ast.FloatLiteral):
             return Const(expr.value, "f64")
         if isinstance(expr, ast.StringLiteral):
             return self.intern_string(expr.value)
+        if isinstance(expr, ast.Identifier):
+            return self._lower_identifier(expr)
         if isinstance(expr, ast.Unary):
             return self._lower_unary(expr)
         if isinstance(expr, ast.Postfix):
             return self._lower_incdec(expr.operand, expr.op, prefix=False)
+        if isinstance(expr, ast.Binary):
+            return self._lower_binary(expr)
+        if isinstance(expr, ast.Assign):
+            return self._lower_assign(expr)
         if isinstance(expr, ast.Conditional):
             return self._lower_conditional(expr)
+        if isinstance(expr, ast.Call):
+            return self._lower_call(expr)
         if isinstance(expr, ast.Index):
             return self._load_lvalue(expr)
         if isinstance(expr, ast.Member):
