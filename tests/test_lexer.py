@@ -111,10 +111,10 @@ class TestEndOfInputRegressions:
 
 
 class TestHexEscapeRuns:
-    """A malformed string after a run of hex escapes.  When the digits of
+    """A malformed string after a run of hex escapes.  If the digits of
     an escape could also be read as plain characters, a regex scanner
-    tried every split of every escape before failing: about 2**64 steps
-    for the 64 escapes here."""
+    would try every split of every escape before failing: about 2**64
+    steps for the 64 escapes here."""
 
     ESCAPES = "\\x00" * 64
 
