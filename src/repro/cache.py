@@ -217,8 +217,8 @@ class TranslationCache:
         )
         # Predecoded threaded-engine artifacts (repro.omnivm.threaded /
         # repro.targets.threaded), one per translation; each carries the
-        # superblock JIT's state for it (heat, compiled factories,
-        # promotion profile), which is evicted and invalidated with it.
+        # superblock JIT's state for it (heat and compiled factories),
+        # which is evicted and invalidated with it.
         # Held beside the translation LRU, same capacity bound, but
         # memory-only: the artifacts are closure tables and cannot be
         # persisted.  Keys are tagged tuples whose second element is the

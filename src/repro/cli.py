@@ -589,11 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "policy and cross-module calls go through "
                         "checked trampolines")
     p.add_argument("--no-sfi", action="store_true")
-    p.add_argument("--engine", default="auto", choices=ENGINES,
-                   help="execution loop: auto-tiering (default; superblock "
-                        "JIT on the interpreter and all four targets), jit, "
-                        "the threaded-code engine, or the legacy "
-                        "per-instruction loop")
+    p.add_argument("--engine", default="jit", choices=ENGINES,
+                   help="execution loop: jit (default; superblock JIT over "
+                        "the threaded-code engine, on the interpreter and "
+                        "all four targets), the threaded-code engine alone, "
+                        "or the legacy per-instruction loop")
     p.add_argument("--cycles", action="store_true",
                    help="print execution statistics to stderr")
     p.add_argument("--stats", action="store_true",

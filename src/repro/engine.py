@@ -101,9 +101,8 @@ class Engine:
         :class:`~repro.metrics.MetricsCollector` active during every
         engine operation; see :meth:`stats`.
     execution_engine:
-        Default execution loop: ``"auto"`` (the default — the superblock
+        Default execution loop: ``"jit"`` (the default — the superblock
         JIT tier on the interpreter and on all four native targets),
-        ``"jit"`` (same tiering, named explicitly),
         ``"threaded"`` (predecoded threaded-code engine with block-level
         fuel accounting), or ``"legacy"`` (per-instruction dispatch).
         :meth:`load` and :meth:`run` accept a per-call ``engine``
@@ -117,7 +116,7 @@ class Engine:
         cache: "TranslationCache | None | bool" = None,
         compile_options: CompileOptions | None = None,
         collect_metrics: bool = True,
-        execution_engine: str = "auto",
+        execution_engine: str = "jit",
         registry: ModuleRegistry | None = None,
     ):
         from repro.runtime.loader import _check_engine

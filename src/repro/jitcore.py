@@ -20,14 +20,14 @@ not ISA-specific are hoisted here:
   block-dispatch loop; :class:`JitState`, the JIT's state for one
   translation, shared by every machine running it; and
   :class:`SuperblockTier`, the one tier-up path: heat-triggered
-  compilation, one superblock closure per machine, and the
-  deopt-promotion policy — when a guarded side exit's counter crosses
-  the JIT heat threshold, re-form a trace that covers the hot path
-  instead of deopting forever.
+  compilation and one superblock closure per machine.
 
-Emitted source must stay a pure function of the instruction stream (and
-the per-entry override table): no ``id()``, hashes, or dict iteration
-order may leak into generated code.
+Traces are static: each entry's superblock is formed once per
+translation from the instruction stream alone, and a guarded side exit
+only counts itself (``execute.deopts``) on its way back to the
+dispatcher.  Emitted source must stay a pure function of the
+instruction stream and the entry: no ``id()``, hashes, or dict
+iteration order may leak into generated code.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from repro.optable import exec_env
 #: Block-entry dispatch count at which a superblock is formed, counted
 #: per translation.  Ski-rental break-even: compiling one superblock
 #: costs about as much as 270-520 threaded dispatches of its entry block
-#: save at ~70% each (DESIGN.md §3a).  Side exits promote at the same
-#: count.
+#: save at ~70% each (DESIGN.md §3a).
 JIT_HEAT = 256
 #: Heat threshold of a machine that never tiers up: ``engine="threaded"``
 #: runs the same dispatch loop, and its superblock probe never fires.
@@ -238,22 +237,14 @@ class JitState:
     runs it, so heat accumulates across requests for the same program
     and the translation cache holds, evicts and invalidates it with the
     artifact.  ``heat`` counts block-entry dispatches and ``makers``
-    holds the current ``_make_superblock`` factory of each compiled
-    entry; the rest is the promotion profile of :class:`SuperblockTier`:
-    exit heat per ``(entry, site)``, per-entry prediction overrides, and
-    the promoted and pinned sites.
+    holds the ``_make_superblock`` factory of each compiled entry.
     """
 
-    __slots__ = ("heat", "makers", "exit_heat", "overrides", "promoted",
-                 "pinned")
+    __slots__ = ("heat", "makers")
 
     def __init__(self, length: int):
         self.heat = [0] * length
         self.makers: dict[int, object] = {}
-        self.exit_heat: dict[tuple, int] = {}
-        self.overrides: dict[int, dict] = {}
-        self.promoted: set[tuple] = set()
-        self.pinned: set[tuple] = set()
 
 
 class BlockDispatch:
@@ -294,19 +285,18 @@ class BlockDispatch:
 
 
 class SuperblockTier(BlockDispatch):
-    """Tier-up path and deopt-promotion policy shared by both JIT machines.
+    """Tier-up path shared by both JIT machines.
 
     A JIT machine is its ISA's threaded machine with this class in
     front, counting heat in the :class:`JitState` of its translation:
     an entry that reaches ``_jit_heat`` dispatches goes through
-    :meth:`_compile_entry`, which installs the translation's current
-    superblock for it, compiling it first if no machine has.  Heat is
-    shared, so on a warm translation a hot entry crosses the threshold
-    at its first dispatch.  Each ISA supplies only its compile function
-    ``_compile_superblock(program, index, overrides)`` returning
-    ``(source, factory)`` (``(None, None)`` for an entry outside the
-    emitter's vocabulary) and the promotion hooks
-    ``_promotion_profitable`` and ``_anchor_exit``.
+    :meth:`_compile_entry`, which installs the translation's superblock
+    for it, compiling it first if no machine has.  Heat is shared, so on
+    a warm translation a hot entry crosses the threshold at its first
+    dispatch.  Each ISA supplies only its compile function
+    ``_compile_superblock(program, index)`` returning ``(source,
+    factory)`` (``(None, None)`` for an entry outside the emitter's
+    vocabulary).
 
     **One closure per machine.**  A superblock keeps its per-site inline
     memory caches in the cells of its ``_make_superblock`` closure.  The
@@ -315,33 +305,14 @@ class SuperblockTier(BlockDispatch):
     the same module on other threads never see (or overwrite) each
     other's cached segments.
 
-    **Promotion.**  Every guarded side exit calls ``vm._note_exit(entry,
-    site, taken, exit_loc)`` on its way back to the dispatcher.  When one
-    site's counter crosses the machine's heat threshold the trace is
-    re-formed so the hot path stops deopting:
-
-    * if the exit target leads back to the trace entry (a cycle the
-      static predictor laid out the wrong way), the branch's prediction
-      is recorded in the per-entry **override table** and the entry's
-      superblock is recompiled with the formerly-exiting direction on
-      trace — the cycle now closes inside one frame;
-    * otherwise a trace is **anchored at the exit target** immediately
-      and its heat raised to the threshold, bypassing the dispatch heat
-      ramp, so the deopt lands on compiled code instead of warming up
-      the threaded tier again.
-
-    Loop-closure edges (branches to/from the trace entry) are never
-    overridden: a loop *exit* legitimately fires once per superblock
-    entry, and flipping it would destroy the loop trace.  A flip is
-    **provisional**: the site's counter resets at promotion time, and
-    if the flipped trace deopts just as hard (the branch is unstable,
-    or the first crossing was a slow trickle from a minority direction
-    rather than a real bias) the override is reverted and the site
-    **pinned** to the static layout — predictions cannot flip-flop,
-    and a wrong flip costs at most one more heat ramp plus two
-    recompiles.  The profile lives in the shared state too, so the heat
-    ramp, flips, and reverts are paid once per translation, not once
-    per machine.
+    **Static traces.**  An entry's trace is compiled once per
+    translation and never re-formed.  (Two machines that reach a cold
+    entry at the same moment may both compile it; its source is a pure
+    function of the program and the entry, so either factory serves.)
+    A guarded side exit the static prediction got wrong adds one to
+    ``_jit_deopts`` and hands the rest of the path to the dispatcher,
+    so a hot mispredicted exit shows as ``execute.deopts`` close to
+    ``execute.superblock_runs``.
     """
 
     COUNTERS = BlockDispatch.COUNTERS + (
@@ -349,11 +320,7 @@ class SuperblockTier(BlockDispatch):
         ("execute.deopts", "_jit_deopts"),
         ("execute.jit_compile_ms", "_jit_compile_ms"),
         ("execute.superblock_runs", "_superblocks_run"),
-        ("execute.jit_promotions", "_jit_promotions"),
     )
-
-    #: Hard cap on overridden branches per trace entry.
-    PROMOTE_LIMIT = 8
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -361,92 +328,24 @@ class SuperblockTier(BlockDispatch):
         self._heat = jit.heat
         self._jit_heat = JIT_HEAT
         self._makers = jit.makers
-        self._exit_heat = jit.exit_heat
-        self._trace_overrides = jit.overrides
-        self._promoted_sites = jit.promoted
-        self._pinned_sites = jit.pinned
         self._superblocks_compiled = 0
         self._jit_deopts = 0
         self._jit_compile_ms = 0.0
-        self._jit_promotions = 0
-        self._jit_reverts = 0
-
-    def _compile(self, index, overrides):
-        """Compile the superblock at *index*; return its factory, or
-        None when the entry block is outside the emitter's vocabulary."""
-        start = time.perf_counter()
-        _source, make = self._compile_superblock(self._threaded, index,
-                                                 overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        if make is not None:
-            self._superblocks_compiled += 1
-        return make
 
     def _compile_entry(self, index):
         """Install the superblock at *index* in the dispatch map, from
-        the translation's current factory for it, compiled here if no
-        machine has.  An entry that cannot be compiled has its heat
-        pinned so the threaded tier keeps it for good."""
+        the translation's factory for it, compiled here if no machine
+        has.  An entry that cannot be compiled has its heat pinned so
+        the threaded tier keeps it for good."""
         make = self._makers.get(index)
         if make is None:
-            make = self._compile(index, self._trace_overrides.get(index))
+            start = time.perf_counter()
+            _source, make = self._compile_superblock(self._threaded, index)
+            self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
             if make is None:
                 self._heat[index] = -(1 << 30)
                 return None
+            self._superblocks_compiled += 1
             self._makers[index] = make
         fn = self._superblocks[index] = make()
         return fn
-
-    def _anchor(self, index) -> None:
-        """Install the superblock at *index* now, and raise its heat to
-        the threshold so every machine of the translation installs it
-        at its first dispatch."""
-        if index not in self._superblocks \
-                and self._compile_entry(index) is not None \
-                and self._heat[index] < self._jit_heat:
-            self._heat[index] = self._jit_heat
-
-    def _repromote_entry(self, entry) -> None:
-        make = self._compile(entry, self._trace_overrides.get(entry))
-        if make is not None:
-            self._makers[entry] = make
-            self._superblocks[entry] = make()
-
-    def _note_exit(self, entry, site, taken, exit_loc) -> None:
-        self._jit_deopts += 1
-        key = (entry, site)
-        count = self._exit_heat.get(key, 0) + 1
-        self._exit_heat[key] = count
-        if count < self._jit_heat or key in self._pinned_sites:
-            return
-        if key in self._promoted_sites:
-            # The flipped direction crossed the threshold too: revert
-            # to the static layout and pin the site.
-            self._pinned_sites.add(key)
-            overrides = self._trace_overrides.get(entry)
-            if overrides and site in overrides:
-                del overrides[site]
-                self._jit_reverts += 1
-                self._repromote_entry(entry)
-            return
-        self._promoted_sites.add(key)
-        self._exit_heat[key] = 0
-        if self._promotion_profitable(entry, site, exit_loc):
-            overrides = self._trace_overrides.setdefault(entry, {})
-            if len(overrides) >= self.PROMOTE_LIMIT:
-                self._pinned_sites.add(key)
-                return
-            overrides[site] = taken
-            self._jit_promotions += 1
-            self._repromote_entry(entry)
-        else:
-            self._pinned_sites.add(key)
-            self._anchor_exit(exit_loc)
-
-    # Hooks ----------------------------------------------------------------
-
-    def _promotion_profitable(self, entry, site, exit_loc) -> bool:
-        raise NotImplementedError
-
-    def _anchor_exit(self, exit_loc) -> None:
-        raise NotImplementedError

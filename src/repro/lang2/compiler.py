@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CompileError, ParseError
+from repro.frontend.parser import MAX_NESTING
 from repro.ir.ir import (
     BasicBlock,
     Const,
@@ -51,12 +52,18 @@ _CMP = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "=": "eq", "/=": "ne"}
 
 
 def read_forms(text: str) -> list:
-    """Parse s-expressions into nested Python lists of str/int."""
+    """Parse s-expressions into nested Python lists of str/int.
+
+    A list nested inside more than ``MAX_NESTING - 1`` others is a
+    :class:`ParseError`: the reader and the compiler recurse once or
+    twice per level, and MiniC's bound keeps both far inside Python's
+    frame limit.
+    """
     tokens = _tokenize(text)
     forms = []
     position = [0]
     while position[0] < len(tokens):
-        forms.append(_read(tokens, position))
+        forms.append(_read(tokens, position, 1))
     return forms
 
 
@@ -82,15 +89,18 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _read(tokens: list[str], position: list[int]):
+def _read(tokens: list[str], position: list[int], depth: int):
+    """Read one form whose lists open at nesting level *depth*."""
     if position[0] >= len(tokens):
         raise ParseError("unexpected end of MiniLisp input")
     token = tokens[position[0]]
     position[0] += 1
     if token == "(":
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels")
         items = []
         while position[0] < len(tokens) and tokens[position[0]] != ")":
-            items.append(_read(tokens, position))
+            items.append(_read(tokens, position, depth + 1))
         if position[0] >= len(tokens):
             raise ParseError("missing ')' in MiniLisp input")
         position[0] += 1

@@ -18,7 +18,8 @@ Tiering contract (the deopt contract):
   (mispredicted guard, indirect jump, return, host halt, trace limit)
   commits exact architectural state — ``state.pc`` and
   ``state.instret`` — before returning to the threaded tier, which
-  resumes as if it had executed every instruction itself;
+  resumes as if it had executed every instruction itself; a
+  mispredicted guard also counts one ``execute.deopts``;
 * faults inside a superblock (access violations, division traps,
   ``trap``) commit the exact retired prefix and annotate ``fault_pc``
   with the faulting instruction's pc, byte-identical to the threaded
@@ -37,14 +38,15 @@ front end lays loop tests *below* their bodies, so backedges are often
 forward taken branches); a short forward branch over straight-line code
 — an ``if``/``then`` or ``if``/``then``/``else`` diamond — has **both
 arms inlined** with no side exit at all; anything else falls back to
-backward-taken/forward-not-taken with a guarded side exit.  Because the
-two arms of a diamond retire different instruction counts, a trace
-containing one switches from compile-time-constant instret offsets to a
-runtime retired counter ``_n``, synced once per arm at each join.  The
-emitted source for a given program remains a pure function of the
-instruction stream — two predecode runs of the same program produce
-byte-identical superblock source (pinned by tests; no ``id()`` or
-hash/dict iteration order may leak into the emitted code).
+backward-taken/forward-not-taken with a guarded side exit.  Each
+entry's trace is formed once per translation and never re-formed.
+Because the two arms of a diamond retire different instruction counts,
+a trace containing one switches from compile-time-constant instret
+offsets to a runtime retired counter ``_n``, synced once per arm at
+each join.  The emitted source for a given program remains a pure
+function of the instruction stream — two predecode runs of the same
+program produce byte-identical superblock source (pinned by tests; no
+``id()`` or hash/dict iteration order may leak into the emitted code).
 
 Compiled superblocks receive the register files and memory as
 arguments, but each keeps its per-site inline memory caches in the
@@ -153,12 +155,7 @@ def _emit_body_instr(em, acct, instr, pc, offset, nb, block_pc):
 # conditional branches: folds, inlined diamonds, guarded side exits
 # ---------------------------------------------------------------------------
 
-def _emit_side_exit(em, acct, offset, pc, depth=0, deopt=None):
-    if deopt:
-        # A guarded deopt notifies the promotion policy (which also
-        # counts it) so hot side exits can be re-formed; *deopt* is the
-        # pre-built ``vm._note_exit(...)`` statement.
-        em.emit(deopt, depth)
+def _emit_side_exit(em, acct, offset, pc, depth=0):
     _emit_commit(em, acct, offset, pc, depth)
     em.emit("return", depth)
 
@@ -241,8 +238,7 @@ def _emit_arm(em, acct, instrs, arm, offset, block_pc, depth):
     return aoff
 
 
-def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
-                 entry_index, overrides):
+def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc):
     """Emit a conditional branch and return ``(continuation_pc,
     new_offset, extra_instrs)``.
 
@@ -250,9 +246,6 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
     branches become a guarded side exit and leave the offset alone; an
     inlined diamond resets it to zero (the join becomes the new
     accounting base) and reports how many arm instructions it emitted.
-    *overrides* maps branch pcs to promoted predictions (see
-    :class:`repro.jitcore.SuperblockTier`); they replace only the
-    BTFN default — loop closure and diamonds keep priority.
     """
     target = u32(instr.imm)
     fall = pc + INSTR_SIZE
@@ -286,15 +279,11 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
             acct.runtime = True
             return (CODE_BASE + join_i * INSTR_SIZE, 0,
                     taken_len + fall_len)
-        if pc in overrides:
-            predict_taken = overrides[pc]
-        else:
-            predict_taken = target <= pc
+        predict_taken = target <= pc
     exit_pc = fall if predict_taken else target
     em.emit(f"if {untaken if predict_taken else taken}:")
-    _emit_side_exit(em, acct, offset, exit_pc, 1,
-                    deopt=f"vm._note_exit({entry_index}, {pc:#x}, "
-                          f"{not predict_taken}, {exit_pc:#x})")
+    em.emit("vm._jit_deopts += 1", 1)  # the prediction was wrong
+    _emit_side_exit(em, acct, offset, exit_pc, 1)
     return (target if predict_taken else fall), offset, 0
 
 
@@ -302,13 +291,11 @@ def _emit_branch(em, acct, instrs, n, instr, pc, offset, entry_pc,
 # trace formation + source generation
 # ---------------------------------------------------------------------------
 
-def superblock_source(program, entry_index: int, overrides=None) -> str:
+def superblock_source(program, entry_index: int) -> str:
     """Form the superblock entered at *entry_index* and generate its
     Python source.  Deterministic: the output is a pure function of
-    ``program.instrs``, the entry, and the (per-VM) prediction
-    *overrides* (pinned by the determinism test).
+    ``program.instrs`` and the entry (pinned by the determinism test).
     """
-    overrides = overrides or {}
     instrs = program.instrs
     n = program.length
     em = _Emitter()
@@ -366,8 +353,7 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
         total += 1
         if kind in ("branch", "branchi"):
             cont, off, extra = _emit_branch(em, acct, instrs, n, instr,
-                                            pc, off, entry_pc,
-                                            entry_index, overrides)
+                                            pc, off, entry_pc)
             total += extra
         elif kind == "jump":
             cont = u32(instr.imm)
@@ -482,7 +468,7 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def compile_superblock(program, entry_index: int, overrides=None):
+def compile_superblock(program, entry_index: int):
     """Compile the superblock entered at *entry_index*.
 
     Returns ``(source, factory)``: each call of the factory (the
@@ -491,51 +477,12 @@ def compile_superblock(program, entry_index: int, overrides=None):
     own.  The factory binds no VM state, so the program's
     :class:`~repro.jitcore.JitState` shares it across VMs.
     """
-    source = superblock_source(program, entry_index, overrides)
+    source = superblock_source(program, entry_index)
     entry_pc = CODE_BASE + entry_index * INSTR_SIZE
     code = compile(source, f"<jit-omni@{entry_pc:#010x}>", "exec")
     namespace = dict(_EXEC_GLOBALS)
     exec(code, namespace)
     return source, namespace["_make_superblock"]
-
-
-def _path_reaches(instrs, n, start, entry, limit=MAX_TRACE_BLOCKS):
-    """Bounded DFS over the static block graph: can control flow from
-    block *start* get back to block *entry* without an indirect jump?
-    Used by the promotion policy to tell a mispredicted cycle (worth
-    re-forming the trace) from a genuine trace departure."""
-    seen: set[int] = set()
-    stack = [start]
-    while stack and len(seen) < limit:
-        idx = stack.pop()
-        if idx == entry:
-            return True
-        if idx in seen or idx < 0 or idx >= n:
-            continue
-        seen.add(idx)
-        i = idx
-        while i < n:
-            instr = instrs[i]
-            if instr.op in BLOCK_ENDS:
-                break
-            i += 1
-        else:
-            continue
-        instr = instrs[i]
-        kind = instr.spec.kind
-        if kind in ("branch", "branchi"):
-            t = u32(instr.imm) - CODE_BASE
-            if not t & 7:
-                stack.append(t >> 3)
-            stack.append(i + 1)
-        elif kind in ("jump", "call"):
-            t = u32(instr.imm) - CODE_BASE
-            if not t & 7:
-                stack.append(t >> 3)
-        elif kind == "host" or instr.op == "sethnd":
-            stack.append(i + 1)
-        # ijump / icall / trap: the walk stops.
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -552,37 +499,7 @@ class JitVM(SuperblockTier, ThreadedVM):
     :meth:`ThreadedVM._run_loop`, and the tier-up path of
     :class:`repro.jitcore.SuperblockTier`.  ``count_opcodes`` still
     forces the legacy per-instruction loop, exactly as for
-    :class:`ThreadedVM`.  Guarded side exits that themselves cross the
-    heat threshold are promoted: the trace is re-formed with the hot
-    direction on trace, or — when the exit genuinely leaves the trace's
-    cycle — a trace is anchored at the exit target without waiting out
-    the dispatch heat ramp.
+    :class:`ThreadedVM`.
     """
 
     _compile_superblock = staticmethod(compile_superblock)
-
-    # -- promotion hooks (repro.jitcore.SuperblockTier) ------------------
-
-    def _promotion_profitable(self, entry, site, exit_loc):
-        instrs = self._threaded.instrs
-        n = self._threaded.length
-        entry_pc = CODE_BASE + entry * INSTR_SIZE
-        b_off = site - CODE_BASE
-        if b_off & 7 or not 0 <= (b_off >> 3) < n:
-            return False
-        branch = instrs[b_off >> 3]
-        if u32(branch.imm) == entry_pc or site + INSTR_SIZE == entry_pc:
-            # Loop-closure edges are never overridden: their side exit
-            # legitimately fires once per superblock entry, and flipping
-            # the prediction would destroy the loop trace.
-            return False
-        e_off = exit_loc - CODE_BASE
-        if e_off & 7 or not 0 <= (e_off >> 3) < n:
-            return False
-        return _path_reaches(instrs, n, e_off >> 3, entry)
-
-    def _anchor_exit(self, exit_loc):
-        off = exit_loc - CODE_BASE
-        if off & 7 or not 0 <= (off >> 3) < self._threaded.length:
-            return
-        self._anchor(off >> 3)

@@ -38,11 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import TranslationCache
 
 #: Execution engines the loaders accept (see ``engine=`` below).
-#: ``"auto"`` picks the best tier for the executor: the trace-based
-#: superblock JIT — :mod:`repro.omnivm.jit` on the reference
-#: interpreter, :mod:`repro.targets.jit` on the four native targets —
-#: layered over the threaded engine; ``"jit"`` requests it explicitly.
-ENGINES = ("auto", "jit", "threaded", "legacy")
+#: ``"jit"`` (the default) is the trace-based superblock JIT —
+#: :mod:`repro.omnivm.jit` on the reference interpreter,
+#: :mod:`repro.targets.jit` on the four native targets — layered over
+#: the threaded engine.
+ENGINES = ("jit", "threaded", "legacy")
 
 
 def _check_engine(engine: str) -> None:
@@ -99,13 +99,13 @@ def load_for_interpretation(
     verify: bool = True,
     fuel: int = 200_000_000,
     segment_size: int | None = None,
-    engine: str = "auto",
+    engine: str = "jit",
     cache: "TranslationCache | None" = None,
 ) -> LoadedModule:
     """Load *program* into a fresh address space under the reference VM.
 
-    ``engine`` selects the execution loop: ``"auto"`` (default) and
-    ``"jit"`` run the tiering VM of :mod:`repro.omnivm.jit` — the
+    ``engine`` selects the execution loop: ``"jit"`` (default) runs
+    the tiering VM of :mod:`repro.omnivm.jit` — the
     threaded engine plus trace-based superblock compilation for hot
     blocks; ``"threaded"`` runs the predecoded threaded-code engine of
     :mod:`repro.omnivm.threaded` alone (block-level fuel accounting,
@@ -144,7 +144,7 @@ def load_for_interpretation(
             threaded = predecode_program(program)
             if cache is not None:
                 cache.put_predecoded(key, threaded)
-        if engine in ("auto", "jit"):
+        if engine == "jit":
             from repro.omnivm.jit import JitVM
 
             vm: OmniVM = JitVM(program, memory, fuel=fuel,
@@ -162,7 +162,7 @@ def load_for_interpretation(
 
 def run_module(program: LinkedProgram, entry: str | None = None,
                host: Host | None = None,
-               engine: str = "auto") -> tuple[int, Host]:
+               engine: str = "jit") -> tuple[int, Host]:
     """Convenience: load, run, and return (exit code, host)."""
     loaded = load_for_interpretation(program, host, engine=engine)
     code = loaded.run(entry)
@@ -181,7 +181,7 @@ def load_module(
     verify: bool = True,
     fuel: int | None = None,
     segment_size: int | None = None,
-    engine: str = "auto",
+    engine: str = "jit",
     cache: "TranslationCache | None" = None,
 ):
     """The one loader entry point: load *program* for *arch*.

@@ -92,7 +92,7 @@ def load_for_target(
     memory: Memory | None = None,
     cache: "TranslationCache | None" = None,
     segment_size: int | None = None,
-    engine: str = "auto",
+    engine: str = "jit",
     policy: SandboxPolicy | None = None,
 ) -> NativeModule:
     """Translate *program* for *arch* and prepare it for execution.
@@ -111,8 +111,8 @@ def load_for_target(
     ``engine`` selects the simulator loop: ``"legacy"`` runs the
     original per-instruction loop; ``"threaded"`` runs the predecoded
     block-dispatch engine of :mod:`repro.targets.threaded` (same
-    cycles, registers, and faults; fuel charged per block); ``"auto"``
-    (default) and ``"jit"`` add the native superblock JIT tier of
+    cycles, registers, and faults; fuel charged per block); ``"jit"``
+    (default) adds the native superblock JIT tier of
     :mod:`repro.targets.jit` on top of the threaded engine.  Threaded
     predecode artifacts and compiled superblocks are reused through the
     cache's in-memory side table.
@@ -198,7 +198,7 @@ def load_for_target(
             threaded = predecode_native(translated.spec, translated.instrs)
             if cache is not None:
                 cache.put_predecoded(key, threaded)
-        if engine in ("auto", "jit"):
+        if engine == "jit":
             from repro.targets.jit import JitTargetMachine
 
             machine: TargetMachine = JitTargetMachine(
@@ -239,7 +239,7 @@ def run_on_target(
     options: TranslationOptions | None = None,
     host: Host | None = None,
     cache: "TranslationCache | None" = None,
-    engine: str = "auto",
+    engine: str = "jit",
     policy: SandboxPolicy | None = None,
 ) -> tuple[int, NativeModule]:
     """Translate, load, run; returns (exit code, loaded module)."""

@@ -59,7 +59,7 @@ class WorkerConfig:
     target: str | None = None
     profile: TranslationOptions = field(default_factory=TranslationOptions)
     compile_options: CompileOptions = field(default_factory=CompileOptions)
-    execution_engine: str = "auto"
+    execution_engine: str = "jit"
     disk_cache_dir: str | None = None
     cache_capacity: int = 64
     threads: int = 2

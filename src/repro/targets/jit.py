@@ -43,10 +43,13 @@ taken-branch penalty lands after the slot.
 
 The deopt contract matches the omni JIT: every side exit commits
 ``pc``/``instret``/``cycles``/category counts before returning to the
-dispatcher; faults commit the exact retired prefix and annotate
-``fault_native``; fuel is checked at superblock boundaries (backedge,
-hostcall, trap, run-off-end) — the same documented relaxation as the
-block-level checks of the threaded tier.
+dispatcher, and a guarded exit the static prediction got wrong also
+counts one ``execute.deopts``; faults commit the exact retired prefix
+and annotate ``fault_native``; fuel is checked at superblock boundaries
+(backedge, hostcall, trap, run-off-end) — the same documented
+relaxation as the block-level checks of the threaded tier.  As in the
+omni JIT, each entry's trace is formed once per translation and never
+re-formed.
 
 Each compiled superblock keeps its per-site inline memory caches in
 the cells of its ``_make_superblock`` closure, so the translation's
@@ -124,7 +127,7 @@ class _Trace:
     into ``_li``/``_po`` at entry, is current).
     """
 
-    def __init__(self, program, entry, overrides):
+    def __init__(self, program, entry):
         self.program = program
         self.instrs = program.instrs
         self.n = program.length
@@ -133,7 +136,6 @@ class _Trace:
         self.dual = self.timing.dual_issue is not None
         self.delay = program.spec.delay_slots
         self.entry = entry
-        self.overrides = overrides or {}
         self.link = program.spec.reserved.get("ra", 31)
         self.em = _Emitter()
         self.keys: dict[tuple, str] = {}
@@ -391,10 +393,10 @@ def _chain_coupled(w, k) -> bool:
     The rewriter only tags straight-line ALU guards with
     ``category="sfi"``, always immediately adjacent to the access they
     protect — but a chain-coupled branch (the branch itself, or its
-    immediate predecessor, tagged ``sfi``) must never be predicted:
-    splitting the chain across a guarded side exit would let a
-    re-formed trace reorder the guard against its access.  Such
-    branches compile to a both-way unguarded exit.
+    immediate predecessor, tagged ``sfi``) must never be predicted: a
+    guarded side exit there would split the chain between the trace
+    and the dispatcher.  Such branches compile to a both-way unguarded
+    exit.
     """
     mi = w.instrs[k]
     if mi.category == "sfi":
@@ -427,7 +429,7 @@ def _emit_cond(w, em, k, slot_k):
         _emit_charge(w, em, k)
 
     if _chain_coupled(w, k):
-        # SFI guard-chain branch: never predicted, never promoted.
+        # SFI guard-chain branch: never predicted.
         if has_slot and not annul:
             em.emit(f"_tk = {taken_expr}")
             _emit_slot_local(w, em, slot_k, k)
@@ -459,50 +461,46 @@ def _emit_cond(w, em, k, slot_k):
         predict_taken = True  # loop closure
     elif fall == w.entry:
         predict_taken = False  # loop closure on the fall-through
-    elif k in w.overrides:
-        predict_taken = w.overrides[k]
     else:
         predict_taken = target <= k  # BTFN
     if predict_taken and not 0 <= target < n:
         predict_taken = False
 
     if predict_taken:
-        deopt = f"m._note_exit({w.entry}, {k}, False, {fall})"
         if has_slot and not annul:
             em.emit(f"_tk = {taken_expr}")
             _emit_slot_local(w, em, slot_k, k)
             em.emit("if not _tk:")
-            em.emit(f"    {deopt}")
+            em.emit("    m._jit_deopts += 1")
             _emit_exit_state(w, em, fall, 1)
             em.emit("    return")
         elif annul:
             # Annulled untaken skips the slot: exit before running it.
             em.emit(f"if {untaken_expr}:")
-            em.emit(f"    {deopt}")
+            em.emit("    m._jit_deopts += 1")
             _emit_exit_state(w, em, fall, 1)
             em.emit("    return")
             _emit_slot_local(w, em, slot_k, k)
         else:
             em.emit(f"if {untaken_expr}:")
-            em.emit(f"    {deopt}")
+            em.emit("    m._jit_deopts += 1")
             _emit_exit_state(w, em, fall, 1)
             em.emit("    return")
         _emit_penalty(w, em)
         return target
 
-    deopt = f"m._note_exit({w.entry}, {k}, True, {target})"
     if has_slot and not annul:
         em.emit(f"_tk = {taken_expr}")
         _emit_slot_local(w, em, slot_k, k)
         em.emit("if _tk:")
-        em.emit(f"    {deopt}")
+        em.emit("    m._jit_deopts += 1")
         _emit_exit_state(w, em, target, 1)
         em.emit("    m._branch_taken_penalty()")
         em.emit("    return")
     elif annul:
         # Annulled taken path runs the slot after the exit commit.
         em.emit(f"if {taken_expr}:")
-        em.emit(f"    {deopt}")
+        em.emit("    m._jit_deopts += 1")
         _emit_exit_state(w, em, k, 1)
         _emit_slot_direct(w, em, slot_k, 1)
         em.emit(f"    m.pc = {target}")
@@ -510,7 +508,7 @@ def _emit_cond(w, em, k, slot_k):
         em.emit("    return")
     else:
         em.emit(f"if {taken_expr}:")
-        em.emit(f"    {deopt}")
+        em.emit("    m._jit_deopts += 1")
         _emit_exit_state(w, em, target, 1)
         em.emit("    m._branch_taken_penalty()")
         em.emit("    return")
@@ -624,14 +622,14 @@ def _block_traceable(w, index) -> bool:
     return True  # runs off the end; the trace exits there
 
 
-def native_superblock_source(program, entry: int, overrides=None) -> str:
+def native_superblock_source(program, entry: int) -> str:
     """Generate Python source for the superblock entered at native
     index *entry* over a :class:`ThreadedNativeProgram`.
 
     Raises :class:`_Unsupported` when the entry block itself is outside
     the emitter's vocabulary.
     """
-    w = _Trace(program, entry, overrides)
+    w = _Trace(program, entry)
     em = w.em
     instrs = w.instrs
     n = w.n
@@ -804,7 +802,7 @@ def native_superblock_source(program, entry: int, overrides=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def compile_native_superblock(program, entry: int, overrides=None):
+def compile_native_superblock(program, entry: int):
     """Compile the superblock entered at native index *entry*.
 
     Returns ``(source, factory)``: each call of the factory (the
@@ -815,45 +813,13 @@ def compile_native_superblock(program, entry: int, overrides=None):
     Returns ``(None, None)`` when the entry block is untraceable.
     """
     try:
-        source = native_superblock_source(program, entry, overrides)
+        source = native_superblock_source(program, entry)
     except _Unsupported:
         return None, None
     code = compile(source, f"<jit-native@{entry}>", "exec")
     namespace = dict(_EXEC_GLOBALS)
     exec(code, namespace)
     return source, namespace["_make_superblock"]
-
-
-def _native_path_reaches(instrs, n, start, entry,
-                         limit=MAX_TRACE_BLOCKS) -> bool:
-    """Bounded DFS over the static native block graph: can control flow
-    from block *start* get back to *entry* without an indirect jump?"""
-    seen: set[int] = set()
-    stack = [start]
-    while stack and len(seen) < limit:
-        idx = stack.pop()
-        if idx == entry:
-            return True
-        if idx in seen or not 0 <= idx < n:
-            continue
-        seen.add(idx)
-        i = idx
-        while i < n and not _is_term_op(instrs[i].op):
-            i += 1
-        if i >= n:
-            continue
-        mi = instrs[i]
-        op = mi.op
-        if op in _COND_OPS:
-            stack.append(mi.target)
-            stack.append(i + 1)
-            stack.append(i + 2)
-        elif op in ("j", "jal"):
-            stack.append(mi.target)
-        elif op == "hostcall":
-            stack.append(i + 1)
-        # jr / jalr / trap: the walk stops.
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -873,29 +839,6 @@ class JitTargetMachine(SuperblockTier, ThreadedTargetMachine):
     attribution (``pc`` at the raise, ``fault_native`` on the
     violation) are bit-identical to the threaded tier; only fuel cuts
     are coarser (superblock boundaries instead of block boundaries).
-    Guarded side exits that cross the heat threshold re-form the trace
-    with the hot direction on trace, or anchor a new trace at the exit
-    target.
     """
 
     _compile_superblock = staticmethod(compile_native_superblock)
-
-    # -- promotion hooks (repro.jitcore.SuperblockTier) ------------------
-
-    def _promotion_profitable(self, entry, site, exit_loc):
-        instrs = self.instrs
-        n = self._threaded.length
-        if not 0 <= site < n or not 0 <= exit_loc < n:
-            return False
-        branch = instrs[site]
-        fall = site + (2 if self.spec.delay_slots else 1)
-        if branch.target == entry or fall == entry:
-            # Loop-closure edges are never overridden: their side exit
-            # legitimately fires once per superblock entry, and
-            # flipping the prediction would destroy the loop trace.
-            return False
-        return _native_path_reaches(instrs, n, exit_loc, entry)
-
-    def _anchor_exit(self, exit_loc):
-        if 0 <= exit_loc < self._threaded.length:
-            self._anchor(exit_loc)

@@ -3,8 +3,9 @@ surface: the library, the ``omnicc`` CLI and the hosting service.
 
 Two inputs used to escape as raw Python exceptions: a hex literal with no
 digits (``ValueError`` from ``int("0x", 16)``) and deep nesting
-(``RecursionError`` in the recursive phases).  The parser now refuses
-nesting beyond :data:`repro.frontend.parser.MAX_NESTING`.
+(``RecursionError`` in the recursive phases).  The MiniC parser and the
+MiniLisp reader now refuse nesting beyond
+:data:`repro.frontend.parser.MAX_NESTING`.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.cli import main
 from repro.errors import LexError, ParseError
 from repro.frontend.lexer import tokenize
 from repro.frontend.parser import MAX_NESTING
+from repro.lang2.compiler import compile_minilisp
 
 
 def compile_error(source):
@@ -25,8 +27,8 @@ def compile_error(source):
     return None
 
 
-def cli(tmp_path, capsys, source):
-    path = tmp_path / "prog.c"
+def cli(tmp_path, capsys, source, name="prog.c"):
+    path = tmp_path / name
     path.write_text(source)
     code = main(["run", str(path)])
     out, err = capsys.readouterr()
@@ -128,3 +130,34 @@ class TestNestingLimit:
         assert serve(parens(MAX_NESTING)).ok
         response = serve(parens(MAX_NESTING + 1))
         assert not response.ok and response.error == "ParseError"
+
+
+def lisp(depth):
+    # The defun is one level; each `(+ 1 ...)` of its body one more.
+    return ("(defun main () " + "(+ 1 " * (depth - 1) + "0"
+            + ")" * (depth - 1) + ")")
+
+
+class TestMiniLispNestingLimit:
+    """The MiniLisp reader and compiler recurse once or twice per
+    level; without the bound a 2000-deep form raised RecursionError."""
+
+    def test_the_limit_compiles_and_one_more_is_refused(self):
+        compile_minilisp(lisp(MAX_NESTING))
+        for depth in (MAX_NESTING + 1, 2000):
+            with pytest.raises(ParseError) as info:
+                compile_minilisp(lisp(depth))
+            assert f"nesting deeper than {MAX_NESTING} levels" in \
+                str(info.value)
+
+    def test_cli(self, tmp_path, capsys):
+        code, out, err = cli(tmp_path, capsys, lisp(MAX_NESTING),
+                             "prog.lisp")
+        # main returns 1 + 1 + ... + 0, one 1 per `+`.
+        assert (code, out, err) == (MAX_NESTING - 1, "", "")
+        for depth in (MAX_NESTING + 1, 2000):
+            code, out, err = cli(tmp_path, capsys, lisp(depth), "prog.lisp")
+            assert code == 1 and out == ""
+            assert err.startswith("omnicc: error: ") and \
+                "nesting deeper" in err
+            assert err.count("\n") == 1

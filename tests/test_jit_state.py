@@ -1,28 +1,33 @@
 """The superblock JIT's per-translation state.
 
 Each predecoded artifact carries one :class:`repro.jitcore.JitState`:
-block-entry heat, the compiled superblock factories, and the promotion
-profile.  Every JIT machine running the translation shares it, so heat
-accumulates across requests for the same program and the translation
-cache holds one side-table entry per translation.  These tests pin:
+block-entry heat and the compiled superblock factories.  Every JIT
+machine running the translation shares it, so heat accumulates across
+requests for the same program and the translation cache holds one
+side-table entry per translation.  These tests pin:
 
 * side-table steadiness: a cache whose hot superblocks outnumber its
   capacity still compiles nothing on a second round;
 * heat per translation: a short loop tiers up only after enough
   requests for its program, exactly once per engine, never without a
   cache, and never from ``engine="threaded"`` runs;
-* anchoring: a trace anchored at a hot side exit is installed by every
-  later machine at its first dispatch;
+* static traces: a translation compiles each entry at most once, even
+  where the static prediction is wrong on every trip, and every
+  machine sharing it runs the same superblocks;
 * determinism: tier-up decisions depend only on counts, so the same
   request sequence compiles the same superblocks every time.
 """
 
 import pytest
 
-from repro import Engine
+from repro import Engine, metrics
 from repro.cache import TranslationCache
-from repro.engine import RunConfig
+from repro.difftest.generator import GenProgram
+from repro.engine import ARCHITECTURES, INTERPRETER, RunConfig
 from repro.jitcore import JIT_HEAT
+from repro.omnivm.isa import VMInstr as I
+from repro.omnivm.jit import MAX_DIAMOND_ARM
+from repro.runtime.loader import load_module
 
 #: A 40-trip loop: far below the heat threshold in one run.
 LOOP = """
@@ -135,22 +140,63 @@ class TestHeatPerTranslation:
         assert any(artifact.jit.heat)
 
 
-class TestAnchoredEntries:
-    """A trace anchored at a hot side exit skips the heat ramp for every
-    machine of the translation, not just the one that anchored it."""
+#: Trips of the loop in :func:`_mispredicted_loop`.
+TRIPS = 300
 
-    def test_anchor_raises_the_shared_heat(self):
-        engine = Engine(target="mips")
-        program = engine.compile(LOOP)
-        module = engine.load(program)
-        machine = module.machine
-        entry = module.translated.entry_native
-        machine._anchor(entry)
-        assert machine._superblocks_compiled == 1
-        assert machine._threaded.jit.heat[entry] == JIT_HEAT
-        compiled, runs, output = _request(engine, program, "mips")
-        assert (compiled, output) == (0, LOOP_OUTPUT)
-        assert runs > 0
+
+def _mispredicted_loop():
+    """A loop with two always-taken forward skips.  BTFN lays both out
+    untaken; loop closure can absorb one of them into the trace of the
+    skip target, never both.  Each skipped arm is longer than an inlined
+    diamond may be, so the OmniVM JIT exits there too."""
+    arm = [("instr", I("addi", rd=4, rs=4, imm=100))] * (MAX_DIAMOND_ARM + 1)
+    return GenProgram("mispredicted", [
+        ("instr", I("li", rd=1, imm=0)),
+        ("instr", I("li", rd=4, imm=0)),
+        ("label", "L"),
+        ("instr", I("addi", rd=1, rs=1, imm=1)),
+        ("instr", I("bgti", rs=1, imm2=0, label="S1")),
+        *arm,
+        ("label", "S1"),
+        ("instr", I("addi", rd=4, rs=4, imm=1)),
+        ("instr", I("bgti", rs=1, imm2=0, label="S2")),
+        *arm,
+        ("label", "S2"),
+        ("instr", I("addi", rd=4, rs=4, imm=2)),
+        ("instr", I("blti", rs=1, imm2=TRIPS, label="L")),
+        ("instr", I("jr", rs=14)),
+    ], b"\x00" * 64).build()
+
+
+class TestEntriesCompileOnce:
+    """Traces are static: a translation compiles each entry at most
+    once, however often its guarded side exits fire, and a second
+    machine of the translation compiles nothing and runs exactly what
+    the first ran."""
+
+    @pytest.mark.parametrize("arch", (INTERPRETER,) + ARCHITECTURES)
+    def test_two_machines_one_translation(self, arch):
+        program = _mispredicted_loop()
+        cache = TranslationCache()
+        runs = []
+        for _ in range(2):
+            module = load_module(program, arch, cache=cache, engine="jit")
+            machine = module.vm if arch == INTERPRETER else module.machine
+            machine._jit_heat = 1
+            with metrics.collect() as collected:
+                assert module.run() == TRIPS  # r1 is the result
+            counters = collected.counters
+            runs.append((machine, counters.get("execute.deopts", 0),
+                         counters.get("execute.superblock_runs", 0)))
+        (first, deopts, sb_runs), (second, deopts2, sb_runs2) = runs
+        makers = first._threaded.jit.makers
+        assert second._threaded.jit.makers is makers
+        compiled = first._superblocks_compiled + second._superblocks_compiled
+        assert compiled == len(makers) > 0
+        assert second._superblocks_compiled == 0
+        assert (deopts2, sb_runs2) == (deopts, sb_runs)
+        # The mispredicted exit is never re-formed: it fires every trip.
+        assert deopts >= TRIPS
 
 
 class TestTierUpDeterminism:

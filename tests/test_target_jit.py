@@ -1,4 +1,4 @@
-"""The native superblock JIT tier: bit-exactness, SFI, cache, promotion.
+"""The native superblock JIT tier: bit-exactness, SFI, cache, static traces.
 
 :mod:`repro.targets.jit` layers a trace-based superblock JIT over the
 threaded native engine.  Its contract is the same as the omni JIT's —
@@ -24,8 +24,9 @@ chains inlined without weakening.  These tests pin:
 * the JIT state on the cached predecode artifact: warm loads reuse
   compiled superblocks, invalidation drops them, and tier-up never
   touches the predecode hit/miss statistics;
-* side-exit heat promotion: a branch the static predictor lays out
-  wrong is re-formed instead of deopting forever.
+* mispredicted side exits: loops whose forward skips the static
+  predictor lays out wrong (always taken, or taken every other trip)
+  deopt on the JIT and still match the legacy and threaded tiers.
 """
 
 import pytest
@@ -426,16 +427,17 @@ class TestJitCacheSideTable:
         assert after.predecode_misses == misses
 
 
-class TestSideExitPromotion:
-    """A forward branch the static BTFN predictor lays out untaken but
-    that is always taken at runtime: its side exit crosses the heat
-    threshold and the trace is re-formed with the prediction flipped,
-    instead of deopting on every iteration."""
+class TestMispredictedExitParity:
+    """Forward branches that BTFN lays out untaken but that are taken
+    at run time: each entry's trace keeps its static prediction, so the
+    hot path deopts through a guarded side exit on every mispredicted
+    trip and the threaded tier runs the rest — with results identical
+    to the legacy and threaded tiers."""
 
-    def _program(self):
+    def _forward_skips(self):
         # two always-taken forward skips in one loop: trace rotation
         # can absorb one of them as the loop-closure branch, but the
-        # other stays mispredicted and must be promoted
+        # other stays mispredicted
         return build([
             ("instr", I("li", rd=1, imm=0)),
             ("instr", I("li", rd=4, imm=0)),
@@ -451,30 +453,11 @@ class TestSideExitPromotion:
             ("instr", I("addi", rd=4, rs=4, imm=2)),
             ("instr", I("blti", rs=1, imm2=300, label="L")),
             ("instr", I("jr", rs=14)),
-        ], name="promote")
+        ], name="skips")
 
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_hot_side_exit_is_promoted(self, arch):
-        program = self._program()
-        module = load_for_target(program, arch, engine="jit")
-        module.machine._jit_heat = 1
-        jit_run = observe_native(module)
-        assert module.machine._jit_promotions >= 1, arch
-        # promotion must not change observable behaviour
-        baseline = load_for_target(program, arch, engine="threaded")
-        assert observe_native(baseline) == jit_run, arch
-
-    def test_promoted_trace_stops_deopting(self):
-        program = self._program()
-        module = load_for_target(program, "mips", engine="jit")
-        module.machine._jit_heat = 1
-        observe_native(module)
-        # far fewer deopts than iterations: the flipped trace ran
-        assert module.machine._jit_deopts < 100
-
-    def _unstable_program(self):
+    def _alternating_skip(self):
         # r2 = r1 & 1 alternates every iteration: neither direction of
-        # the first skip is stable, so a flip must revert and pin
+        # the first skip is stable
         return build([
             ("instr", I("li", rd=1, imm=0)),
             ("instr", I("li", rd=4, imm=0)),
@@ -492,39 +475,22 @@ class TestSideExitPromotion:
             ("instr", I("addi", rd=4, rs=4, imm=2)),
             ("instr", I("blti", rs=1, imm2=400, label="L")),
             ("instr", I("jr", rs=14)),
-        ], name="unstable")
+        ], name="alternating")
+
+    def _check(self, program, arch):
+        module = load_for_target(program, arch, engine="jit",
+                                 segment_size=DEFAULT_SEGMENT_SIZE)
+        module.machine._jit_heat = 1
+        jit_run = observe_native(module)
+        assert module.machine._jit_deopts > 0, arch
+        runs = run_engines(program, arch, engines=("legacy", "threaded"))
+        runs["jit"] = jit_run
+        assert_engines_agree(runs, f"{program.name} on {arch}")
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_unstable_branch_reverts_and_pins(self, arch):
-        """A 50/50 branch that gets flipped deopts just as hard in the
-        other direction: the override is reverted, the site pinned, and
-        predictions never flip-flop — with unchanged behaviour."""
-        program = self._unstable_program()
-        module = load_for_target(program, arch, engine="jit")
-        machine = module.machine
-        machine._jit_heat = 1
-        jit_run = observe_native(module)
-        assert machine._jit_reverts >= 1, arch
-        assert machine._pinned_sites, arch
-        baseline = load_for_target(program, arch, engine="threaded")
-        assert observe_native(baseline) == jit_run, arch
+    def test_forward_skips(self, arch):
+        self._check(self._forward_skips(), arch)
 
-    def test_profile_persists_across_machines(self):
-        """With a cache, the promotion profile (overrides, pins, and
-        the override-compiled superblocks) is adopted by later machines
-        of the same translation: the heat ramp, flips, and reverts are
-        paid exactly once per program."""
-        cache = TranslationCache()
-        program = self._program()
-        cold = load_for_target(program, "mips", cache=cache, engine="jit")
-        cold.machine._jit_heat = 1
-        cold_run = observe_native(cold)
-        assert cold.machine._jit_promotions >= 1
-        warm = load_for_target(program, "mips", cache=cache, engine="jit")
-        warm.machine._jit_heat = 1
-        warm_run = observe_native(warm)
-        assert warm_run == cold_run
-        assert warm.machine._jit_promotions == 0
-        assert warm.machine._superblocks_compiled == 0
-        assert warm.machine._trace_overrides  # adopted, not relearned
-        assert warm.machine._jit_deopts < cold.machine._jit_deopts
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_alternating_skip(self, arch):
+        self._check(self._alternating_skip(), arch)

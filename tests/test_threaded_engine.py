@@ -383,6 +383,32 @@ class TestEnginePlumbing:
         with pytest.raises(ValueError):
             Engine(execution_engine="bogus")
 
+    def test_jit_is_the_one_name_for_the_tiering_engine(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+        from repro.omnivm.jit import JitVM
+        from repro.targets.jit import JitTargetMachine
+
+        program = straightline_exit()
+        with pytest.raises(ValueError):
+            Engine(execution_engine="auto")
+        with pytest.raises(ValueError):
+            load_for_interpretation(program, engine="auto")
+        with pytest.raises(ValueError):
+            load_for_target(program, "mips", engine="auto")
+        engine = Engine(target="mips", cache=False)
+        assert engine.execution_engine == "jit"
+        assert type(engine.load(program).machine) is JitTargetMachine
+        assert type(load_for_interpretation(program).vm) is JitVM
+        src = tmp_path / "hi.c"
+        src.write_text("int main() { emit_int(41 + 1); return 0; }")
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(src), "--engine", "auto"])
+        assert info.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        assert main(["run", str(src), "--engine", "jit"]) == 0
+        assert capsys.readouterr().out == "42"
+
     def test_engine_default_and_per_call_override(self):
         from repro.omnivm.interp import OmniVM
         from repro.targets.base import TargetMachine
