@@ -21,10 +21,19 @@ TranslationOptions)``:
   :mod:`repro.metrics` counters (``cache.hit`` / ``cache.miss`` / ...)
   when a collector is active.
 
-A cache hit returns the previously verified translation, so the loader
-skips *both* module verification and SFI verification — the translated
-code was checked when it entered the cache and its content hash pins the
-exact input it was produced from.
+**Admission** is stated once, in :func:`cached_translation` and
+:func:`cached_predecode`, and every loader goes through them: the cache
+is read and written only under the default sandbox policy (its keys do
+not carry the policy), and a translation is written only when both
+verifiers ran on it.  So a cache hit returns a verified translation, and
+the loader skips *both* module verification and SFI verification — the
+translated code was checked when it entered the cache and its content
+hash pins the exact input it was produced from.
+
+**One key per load**: the caller derives :func:`cache_key` once (arch
+``"omnivm"`` for the interpreter) and hands it to both tables — the
+translation LRU and the predecode side table — so a load digests its
+program once.
 
 Durability guarantees (the service layer leans on all three):
 
@@ -71,6 +80,7 @@ from pathlib import Path
 
 from repro import metrics
 from repro.omnivm.linker import LinkedProgram
+from repro.sfi.policy import DEFAULT_POLICY, SandboxPolicy
 from repro.targets.base import MInstr
 from repro.translators import target_spec
 from repro.translators.base import TranslatedModule, TranslationOptions
@@ -154,7 +164,48 @@ def options_digest(options: TranslationOptions | None) -> str:
 
 def cache_key(program: LinkedProgram, arch: str,
               options: TranslationOptions | None) -> tuple[str, str, str]:
+    """The key of everything the cache holds for one load of *program*:
+    its translation for *arch* under *options* and the predecoded
+    artifact built from it (arch ``"omnivm"``, options ``None`` for the
+    interpreter's artifact)."""
     return (program_digest(program), arch, options_digest(options))
+
+
+def _serves(cache: "TranslationCache | None",
+            policy: SandboxPolicy) -> bool:
+    # Keys do not carry the sandbox policy, so a load under another
+    # policy (e.g. the padded variant) must neither read nor poison
+    # default-policy entries.
+    return cache is not None and policy == DEFAULT_POLICY
+
+
+def cached_translation(cache: "TranslationCache | None", key, produce,
+                       verified: bool = True,
+                       policy: SandboxPolicy = DEFAULT_POLICY
+                       ) -> TranslatedModule:
+    """The translation for *key*: from *cache*, or made by *produce*.
+
+    The admission rule of the cache: it serves default-policy loads
+    only, and it stores only what *produce* made with both verifiers on
+    (``verified``), because every later hit skips verification.  A load
+    with verification off may still take a verified entry; its own
+    output never enters the cache.  Verified misses are single-flight
+    (:meth:`TranslationCache.translate_once`)."""
+    if not _serves(cache, policy):
+        return produce()
+    if verified:
+        return cache.translate_once(key, produce)
+    hit = cache.lookup(key)
+    return hit if hit is not None else produce()
+
+
+def cached_predecode(cache: "TranslationCache | None", key, build,
+                     policy: SandboxPolicy = DEFAULT_POLICY):
+    """The threaded-engine artifact for *key*: from *cache*'s side
+    table, or made by *build* (under the admission rule's policy half)."""
+    if not _serves(cache, policy):
+        return build()
+    return cache.predecoded(key, build)
 
 
 @dataclass
@@ -219,10 +270,9 @@ class TranslationCache:
         # repro.targets.threaded), one per translation; each carries the
         # superblock JIT's state for it (heat and compiled factories),
         # which is evicted and invalidated with it.
-        # Held beside the translation LRU, same capacity bound, but
-        # memory-only: the artifacts are closure tables and cannot be
-        # persisted.  Keys are tagged tuples whose second element is the
-        # program digest (see loaders), so invalidation can match them.
+        # Held beside the translation LRU, same capacity bound and same
+        # keys, but memory-only: the artifacts are closure tables and
+        # cannot be persisted.
         self._predecoded: OrderedDict[tuple, object] = OrderedDict()
         self._stats = CacheStats()
         self._lock = threading.RLock()
@@ -243,7 +293,10 @@ class TranslationCache:
             ) -> TranslatedModule | None:
         """Return the cached translation for this exact (program, arch,
         options) content, or None on a miss."""
-        key = cache_key(program, arch, options)
+        return self.lookup(cache_key(program, arch, options))
+
+    def lookup(self, key: tuple[str, str, str]) -> TranslatedModule | None:
+        """Return the cached translation for *key*, or None on a miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -267,7 +320,10 @@ class TranslationCache:
             options: TranslationOptions | None,
             translated: TranslatedModule) -> None:
         """Insert a (verified) translation."""
-        key = cache_key(program, arch, options)
+        self._store(cache_key(program, arch, options), translated)
+
+    def _store(self, key: tuple[str, str, str],
+               translated: TranslatedModule) -> None:
         with self._lock:
             self._insert(key, translated)
             self._stats.stores += 1
@@ -285,11 +341,10 @@ class TranslationCache:
 
     # -- single-flight translation --------------------------------------------
 
-    def translate_once(self, program: LinkedProgram, arch: str,
-                       options: TranslationOptions | None,
-                       produce, timeout: float = 30.0) -> TranslatedModule:
-        """Return the cached translation for the key, or run *produce*
-        exactly once per stampede to create it.
+    def translate_once(self, key: tuple[str, str, str], produce,
+                       timeout: float = 30.0) -> TranslatedModule:
+        """Return the cached translation for *key* (see :func:`cache_key`),
+        or run *produce* exactly once per stampede to create it.
 
         Concurrent callers missing on the same key elect one leader;
         the rest wait (``cache.single_flight_wait``) and then read the
@@ -301,10 +356,9 @@ class TranslationCache:
         *produce* must return a **verified** :class:`TranslatedModule`
         (the cache's usual admission contract).
         """
-        key = cache_key(program, arch, options)
         deadline = time.monotonic() + timeout
         while True:
-            cached = self.get(program, arch, options)
+            cached = self.lookup(key)
             if cached is not None:
                 return cached
             with self._flight_lock:
@@ -335,7 +389,7 @@ class TranslationCache:
                                                             steal=True)
                 try:
                     translated = produce()
-                    self.put(program, arch, options, translated)
+                    self._store(key, translated)
                     return translated
                 finally:
                     if flight_file is not None:
@@ -405,14 +459,11 @@ class TranslationCache:
 
     # -- predecode side table -------------------------------------------------
 
-    def get_predecoded(self, key: tuple) -> object | None:
-        """Return the cached threaded-engine artifact for *key*, or None.
-
-        Keys are tagged tuples built by the loaders:
-        ``("predecode-omni", program_digest)`` for interpreter programs
-        and ``("predecode-native", program_digest, arch, options_digest)``
-        for translated modules.
-        """
+    def predecoded(self, key: tuple[str, str, str], build) -> object:
+        """Return the threaded-engine artifact for *key* (see
+        :func:`cache_key`), calling *build* and keeping its result on a
+        miss.  The side table is memory only, and its eviction is silent
+        — translation ``stats().evictions`` stays untouched."""
         with self._lock:
             artifact = self._predecoded.get(key)
             if artifact is not None:
@@ -422,16 +473,13 @@ class TranslationCache:
                 return artifact
             self._stats.predecode_misses += 1
             metrics.count("cache.predecode_miss")
-            return None
-
-    def put_predecoded(self, key: tuple, artifact: object) -> None:
-        """Insert a threaded-engine artifact (memory only; its eviction
-        is silent — translation ``stats().evictions`` stays untouched)."""
+        artifact = build()
         with self._lock:
             self._predecoded[key] = artifact
             self._predecoded.move_to_end(key)
             while len(self._predecoded) > self.capacity:
                 self._predecoded.popitem(last=False)
+        return artifact
 
     # -- invalidation ---------------------------------------------------------
 
@@ -452,27 +500,23 @@ class TranslationCache:
         chunks without reconstructing the translation units."""
         if program is not None:
             digest = program_digest(program)
+
+        def doomed(key: tuple[str, str, str]) -> bool:
+            return ((digest is None or key[0] == digest)
+                    and (arch is None or key[1] == arch))
+
         with self._lock:
-            doomed = [
-                key for key in self._entries
-                if (digest is None or key[0] == digest)
-                and (arch is None or key[1] == arch)
-            ]
-            for key in doomed:
+            dropped = [key for key in self._entries if doomed(key)]
+            for key in dropped:
                 del self._entries[key]
                 self._disk_remove(key)
             # Predecoded artifacts derive from the same translation
-            # inputs, so they go with it (key[1] is the program digest,
-            # key[2] — when present — the arch).
-            for key in [
-                k for k in self._predecoded
-                if (digest is None or k[1] == digest)
-                and (arch is None or len(k) < 3 or k[2] == arch)
-            ]:
+            # inputs, so they go with it.
+            for key in [key for key in self._predecoded if doomed(key)]:
                 del self._predecoded[key]
-            self._stats.invalidations += len(doomed)
+            self._stats.invalidations += len(dropped)
             self._stats.invalidations += self._disk_invalidate(digest, arch)
-            return len(doomed)
+            return len(dropped)
 
     def _disk_invalidate(self, digest: str | None, arch: str | None) -> int:
         """Remove persisted entries matching the filter whose keys are
@@ -607,7 +651,7 @@ class TranslationCache:
             arch = key[1]  # already verified equal to the payload key
             options = TranslationOptions(**payload["options"])
             module = TranslatedModule(
-                spec=target_spec(arch),
+                spec=target_spec(arch, options),
                 options=options,
                 instrs=[MInstr(**fields_) for fields_ in payload["instrs"]],
                 omni_to_native={
@@ -646,6 +690,8 @@ __all__ = [
     "CacheStats",
     "TranslationCache",
     "cache_key",
+    "cached_predecode",
+    "cached_translation",
     "options_digest",
     "program_digest",
 ]

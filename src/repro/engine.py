@@ -26,8 +26,11 @@ Quick start::
     code, module = engine.run(program)       # warm: served from cache
     print(engine.stats_text())               # timings, counters, ratios
 
-The legacy free functions remain as thin delegating shims with
-unchanged behaviour.
+:meth:`Engine.load` and :meth:`Engine.run` go through the free
+loaders (:func:`~repro.runtime.loader.load_module`);
+:meth:`Engine.translate` makes its own verify, translate and SFI-verify
+calls and shares the cache's admission rule
+(:func:`repro.cache.cached_translation`) with them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro import metrics
-from repro.cache import TranslationCache
+from repro.cache import TranslationCache, cache_key, cached_translation
 from repro.compiler import CompileOptions, compile_and_link, compile_to_object
 from repro.native.profiles import MOBILE_SFI, PROFILES
 from repro.omnivm.linker import LinkedProgram
@@ -49,7 +52,12 @@ from repro.runtime.linker import (
     ModuleRegistry,
     dynamic_link,
 )
-from repro.runtime.loader import LoadedModule, load_module
+from repro.runtime.loader import (
+    MACHINES,
+    LoadedModule,
+    load_module,
+    machine_class,
+)
 from repro.runtime.native_loader import NativeModule
 from repro.sfi.policy import DEFAULT_POLICY, SandboxPolicy
 from repro.translators import ARCHITECTURES, translate
@@ -119,9 +127,7 @@ class Engine:
         execution_engine: str = "jit",
         registry: ModuleRegistry | None = None,
     ):
-        from repro.runtime.loader import _check_engine
-
-        _check_engine(execution_engine)
+        machine_class(MACHINES, execution_engine)
         self.execution_engine = execution_engine
         self.target = target
         if isinstance(profile, str):
@@ -194,38 +200,29 @@ class Engine:
         """
         arch = self._resolve_target(target)
         opts = self._resolve_options(options)
+        from repro.omnivm.verifier import verify_program
+
         with self._collecting():
             if getattr(program, "modules", None):
                 # Multi-module image: per-module translation units,
                 # individually cached and SFI-verified, then spliced
                 # (see repro.runtime.linker.translate_image).
-                from repro.omnivm.verifier import verify_program
                 from repro.runtime.linker import translate_image
 
                 verify_program(program)
                 return translate_image(program, arch, opts,
                                        cache=self.cache)
-            from repro.omnivm.verifier import verify_program
             from repro.sfi.verifier import verify_sfi
 
             def produce() -> TranslatedModule:
                 verify_program(program)
                 translated = translate(program, arch, opts)
-                # Verify BEFORE the translation enters the shared
-                # cache: cache hits everywhere else (load_for_target,
-                # serve) skip verification on the contract that cached
-                # code was verified when it was admitted.  Admitting an
-                # unverified translation here would silently launder it
-                # past the SFI verifier on the next load.
                 verify_sfi(translated)
                 return translated
 
-            if self.cache is not None:
-                # Single-flight: a stampede of concurrent loads for the
-                # same uncached content translates exactly once.
-                return self.cache.translate_once(program, arch, opts,
-                                                 produce)
-            return produce()
+            return cached_translation(self.cache,
+                                      cache_key(program, arch, opts),
+                                      produce)
 
     def load(
         self,

@@ -186,10 +186,6 @@ class UnknownArchitectureError(ReproError, KeyError):
         return self.args[0]
 
 
-class RegAllocError(ReproError):
-    """Register allocation failed (e.g. too few registers for the ABI)."""
-
-
 class VMError(ReproError):
     """Base class for errors during OmniVM or target simulation."""
 

@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import metrics
 from repro.cache import TranslationCache
 from repro.native import profiles
 from repro.runtime.loader import load_module
@@ -46,23 +45,6 @@ class RunResult:
     instret: int
     omni_instret: int
     categories: dict[str, int] = field(default_factory=dict)
-    #: measured per-stage wall seconds (verify.module, translate,
-    #: verify.sfi, execute, ...) from the metrics layer
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: selected pipeline counters (translate.native_instrs,
-    #: verify.sfi.stores_checked, execute.sfi.dynamic, ...)
-    pipeline_counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def static_expansion_ratio(self) -> float | None:
-        omni = self.pipeline_counters.get("translate.omni_instrs", 0)
-        native = self.pipeline_counters.get("translate.native_instrs", 0)
-        return (native / omni) if omni else None
-
-    @property
-    def dynamic_expansion_ratio(self) -> float | None:
-        return (self.instret / self.omni_instret) if self.omni_instret \
-            else None
 
     def to_json(self) -> dict:
         return {
@@ -74,8 +56,6 @@ class RunResult:
             "instret": self.instret,
             "omni_instret": self.omni_instret,
             "categories": self.categories,
-            "stage_seconds": self.stage_seconds,
-            "pipeline_counters": self.pipeline_counters,
         }
 
     @classmethod
@@ -83,9 +63,7 @@ class RunResult:
         key = RunKey(data["workload"], data["arch"], data["profile"],
                      data["num_regs"])
         return cls(key, data["cycles"], data["instret"],
-                   data["omni_instret"], data["categories"],
-                   data.get("stage_seconds", {}),
-                   data.get("pipeline_counters", {}))
+                   data["omni_instret"], data["categories"])
 
 
 def _package_hash() -> str:
@@ -163,56 +141,30 @@ class Runner:
         self._save_disk()
         return result
 
-    #: counters worth persisting per run (small, schema-stable subset)
-    _PIPELINE_COUNTERS = (
-        "translate.omni_instrs",
-        "translate.native_instrs",
-        "translate.static.sfi",
-        "verify.sfi.stores_checked",
-        "verify.sfi.ijumps_checked",
-        "execute.sfi.dynamic",
-        "cache.hit",
-        "cache.miss",
-    )
-
     def _execute(self, key: RunKey) -> RunResult:
         program = suite.build(key.workload, num_regs=key.num_regs)
         omni = self.omni_instret(key.workload, key.num_regs)
         if key.arch == "omnivm":
-            with metrics.collect() as collector:
-                loaded = load_module(program)
-                loaded.run()
+            loaded = load_module(program)
+            loaded.run()
             if not suite.check_output(key.workload, loaded.host.output_values()):
                 raise AssertionError(
                     f"{key}: interpreter output mismatch"
                 )
             count = loaded.vm.state.instret
-            return RunResult(key, count, count, count,
-                             stage_seconds=dict(collector.stage_seconds))
+            return RunResult(key, count, count, count)
         options = profiles.PROFILES[key.profile]
-        with metrics.collect() as collector:
-            module = load_module(program, key.arch, options,
-                                 cache=self.translation_cache)
-            module.run()
+        module = load_module(program, key.arch, options,
+                             cache=self.translation_cache)
+        module.run()
         if not suite.check_output(key.workload, module.host.output_values()):
             raise AssertionError(
                 f"{key}: translated output mismatch: "
                 f"{module.host.output_values()[:5]}"
             )
         machine = module.machine
-        return RunResult(
-            key,
-            machine.cycles,
-            machine.instret,
-            omni,
-            dict(machine.category_counts),
-            stage_seconds=dict(collector.stage_seconds),
-            pipeline_counters={
-                name: collector.counters[name]
-                for name in self._PIPELINE_COUNTERS
-                if name in collector.counters
-            },
-        )
+        return RunResult(key, machine.cycles, machine.instret, omni,
+                         dict(machine.category_counts))
 
     def omni_instret(self, workload: str, num_regs: int = 16) -> int:
         """Dynamic OmniVM instruction count (Figure 1 denominator)."""
@@ -236,26 +188,6 @@ class Runner:
         self._disk[disk_key] = result.to_json()
         self._save_disk()
         return result.instret
-
-    # -- measured pipeline telemetry ----------------------------------------------
-
-    def pipeline_report(self) -> dict:
-        """Aggregate measured per-stage seconds and pipeline counters
-        over every result this runner holds, plus translation-cache
-        counters — the measured numbers tables/figures can report
-        instead of re-deriving them."""
-        stage_seconds: dict[str, float] = {}
-        counters: dict[str, int] = {}
-        for result in self._memory.values():
-            for name, seconds in result.stage_seconds.items():
-                stage_seconds[name] = stage_seconds.get(name, 0.0) + seconds
-            for name, amount in result.pipeline_counters.items():
-                counters[name] = counters.get(name, 0) + amount
-        return {
-            "stage_seconds": stage_seconds,
-            "pipeline_counters": counters,
-            "translation_cache": self.translation_cache.stats().to_dict(),
-        }
 
     # -- ratios ------------------------------------------------------------------
 

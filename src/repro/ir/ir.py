@@ -163,20 +163,6 @@ class Instr:
     def is_terminator(self) -> bool:
         return self.op in ("jump", "br", "ret")
 
-    def has_side_effects(self) -> bool:
-        """True if the instruction cannot be removed even when dead."""
-        return self.op in ("store", "call", "icall", "hostcall", "jump", "br", "ret")
-
-    def may_trap(self) -> bool:
-        """True if executing the instruction may raise (div by zero,
-        access violation); such instructions must not be hoisted past
-        guards or speculated."""
-        if self.op in ("load",):
-            return True
-        if self.op == "bin" and self.subop in ("div", "rem"):
-            return True
-        return False
-
     def uses(self) -> list[Operand]:
         return list(self.args)
 
@@ -281,9 +267,6 @@ class Function:
         self.stack_slots.append(StackSlot(name, size, align))
         return len(self.stack_slots) - 1
 
-    def instruction_count(self) -> int:
-        return sum(len(b.all_instrs()) for b in self.blocks)
-
     def __str__(self) -> str:
         params = ", ".join(str(p) for p in self.params)
         header = f"func @{self.name}({params}) -> {self.return_ty}"
@@ -331,9 +314,6 @@ class Module:
             if f.name == name:
                 return f
         raise IRError(f"no function {name!r} in module {self.name!r}")
-
-    def has_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
 
     def global_named(self, name: str) -> GlobalData:
         for g in self.globals:

@@ -10,10 +10,6 @@ def function_to_text(func: Function) -> str:
     return str(func)
 
 
-def module_to_text(module: Module) -> str:
-    return str(module)
-
-
 def summarize(module: Module) -> dict[str, dict[str, int]]:
     """Per-function instruction-count summary keyed by opcode, used by
     optimizer tests to assert 'pass X removed all the Y instructions'."""

@@ -89,13 +89,6 @@ class OpSpec:
         )
 
     @property
-    def is_memory(self) -> bool:
-        return self.kind in (
-            "load", "loadx", "store", "storex",
-            "fload", "floadx", "fstore", "fstorex",
-        )
-
-    @property
     def is_store(self) -> bool:
         return self.kind in ("store", "storex", "fstore", "fstorex")
 
@@ -268,19 +261,6 @@ class VMInstr:
 
     # -- register usage (for verification and translator bookkeeping) ----
 
-    def int_reads(self) -> list[int]:
-        spec = self.spec
-        reads: list[int] = []
-        for ch in spec.fmt:
-            if ch == "s":
-                reads.append(self.rs)
-            elif ch == "t":
-                reads.append(self.rt)
-        # Indexed stores use rd as the index register (read, not written).
-        if spec.kind == "storex" or spec.kind == "fstorex":
-            reads.append(self.rd)
-        return reads
-
     def int_writes(self) -> list[int]:
         spec = self.spec
         if spec.kind in ("storex", "fstorex"):
@@ -288,19 +268,6 @@ class VMInstr:
         if spec.kind == "call" or spec.kind == "icall":
             return [REG_RA]
         return [self.rd] if "d" in spec.fmt else []
-
-    def fp_reads(self) -> list[int]:
-        spec = self.spec
-        reads = []
-        for ch in spec.fmt:
-            if ch == "S":
-                reads.append(self.fs)
-            elif ch == "T":
-                reads.append(self.ft)
-        return reads
-
-    def fp_writes(self) -> list[int]:
-        return [self.fd] if "D" in self.spec.fmt else []
 
 
 def make(op: str, **operands) -> VMInstr:

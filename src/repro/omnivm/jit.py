@@ -55,8 +55,9 @@ program's :class:`~repro.jitcore.JitState`, carried by its predecoded
 :class:`~repro.omnivm.threaded.ThreadedProgram`, shares the compiled
 *factory* between VM instances, and each VM calls it for a closure of
 its own (see :class:`repro.jitcore.SuperblockTier`).  The state is
-cached, evicted and invalidated with the artifact, under its one
-``("predecode-omni", digest)`` key.
+cached, evicted and invalidated with the artifact, under the
+program's one cache key (:func:`repro.cache.cache_key`, arch
+``"omnivm"``).
 """
 
 from __future__ import annotations

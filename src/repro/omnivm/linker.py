@@ -62,14 +62,6 @@ class LinkedProgram:
             raise LinkError(f"unknown symbol {symbol!r}")
         return self.symbols[symbol]
 
-    def instr_index_for_address(self, address: int) -> int:
-        offset = address - (CODE_BASE + self.base_index * INSTR_SIZE)
-        if offset % INSTR_SIZE != 0 or not (
-            0 <= offset < len(self.instrs) * INSTR_SIZE
-        ):
-            raise LinkError(f"address {address:#x} is not an instruction")
-        return offset // INSTR_SIZE
-
 
 def link(objects: list[ObjectModule], name: str = "a.out",
          entry_symbol: str = "main") -> LinkedProgram:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import AccessViolation
+from repro.errors import AccessViolation, QuotaExceeded
 from repro.utils.bits import bits_to_f32, bits_to_f64, f32_to_bits, f64_to_bits, u32
 
 PERM_READ = 1
@@ -96,7 +96,15 @@ class Memory:
 
     def add_segment(self, name: str, base: int, size: int, perms: int,
                     data: bytes | None = None) -> Segment:
+        """Map *size* bytes at *base*, initialised from *data*.  Raises
+        :class:`~repro.errors.QuotaExceeded` when *data* does not fit."""
         base = u32(base)
+        if data is not None and len(data) > size:
+            raise QuotaExceeded(
+                f"segment {name}: {len(data)}-byte image does not fit "
+                f"its {size}-byte segment",
+                quota="segment_size", limit=size,
+            )
         for seg in self.segments:
             if base < seg.limit and seg.base < base + size:
                 raise ValueError(
@@ -232,24 +240,34 @@ class Memory:
         raise AccessViolation("unterminated string", address, "load")
 
 
-def standard_module_memory(
-    code_image: bytes,
-    data_image: bytes,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    heap_size: int | None = None,
-    stack_size: int = 1 << 20,
-    data_writable: bool = True,
-) -> Memory:
-    """Build the standard module address space used by loader and tests."""
+#: Every module's stack segment; the stack pointer starts just below its top.
+STACK_SIZE = 1 << 20
+STACK_TOP = STACK_BASE + STACK_SIZE - 16
+
+
+def standard_module_memory(code_image: bytes, data_image: bytes,
+                           segment_size: int | None = None) -> Memory:
+    """The address space of one module: code, data and heap segments of
+    *segment_size* bytes each (``None`` means
+    :data:`DEFAULT_SEGMENT_SIZE`) and the stack.  Raises
+    :class:`~repro.errors.QuotaExceeded` when the code or data image
+    does not fit its segment.  (Multi-module images get
+    :func:`repro.runtime.linker.image_memory`, the same shape with one
+    data segment per module.)"""
+    size = segment_size or DEFAULT_SEGMENT_SIZE
     memory = Memory()
-    memory.add_segment("code", CODE_BASE, segment_size,
+    memory.add_segment("code", CODE_BASE, size,
                        PERM_READ | PERM_EXEC, code_image)
-    data_perms = PERM_READ | (PERM_WRITE if data_writable else 0)
-    memory.add_segment("data", DATA_BASE, segment_size, data_perms, data_image)
-    memory.add_segment("heap", HEAP_BASE, heap_size or segment_size,
-                       PERM_READ | PERM_WRITE)
-    memory.add_segment("stack", STACK_BASE, stack_size, PERM_READ | PERM_WRITE)
+    memory.add_segment("data", DATA_BASE, size,
+                       PERM_READ | PERM_WRITE, data_image)
+    add_heap_and_stack(memory, size)
     return memory
 
 
-STACK_TOP = STACK_BASE + (1 << 20) - 16
+def add_heap_and_stack(memory: Memory, segment_size: int) -> None:
+    """Map the heap (*segment_size* bytes) and the stack: the part of
+    the address space both builders share."""
+    memory.add_segment("heap", HEAP_BASE, segment_size,
+                       PERM_READ | PERM_WRITE)
+    memory.add_segment("stack", STACK_BASE, STACK_SIZE,
+                       PERM_READ | PERM_WRITE)

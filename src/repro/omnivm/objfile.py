@@ -73,9 +73,6 @@ class ObjectModule:
         merged = set(self.imports) | self.undefined_symbols()
         self.imports = sorted(merged)
 
-    def symbol_map(self) -> dict[str, SymbolDef]:
-        return {s.name: s for s in self.symbols}
-
     def referenced_labels(self) -> set[str]:
         return {i.label for i in self.text if i.label is not None}
 

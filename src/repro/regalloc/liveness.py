@@ -91,9 +91,6 @@ class Interval:
     #: in which case it must get a callee-saved register or spill.
     crosses_call: bool = False
 
-    def overlaps_point(self, point: int) -> bool:
-        return self.start <= point <= self.end
-
 
 def live_intervals(func: Function) -> tuple[list[Interval], LinearOrder]:
     """Build sorted live intervals for all temps in *func*.

@@ -54,6 +54,7 @@ from repro.errors import (
     LinkError,
     ModuleCycleError,
     ModuleRevokedError,
+    QuotaExceeded,
     UnresolvedImportError,
 )
 from repro.omnivm.isa import INSTR_SIZE, VMInstr
@@ -62,12 +63,11 @@ from repro.omnivm.memory import (
     CODE_BASE,
     DATA_BASE,
     DEFAULT_SEGMENT_SIZE,
-    HEAP_BASE,
     PERM_EXEC,
     PERM_READ,
     PERM_WRITE,
-    STACK_BASE,
     Memory,
+    add_heap_and_stack,
 )
 from repro.omnivm.objfile import ObjectModule
 from repro.sfi.policy import (
@@ -256,12 +256,6 @@ class LinkedImage(LinkedProgram):
     code_export_addrs: frozenset[int] = frozenset()
     #: (module name, epoch) pairs this image was linked against
     lineage: tuple[tuple[str, int], ...] = ()
-
-    def module_for_address(self, address: int) -> ModuleLayout | None:
-        for layout in self.modules:
-            if layout.contains_code(address):
-                return layout
-        return None
 
     def layout_named(self, name: str) -> ModuleLayout:
         for layout in self.modules:
@@ -592,6 +586,11 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
             layout.subprogram.digest_hint = digest
             closure[module_name].chunk_digests.add(digest)
             image_hash.update(f"{module_name}\x00{digest}\x00".encode())
+            if layout.policy != DEFAULT_POLICY:
+                # The policy changes the module's native code, and with
+                # it the image's predecoded artifact (two registries
+                # can share one cache).
+                image_hash.update(f"{layout.policy!r}\x00".encode())
         else:
             data_lo = layout.data_base - DATA_BASE
             image_hash.update(f"{module_name}\x00data\x00".encode())
@@ -665,13 +664,17 @@ def translate_image(
     """Translate *image* per module and splice the chunks.
 
     Each module translates as its own unit — content-addressed in
-    *cache*, so a library shared by many images translates once — and is
-    SFI-verified under its own policy *before* splicing.  Splicing
-    relocates native control targets, merges the indirect-entry maps,
-    and patches every trampoline fix-up after checking that its target
-    is an exported symbol of the providing module (the load-time half of
-    cross-module SFI).
+    *cache* under the cache's admission rule
+    (:func:`~repro.cache.cached_translation`: a module under a
+    non-default sandbox policy, or translated with verification off,
+    never enters it), so a library shared by many images translates
+    once — and is SFI-verified under its own policy *before* splicing.
+    Splicing relocates native control targets, merges the
+    indirect-entry maps, and patches every trampoline fix-up after
+    checking that its target is an exported symbol of the providing
+    module (the load-time half of cross-module SFI).
     """
+    from repro.cache import cache_key, cached_translation
     from repro.omnivm.verifier import verify_program
     from repro.sfi.verifier import verify_sfi
     from repro.translators import TranslatedModule, target_spec, translate
@@ -684,26 +687,24 @@ def translate_image(
             subprogram = layout.subprogram
             if subprogram is None:
                 continue
-            # The chunk cache is keyed on (program, arch, options) only;
-            # a module translated under a non-default sandbox policy
-            # (e.g. the padded variant) emits different code, so it must
-            # bypass the cache rather than collide with — or poison —
-            # the default-policy entry.
-            cacheable = cache is not None and layout.policy == DEFAULT_POLICY
-            chunk = cache.get(subprogram, arch, options) \
-                if cacheable else None
-            if chunk is None:
-                metrics.count("link.chunk_miss")
+            missed = False
+
+            def produce():
+                nonlocal missed
+                missed = True
                 if verify:
                     verify_program(subprogram)
                 chunk = translate(subprogram, arch, options,
                                   policy=layout.policy)
                 if verify:
                     verify_sfi(chunk, policy=layout.policy)
-                if cacheable:
-                    cache.put(subprogram, arch, options, chunk)
-            else:
-                metrics.count("link.chunk_hit")
+                return chunk
+
+            chunk = cached_translation(
+                cache, cache_key(subprogram, arch, options), produce,
+                verified=verify, policy=layout.policy,
+            )
+            metrics.count("link.chunk_miss" if missed else "link.chunk_hit")
             native_base = len(out_instrs)
             if native_base == 0 and not chunk.extern_fixups:
                 # The canonical shared-library fast path: the first
@@ -750,7 +751,7 @@ def translate_image(
                 f"entry symbol {image.entry_symbol!r} was not translated"
             )
         return TranslatedModule(
-            spec=target_spec(arch),
+            spec=target_spec(arch, options),
             options=options or _default_options(),
             instrs=out_instrs,
             omni_to_native=global_map,
@@ -765,33 +766,36 @@ def _default_options():
     return TranslationOptions()
 
 
-def image_memory(
-    image: LinkedImage,
-    heap_size: int | None = None,
-    stack_size: int = 1 << 20,
-) -> Memory:
-    """The multi-module address space: one shared code segment, one
-    *private data segment per module* (wild pointers between modules'
-    data blocks fault on the unmapped alignment holes), plus the usual
-    heap and stack."""
+def image_memory(image: LinkedImage,
+                 segment_size: int | None = None) -> Memory:
+    """The multi-module address space: the shape of
+    :func:`~repro.omnivm.memory.standard_module_memory` (code and heap
+    of *segment_size* bytes, ``None`` meaning the default), except that
+    each module's data block gets a *private data segment* (wild
+    pointers between modules' data blocks fault at the segment
+    boundaries).  Raises :class:`~repro.errors.QuotaExceeded` when the
+    code or the data blocks do not fit *segment_size*."""
+    size = segment_size or DEFAULT_SEGMENT_SIZE
+    if len(image.data_image) > size:
+        raise QuotaExceeded(
+            f"image data: {len(image.data_image)}-byte image does not "
+            f"fit its {size}-byte segment",
+            quota="segment_size", limit=size,
+        )
     memory = Memory()
-    memory.add_segment("code", CODE_BASE, DEFAULT_SEGMENT_SIZE,
+    memory.add_segment("code", CODE_BASE, size,
                        PERM_READ | PERM_EXEC, image.text_image)
     for layout in image.modules:
         if layout.data_len <= 0:
             continue
-        size = align_up(layout.data_len, DATA_ALIGN)
+        block = align_up(layout.data_len, DATA_ALIGN)
         offset = layout.data_base - DATA_BASE
         memory.add_segment(
-            f"data:{layout.name}", layout.data_base, size,
+            f"data:{layout.name}", layout.data_base, block,
             PERM_READ | PERM_WRITE,
-            bytes(image.data_image[offset:offset + size]),
+            bytes(image.data_image[offset:offset + block]),
         )
-    memory.add_segment("heap", HEAP_BASE,
-                       heap_size or DEFAULT_SEGMENT_SIZE,
-                       PERM_READ | PERM_WRITE)
-    memory.add_segment("stack", STACK_BASE, stack_size,
-                       PERM_READ | PERM_WRITE)
+    add_heap_and_stack(memory, size)
     return memory
 
 

@@ -23,33 +23,37 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import metrics
+from repro.cache import cache_key, cached_predecode
 from repro.omnivm.interp import OmniVM
+from repro.omnivm.jit import JitVM
 from repro.omnivm.linker import LinkedProgram
-from repro.omnivm.memory import (
-    Memory,
-    standard_module_memory,
-)
+from repro.omnivm.memory import Memory, standard_module_memory
 from repro.omnivm.threaded import ThreadedVM, predecode_program
 from repro.omnivm.verifier import verify_program
+from repro.runtime import linker
 from repro.runtime.host import Host, MachineAdapter
 from repro.utils.bits import s32, u32
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import TranslationCache
 
-#: Execution engines the loaders accept (see ``engine=`` below).
-#: ``"jit"`` (the default) is the trace-based superblock JIT —
-#: :mod:`repro.omnivm.jit` on the reference interpreter,
-#: :mod:`repro.targets.jit` on the four native targets — layered over
-#: the threaded engine.
-ENGINES = ("jit", "threaded", "legacy")
+#: The machine each execution engine runs a module on (see ``engine=``
+#: below).  ``"jit"`` (the default) is the trace-based superblock JIT
+#: layered over the threaded engine; ``"legacy"`` is the reference
+#: per-instruction loop.  :data:`repro.runtime.native_loader.MACHINES`
+#: is the same table for the four native targets.
+MACHINES = {"jit": JitVM, "threaded": ThreadedVM, "legacy": OmniVM}
+ENGINES = tuple(MACHINES)
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
+def machine_class(machines: dict, engine: str):
+    """The class *machines* (one ISA's table) runs *engine* on."""
+    try:
+        return machines[engine]
+    except KeyError:
         raise ValueError(
             f"unknown execution engine {engine!r}; expected one of {ENGINES}"
-        )
+        ) from None
 
 
 class _OmniVMAdapter(MachineAdapter):
@@ -104,55 +108,34 @@ def load_for_interpretation(
 ) -> LoadedModule:
     """Load *program* into a fresh address space under the reference VM.
 
-    ``engine`` selects the execution loop: ``"jit"`` (default) runs
-    the tiering VM of :mod:`repro.omnivm.jit` — the
+    ``engine`` selects the machine from :data:`MACHINES`: ``"jit"``
+    (default) runs the tiering VM of :mod:`repro.omnivm.jit` — the
     threaded engine plus trace-based superblock compilation for hot
     blocks; ``"threaded"`` runs the predecoded threaded-code engine of
     :mod:`repro.omnivm.threaded` alone (block-level fuel accounting,
     observably identical results); ``"legacy"`` runs the original
     per-instruction dispatch loop.  With a ``cache``, the predecode
     artifact — and with it the JIT's heat and compiled superblocks — is
-    reused across loads of the same program content.
+    reused across loads of the same program content.  Raises
+    :class:`~repro.errors.QuotaExceeded` when the program does not fit
+    *segment_size*.
     """
-    _check_engine(engine)
+    vm_class = machine_class(MACHINES, engine)
     if verify:
         verify_program(program)
-    if getattr(program, "modules", None):
-        # Multi-module image: per-module data segments.
-        from repro.runtime.linker import image_memory
-
-        memory = image_memory(program)
-    elif segment_size is not None:
-        memory = standard_module_memory(
-            program.text_image, bytes(program.data_image),
-            segment_size=segment_size,
-        )
-    else:
-        memory = standard_module_memory(
-            program.text_image, bytes(program.data_image)
-        )
+    memory = (linker.image_memory(program, segment_size)
+              if getattr(program, "modules", None) else
+              standard_module_memory(program.text_image,
+                                     bytes(program.data_image),
+                                     segment_size))
     host = host or Host()
-    if engine != "legacy":
-        threaded = None
-        key = None
-        if cache is not None:
-            from repro.cache import program_digest
-
-            key = ("predecode-omni", program_digest(program))
-            threaded = cache.get_predecoded(key)
-        if threaded is None:
-            threaded = predecode_program(program)
-            if cache is not None:
-                cache.put_predecoded(key, threaded)
-        if engine == "jit":
-            from repro.omnivm.jit import JitVM
-
-            vm: OmniVM = JitVM(program, memory, fuel=fuel,
-                               threaded=threaded)
-        else:
-            vm = ThreadedVM(program, memory, fuel=fuel, threaded=threaded)
-    else:
+    if vm_class is OmniVM:
         vm = OmniVM(program, memory, fuel=fuel)
+    else:
+        threaded = cached_predecode(
+            cache, cache_key(program, "omnivm", None),
+            lambda: predecode_program(program))
+        vm = vm_class(program, memory, fuel=fuel, threaded=threaded)
     # The adapter is built from the machine the call passes in: one
     # captured here would close a vm -> hostcall -> adapter -> vm cycle
     # and keep the address space alive until a cyclic collection.

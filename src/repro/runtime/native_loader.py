@@ -16,18 +16,28 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import metrics
+from repro.cache import cache_key, cached_predecode, cached_translation
 from repro.omnivm.linker import LinkedProgram
 from repro.omnivm.memory import Memory, standard_module_memory
 from repro.omnivm.verifier import verify_program
+from repro.runtime import linker
 from repro.runtime.host import Host, MachineAdapter
+from repro.runtime.loader import machine_class
 from repro.sfi.policy import DEFAULT_POLICY, SandboxPolicy
 from repro.targets.base import TargetMachine
+from repro.targets.jit import JitTargetMachine
+from repro.targets.threaded import ThreadedTargetMachine
 from repro.translators import TranslatedModule, TranslationOptions, translate
 from repro.translators.base import initial_register_state
 from repro.utils.bits import s32, u32
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import TranslationCache
+
+#: The machine each execution engine runs a translated module on: the
+#: native counterpart of :data:`repro.runtime.loader.MACHINES`.
+MACHINES = {"jit": JitTargetMachine, "threaded": ThreadedTargetMachine,
+            "legacy": TargetMachine}
 
 
 class _TargetAdapter(MachineAdapter):
@@ -98,33 +108,29 @@ def load_for_target(
     """Translate *program* for *arch* and prepare it for execution.
 
     ``policy`` overrides the sandbox policy for a single-program load
-    (e.g. the padded variant for the padding ablation); translations
-    under a non-default policy bypass the content-addressed cache,
-    whose keys do not include the policy.  Multi-module images carry
-    per-module policies in their layouts and ignore this parameter.
+    (e.g. the padded variant for the padding ablation); multi-module
+    images carry per-module policies in their layouts and translate
+    under those.  With a :class:`~repro.cache.TranslationCache`, loads
+    go through its admission rule (:func:`~repro.cache.cached_translation`):
+    a content-addressed hit returns the previously verified translation
+    and skips module verification, translation, and SFI verification
+    entirely; a load under a non-default policy bypasses the cache, and
+    one with ``verify=False`` never adds to it.
 
-    With a :class:`~repro.cache.TranslationCache`, a content-addressed
-    hit returns the previously verified translation and skips module
-    verification, translation, and SFI verification entirely (the cached
-    code was verified when it entered the cache).
-
-    ``engine`` selects the simulator loop: ``"legacy"`` runs the
-    original per-instruction loop; ``"threaded"`` runs the predecoded
-    block-dispatch engine of :mod:`repro.targets.threaded` (same
-    cycles, registers, and faults; fuel charged per block); ``"jit"``
-    (default) adds the native superblock JIT tier of
-    :mod:`repro.targets.jit` on top of the threaded engine.  Threaded
-    predecode artifacts and compiled superblocks are reused through the
-    cache's in-memory side table.
+    ``engine`` selects the simulator from :data:`MACHINES`:
+    ``"legacy"`` runs the original per-instruction loop; ``"threaded"``
+    runs the predecoded block-dispatch engine of
+    :mod:`repro.targets.threaded` (same cycles, registers, and faults;
+    fuel charged per block); ``"jit"`` (default) adds the native
+    superblock JIT tier of :mod:`repro.targets.jit` on top of the
+    threaded engine.  Threaded predecode artifacts and compiled
+    superblocks are reused through the cache's in-memory side table.
+    Raises :class:`~repro.errors.QuotaExceeded` when the program does
+    not fit *segment_size*.
     """
-    from repro.runtime.loader import _check_engine
-
-    _check_engine(engine)
-    if policy is not None and policy != DEFAULT_POLICY:
-        # Cache keys (translation, predecode) don't carry the
-        # policy; a policy-variant load must not collide with default
-        # entries.
-        cache = None
+    machine_cls = machine_class(MACHINES, engine)
+    policy = policy or DEFAULT_POLICY
+    key = cache_key(program, arch, options)
     is_image = bool(getattr(program, "modules", None))
     if is_image:
         # Multi-module image: verify the whole image (including the
@@ -133,16 +139,12 @@ def load_for_target(
         # its own policy, so only the splice is paid per load.  The
         # spliced whole is deliberately *not* cached: its chunks are,
         # and those are what module revocation invalidates.
-        from repro.runtime.linker import image_memory, translate_image
-
         if verify:
             verify_program(program)
-        translated = translate_image(program, arch, options,
-                                     cache=cache, verify=verify)
-        if memory is None:
-            memory = image_memory(program)
+        translated = linker.translate_image(program, arch, options,
+                                            cache=cache, verify=verify)
     else:
-        def _produce() -> TranslatedModule:
+        def produce() -> TranslatedModule:
             if verify:
                 verify_program(program)
             produced = translate(program, arch, options, policy=policy)
@@ -154,78 +156,29 @@ def load_for_target(
                 # nothing, but it still recovers the CFG (catching
                 # malformed translator output early) and feeds the
                 # verify.sfi.* metrics uniformly.
-                verify_sfi(produced, policy=policy or DEFAULT_POLICY)
+                verify_sfi(produced, policy=policy)
             return produced
 
-        if cache is not None:
-            # Single-flight: a thundering herd of loads for the same
-            # uncached content elects one translator; the rest wait on
-            # its (verified) entry instead of duplicating the work.
-            translated = cache.translate_once(program, arch, options,
-                                              _produce)
-        else:
-            translated = _produce()
+        translated = cached_translation(cache, key, produce,
+                                        verified=verify, policy=policy)
     if memory is None:
-        if segment_size is not None:
-            memory = standard_module_memory(
-                program.text_image, bytes(program.data_image),
-                segment_size=segment_size,
-            )
-        else:
-            memory = standard_module_memory(
-                program.text_image, bytes(program.data_image)
-            )
+        memory = (linker.image_memory(program, segment_size) if is_image
+                  else standard_module_memory(program.text_image,
+                                              bytes(program.data_image),
+                                              segment_size))
     host = host or Host()
-    if options is not None and options.native_profile == "cc" and \
-            translated.spec.name == "ppc":
-        # XLC's aggressive global instruction scheduling hides the 601's
-        # multi-cycle compare latency (the paper singles this out as the
-        # PPC cc compiler's main edge); model it as fully hidden.
-        translated.spec.timing.cmp_latency = 1
-    if engine != "legacy":
-        from repro.cache import cache_key
-        from repro.targets.threaded import (
-            ThreadedTargetMachine,
-            predecode_native,
-        )
-
-        threaded = None
-        key = None
-        if cache is not None:
-            key = ("predecode-native",) + cache_key(program, arch, options)
-            threaded = cache.get_predecoded(key)
-        if threaded is None:
-            threaded = predecode_native(translated.spec, translated.instrs)
-            if cache is not None:
-                cache.put_predecoded(key, threaded)
-        if engine == "jit":
-            from repro.targets.jit import JitTargetMachine
-
-            machine: TargetMachine = JitTargetMachine(
-                translated.spec,
-                translated.instrs,
-                memory,
-                translated.omni_to_native,
-                fuel=fuel,
-                threaded=threaded,
-            )
-        else:
-            machine = ThreadedTargetMachine(
-                translated.spec,
-                translated.instrs,
-                memory,
-                translated.omni_to_native,
-                fuel=fuel,
-                threaded=threaded,
-            )
+    args = (translated.spec, translated.instrs, memory,
+            translated.omni_to_native)
+    if machine_cls is TargetMachine:
+        machine = TargetMachine(*args, fuel=fuel)
     else:
-        machine = TargetMachine(
-            translated.spec,
-            translated.instrs,
-            memory,
-            translated.omni_to_native,
-            fuel=fuel,
-        )
+        from repro.targets.threaded import predecode_native
+
+        threaded = cached_predecode(
+            cache, key,
+            lambda: predecode_native(translated.spec, translated.instrs),
+            policy=policy)
+        machine = machine_cls(*args, fuel=fuel, threaded=threaded)
     # Built per call from the machine passed in, like the interpreter's
     # adapter: a captured one would keep the address space in a cycle.
     machine.hostcall = lambda m, index: host.hostcall(_TargetAdapter(m), index)

@@ -254,10 +254,6 @@ class Timing:
         ``(reads, writes, latency, extra)`` — the scoreboard keys it
         reads and writes, its result latency, and the x86
         memory-resident-register surcharge added to its issue cycle.
-
-        Built at the first charge or the first superblock compile, never
-        earlier: a profile may still change a latency after translation
-        (``native_loader`` lowers ``cmp_latency`` for PPC ``native-cc``).
         """
         record = instr.cissue
         if record is None:
@@ -314,10 +310,6 @@ class TargetSpec:
 
     def fits_imm(self, value: int) -> bool:
         return fits_signed(value, self.imm_bits)
-
-
-class HaltExecution(Exception):
-    """Internal: raised by the exit hostcall to stop the machine."""
 
 
 class TargetMachine:

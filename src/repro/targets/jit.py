@@ -58,7 +58,8 @@ the cells of its ``_make_superblock`` closure, so the translation's
 *factory* between machines and each machine calls it for a closure of
 its own (see :class:`repro.jitcore.SuperblockTier`); digest-filtered
 invalidation (module revoke/relink) drops the state together with the
-``("predecode-native", ...)`` artifact that carries it.
+predecoded artifact that carries it (the side-table entry under the
+translation's cache key).
 """
 
 from __future__ import annotations

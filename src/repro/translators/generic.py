@@ -8,8 +8,10 @@ MIPS, SPARC and PowerPC share most expansion logic; they differ in
   by the TargetSpec;
 * the **SFI sequences** — :mod:`repro.sfi.rewrite`.
 
-The x86 translator subclasses this and additionally rewrites three-
-operand ALU forms into two-operand ones.
+MIPS implements the branch hooks in :mod:`repro.translators.mips`; the
+condition-code targets (SPARC, PowerPC, x86) share
+:mod:`repro.translators.condcode`, and x86 additionally rewrites
+three-operand ALU forms into two-operand ones.
 """
 
 from __future__ import annotations

@@ -26,9 +26,6 @@ stay cheap, which is exactly the gap Tables 3 and 6 measure.
 
 from __future__ import annotations
 
-from repro.targets.base import MInstr
-
-
 _ALU_WRITERS = frozenset(
     "add addi sub and andi or ori xor xori sll slli srl srli sra srai".split()
 )
@@ -58,27 +55,6 @@ def _protected_indexes(module) -> set[int]:
         if instr.target >= 0:
             protected.add(instr.target)
     return protected
-
-
-def _delete(module, indexes: set[int]) -> None:
-    """Delete instructions at *indexes*, remapping all control targets."""
-    if not indexes:
-        return
-    old_to_new: dict[int, int] = {}
-    new_instrs: list[MInstr] = []
-    for old, instr in enumerate(module.instrs):
-        old_to_new[old] = len(new_instrs)
-        if old not in indexes:
-            new_instrs.append(instr)
-    old_to_new[len(module.instrs)] = len(new_instrs)
-    for instr in new_instrs:
-        if instr.target >= 0:
-            instr.target = old_to_new[instr.target]
-    module.omni_to_native = {
-        addr: old_to_new[idx] for addr, idx in module.omni_to_native.items()
-    }
-    module.entry_native = old_to_new[module.entry_native]
-    module.instrs = new_instrs
 
 
 def _fold_compares(module) -> int:

@@ -12,18 +12,18 @@ Two mechanical differences from the RISC targets:
 Immediates are full 32-bit, so x86 never pays ``ldi`` expansion, and its
 ``cmp`` instructions take immediates directly — x86's compact translated
 code is why its mobile ratios in Table 3 track native so closely despite
-the tiny register file.
+the tiny register file.  Compares and branches are those of every
+condition-code target (:mod:`repro.translators.condcode`).
 """
 
 from __future__ import annotations
 
-from repro.translators.generic import GenericRISCTranslator
-from repro.utils.bits import s32
+from repro.translators.condcode import ConditionCodeTranslator
 
 _COMMUTATIVE = {"add", "mul", "and", "or", "xor"}
 
 
-class X86Translator(GenericRISCTranslator):
+class X86Translator(ConditionCodeTranslator):
     """Expansion rules for the Pentium-class x86 model."""
 
     def alu_rr(self, op: str, rd: int, rs: int, rt: int) -> None:
@@ -46,19 +46,3 @@ class X86Translator(GenericRISCTranslator):
         if rd != rs:
             self.emit("mov", rd=rd, rs=rs, category="twoop")
         self.emit(op, rd=rd, rs=rd, imm=imm)
-
-    def _compare(self, a_reg: int, b_reg: int | None, imm: int) -> None:
-        if b_reg is not None:
-            self.emit("cmp", rs=a_reg, rt=b_reg, category="cmp")
-        else:
-            self.emit("cmpi", rs=a_reg, imm=s32(imm), category="cmp")
-
-    def emit_branch(self, pred: str, a_reg: int, b_reg: int | None,
-                    imm: int, target_omni: int) -> None:
-        self._compare(a_reg, b_reg, imm)
-        self.emit("bcc", pred=pred, target=target_omni)
-
-    def emit_setcc(self, dest: int, pred: str, a_reg: int,
-                   b_reg: int | None, imm: int) -> None:
-        self._compare(a_reg, b_reg, imm)
-        self.emit("setcc", rd=dest, pred=pred, category="cmp")

@@ -72,10 +72,6 @@ def fits_signed(value: int, bits: int) -> bool:
     return lo <= s32(value) <= hi
 
 
-def fits_unsigned(value: int, bits: int) -> bool:
-    return 0 <= value < (1 << bits)
-
-
 def add32(a: int, b: int) -> int:
     return (a + b) & MASK32
 
@@ -170,10 +166,6 @@ def round_f32(value: float) -> float:
 def align_up(value: int, alignment: int) -> int:
     """Round *value* up to the next multiple of *alignment* (a power of 2)."""
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def align_down(value: int, alignment: int) -> int:
-    return value & ~(alignment - 1)
 
 
 def is_power_of_two(value: int) -> bool:

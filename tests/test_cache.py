@@ -380,6 +380,10 @@ class TestFsyncOrdering:
         assert fresh.stats().disk_rejects == 0  # clean miss, not a tear
 
 
+def mips_key(program):
+    return cache_key(program, "mips", MOBILE_SFI)
+
+
 class TestSingleFlight:
     """translate_once: stampedes on one uncached key translate once."""
 
@@ -394,8 +398,8 @@ class TestSingleFlight:
             calls.append(1)
             return self._translated(program)
 
-        first = cache.translate_once(program, "mips", MOBILE_SFI, produce)
-        second = cache.translate_once(program, "mips", MOBILE_SFI, produce)
+        first = cache.translate_once(mips_key(program), produce)
+        second = cache.translate_once(mips_key(program), produce)
         assert first is not None and second is first
         assert len(calls) == 1
 
@@ -414,7 +418,7 @@ class TestSingleFlight:
 
         def contender():
             results.append(cache.translate_once(
-                program, "mips", MOBILE_SFI, produce))
+                mips_key(program), produce))
 
         threads = [threading.Thread(target=contender) for _ in range(8)]
         for thread in threads:
@@ -442,7 +446,7 @@ class TestSingleFlight:
         def contender():
             try:
                 outcomes.append(cache.translate_once(
-                    program, "mips", MOBILE_SFI, failing_then_working))
+                    mips_key(program), failing_then_working))
             except RuntimeError as err:
                 outcomes.append(err)
 
@@ -473,7 +477,7 @@ class TestSingleFlight:
             return self._translated(program)
 
         waiter = threading.Thread(target=lambda: result.append(
-            b.translate_once(program, "mips", MOBILE_SFI, b_produce)))
+            b.translate_once(key, b_produce)))
         waiter.start()
         # A finishes: entry lands on disk, lock released.
         a.put(program, "mips", MOBILE_SFI, self._translated(program))
@@ -503,7 +507,7 @@ class TestSingleFlight:
             produced.append(1)
             return self._translated(program)
 
-        result = b.translate_once(program, "mips", MOBILE_SFI, b_produce)
+        result = b.translate_once(key, b_produce)
         assert result is not None
         assert produced == [1]
         # The steal cleaned up after itself: no lock file left behind.
@@ -513,6 +517,6 @@ class TestSingleFlight:
         cache = TranslationCache()  # memory only
         calls = []
         result = cache.translate_once(
-            program, "mips", MOBILE_SFI,
+            mips_key(program),
             lambda: (calls.append(1), self._translated(program))[1])
         assert result is not None and calls == [1]

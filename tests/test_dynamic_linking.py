@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import program_digest
+from repro.cache import cache_key, program_digest
 from repro.engine import Engine, RunConfig
 from repro.errors import (
     CrossModuleViolation,
@@ -500,7 +500,7 @@ class TestExecutionArtifactLifetime:
 
     def _image_side_keys(self, engine, digest):
         return [k for k in engine.cache._predecoded
-                if k[1] == digest and k[0] == "predecode-omni"]
+                if k[0] == digest and k[1] == "omnivm"]
 
     def _run_interpreted_hot(self, engine, roots):
         from repro.engine import INTERPRETER
@@ -517,7 +517,7 @@ class TestExecutionArtifactLifetime:
         module = self._run_interpreted_hot(engine, ["app"])
         assert module.host.output_values() == [30, 21]
         keys = self._image_side_keys(engine, digest)
-        assert keys == [("predecode-omni", digest)]
+        assert keys == [cache_key(image, "omnivm", None)]
         # The compiled factories live in the artifact's JIT state: one
         # side-table entry per translation, dropped whole on revoke.
         artifact = engine.cache._predecoded[keys[0]]

@@ -375,7 +375,7 @@ class TestNativeSuperblockDeterminism:
 
 class TestJitCacheSideTable:
     """Compiled superblocks live in the JIT state of the translation's
-    ``("predecode-native", …)`` artifact in the cache's side table."""
+    predecoded artifact in the cache's side table."""
 
     def _program(self):
         body = [("instr", I("li", rd=2, imm=0))]

@@ -331,8 +331,8 @@ class TestWordAccessors:
 
     def test_readonly_data_store_denied_without_priming(self):
         memory = standard_module_memory(
-            b"\x00" * 64, b"\x00" * 8, segment_size=1 << 16,
-            data_writable=False)
+            b"\x00" * 64, b"\x00" * 8, segment_size=1 << 16)
+        memory.segment_named("data").perms = PERM_READ  # read-only data
         with pytest.raises(AccessViolation) as err:
             memory.store_u32(0x20000000, 1)
         assert "denied by segment 'data'" in str(err.value)
@@ -456,11 +456,12 @@ class TestEnginePlumbing:
 
     def test_predecode_eviction_is_silent(self):
         cache = TranslationCache(capacity=1)
-        cache.put_predecoded(("predecode-omni", "a"), object())
-        cache.put_predecoded(("predecode-omni", "b"), object())
+        a, b = object(), object()
+        cache.predecoded(("a", "omnivm", ""), lambda: a)
+        cache.predecoded(("b", "omnivm", ""), lambda: b)
         assert cache.stats().evictions == 0
-        assert cache.get_predecoded(("predecode-omni", "a")) is None
-        assert cache.get_predecoded(("predecode-omni", "b")) is not None
+        assert cache.predecoded(("b", "omnivm", ""), object) is b
+        assert cache.predecoded(("a", "omnivm", ""), object) is not a
 
     def test_threaded_metrics_counters(self):
         collector = metrics.MetricsCollector()
