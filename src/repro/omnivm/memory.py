@@ -21,10 +21,18 @@ stack     0x4000_0000  read + write
 
 Segment sizes are powers of two so the SFI masks are single and/or pairs.
 Address 0 is never mapped: null dereferences always fault.
+
+Every segment is a private anonymous ``mmap``: the operating system
+zeroes a page on first touch, so mapping a 16 MiB segment costs the same
+as mapping a 64-byte one, and a module is resident only in the pages it
+touches.  The map is ``MAP_PRIVATE`` (Python's default for an anonymous
+map is ``MAP_SHARED``), so a process forked from the host copies a
+segment on write rather than sharing its stores.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 from repro.errors import AccessViolation, QuotaExceeded
@@ -63,13 +71,7 @@ class Segment:
     base: int
     size: int
     perms: int
-    data: bytearray = field(repr=False, default_factory=bytearray)
-
-    def __post_init__(self) -> None:
-        if not self.data:
-            self.data = bytearray(self.size)
-        if len(self.data) != self.size:
-            raise ValueError(f"segment {self.name}: data/size mismatch")
+    data: mmap.mmap = field(repr=False)
 
     @property
     def limit(self) -> int:
@@ -110,7 +112,7 @@ class Memory:
                 raise ValueError(
                     f"segment {name} [{base:#x},{base + size:#x}) overlaps {seg.name}"
                 )
-        payload = bytearray(size)
+        payload = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         if data is not None:
             payload[: len(data)] = data
         segment = Segment(name, base, size, perms, payload)

@@ -793,7 +793,7 @@ def image_memory(image: LinkedImage,
         memory.add_segment(
             f"data:{layout.name}", layout.data_base, block,
             PERM_READ | PERM_WRITE,
-            bytes(image.data_image[offset:offset + block]),
+            image.data_image[offset:offset + block],
         )
     add_heap_and_stack(memory, size)
     return memory

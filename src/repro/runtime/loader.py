@@ -1,11 +1,13 @@
 """The Omniware module loader.
 
-Loading a mobile module is the sequence the paper describes:
+Loading a mobile module is the sequence the paper describes, except
+that the address space is built first, so a module too big for its
+segments is refused before any other work:
 
-1. **verify** the module (structural checks on the OmniVM code:
-   valid opcodes, in-segment branch targets — :mod:`repro.omnivm.verifier`);
-2. build the module's segmented **address space** and copy in the code and
+1. build the module's segmented **address space** and copy in the code and
    data images;
+2. **verify** the module (structural checks on the OmniVM code:
+   valid opcodes, in-segment branch targets — :mod:`repro.omnivm.verifier`);
 3. either hand the module to the **reference interpreter** (the semantic
    oracle), or run the **load-time translator** for the host's processor,
    which inlines SFI checks and performs its cheap machine-dependent
@@ -118,16 +120,16 @@ def load_for_interpretation(
     artifact — and with it the JIT's heat and compiled superblocks — is
     reused across loads of the same program content.  Raises
     :class:`~repro.errors.QuotaExceeded` when the program does not fit
-    *segment_size*.
+    *segment_size*, before verifying it.
     """
     vm_class = machine_class(MACHINES, engine)
-    if verify:
-        verify_program(program)
     memory = (linker.image_memory(program, segment_size)
               if getattr(program, "modules", None) else
               standard_module_memory(program.text_image,
-                                     bytes(program.data_image),
+                                     program.data_image,
                                      segment_size))
+    if verify:
+        verify_program(program)
     host = host or Host()
     if vm_class is OmniVM:
         vm = OmniVM(program, memory, fuel=fuel)

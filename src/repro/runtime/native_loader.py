@@ -1,10 +1,10 @@
 """Loading mobile modules for translated-native execution.
 
-The native-side counterpart of :mod:`repro.runtime.loader`: verify the
-module, run the load-time translator for the chosen architecture, build
-the address space, install the runtime's dedicated-register values (SFI
-masks, global pointer, stack pointer), attach the host services, and
-return a ready machine.
+The native-side counterpart of :mod:`repro.runtime.loader`: build the
+address space, verify the module, run the load-time translator for the
+chosen architecture, install the runtime's dedicated-register values
+(SFI masks, global pointer, stack pointer), attach the host services,
+and return a ready machine.
 
 Also provides :func:`run_on_target`, the one-call API used by tests and
 the benchmark harness.
@@ -126,12 +126,20 @@ def load_for_target(
     threaded engine.  Threaded predecode artifacts and compiled
     superblocks are reused through the cache's in-memory side table.
     Raises :class:`~repro.errors.QuotaExceeded` when the program does
-    not fit *segment_size*.
+    not fit *segment_size*, before any verification or translation.
     """
     machine_cls = machine_class(MACHINES, engine)
     policy = policy or DEFAULT_POLICY
-    key = cache_key(program, arch, options)
     is_image = bool(getattr(program, "modules", None))
+    # The address space comes first: mapping it costs little, and a
+    # module that does not fit is refused before it is verified,
+    # translated or admitted to the cache.
+    if memory is None:
+        memory = (linker.image_memory(program, segment_size) if is_image
+                  else standard_module_memory(program.text_image,
+                                              program.data_image,
+                                              segment_size))
+    key = cache_key(program, arch, options)
     if is_image:
         # Multi-module image: verify the whole image (including the
         # cross-module export checks), then translate per module — each
@@ -161,11 +169,6 @@ def load_for_target(
 
         translated = cached_translation(cache, key, produce,
                                         verified=verify, policy=policy)
-    if memory is None:
-        memory = (linker.image_memory(program, segment_size) if is_image
-                  else standard_module_memory(program.text_image,
-                                              bytes(program.data_image),
-                                              segment_size))
     host = host or Host()
     args = (translated.spec, translated.instrs, memory,
             translated.omni_to_native)

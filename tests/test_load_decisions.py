@@ -10,7 +10,8 @@
 * Address-space shape: images honour ``segment_size`` like single
   programs, and a module too big for its segments is a typed
   :class:`~repro.errors.QuotaExceeded`, in the library and in the
-  service.
+  service, raised before the module is verified, translated or
+  admitted to the cache.
 * Profile timing: a PPC ``native-cc`` translation carries its compare
   latency from the moment it is made, in memory and from the disk tier.
 """
@@ -173,6 +174,17 @@ class TestImagesHonourTheSegmentSize:
         assert sizes["code"] == sizes["heap"] == MIB
 
 
+def assert_no_load_work(engine: Engine) -> None:
+    """Nothing was verified, translated or predecoded, and the cache
+    admitted nothing."""
+    names = [*engine.metrics.counters, *engine.metrics.stage_calls]
+    assert [name for name in names if name.startswith(
+        ("verify.", "translate", "link.translate", "link.chunk",
+         "execute.predecode"))] == []
+    stats = engine.cache.stats()
+    assert (stats.misses, stats.stores, stats.predecode_misses) == (0, 0, 0)
+
+
 class TestTooSmallASegmentIsAQuota:
     @pytest.mark.parametrize("target", [INTERPRETER, "mips"])
     def test_single_program(self, target):
@@ -182,6 +194,7 @@ class TestTooSmallASegmentIsAQuota:
             engine.load(program, target,
                         config=RunConfig(segment_size=SMALL))
         assert (err.value.quota, err.value.limit) == ("segment_size", SMALL)
+        assert_no_load_work(engine)
         code, module = engine.run(program, target)  # fits the default
         assert code == 0 and module.host.output_values() == [1]
 
@@ -192,6 +205,7 @@ class TestTooSmallASegmentIsAQuota:
             engine.load_program(["app"], target=target,
                                 config=RunConfig(segment_size=SMALL))
         assert (err.value.quota, err.value.limit) == ("segment_size", SMALL)
+        assert_no_load_work(engine)
 
     @pytest.mark.parametrize("target", [INTERPRETER, "mips"])
     def test_service_answers_with_a_typed_error(self, target):

@@ -1,11 +1,17 @@
-"""Segmented memory: permissions, violations, typed access."""
+"""Segmented memory: permissions, violations, typed access, and
+lazily zeroed private segments."""
+
+import os
 
 import pytest
 
+from repro.engine import INTERPRETER, Engine
 from repro.errors import AccessViolation
+from repro.jitcore import JIT_HEAT
 from repro.omnivm.memory import (
     CODE_BASE,
     DATA_BASE,
+    DEFAULT_SEGMENT_SIZE,
     HEAP_BASE,
     PERM_EXEC,
     PERM_READ,
@@ -13,6 +19,8 @@ from repro.omnivm.memory import (
     SANDBOX_BASE,
     SANDBOX_MASK,
     STACK_BASE,
+    STACK_SIZE,
+    STACK_TOP,
     Memory,
     standard_module_memory,
 )
@@ -121,3 +129,70 @@ class TestTypedAccess:
         before = memory.write_count
         memory.store(HEAP_BASE, 4, 1)
         assert memory.write_count == before + 1
+
+
+#: What one default address space maps: code, data and heap segments
+#: and the stack (49 MiB).
+DEFAULT_SPACE = 3 * DEFAULT_SEGMENT_SIZE + STACK_SIZE
+
+#: Sums an untouched heap block, past the JIT heat, so the loads go
+#: through the accessors first and the superblock's inline caches after.
+UNTOUCHED_SUM = f"""
+int main() {{
+  int *p = (int *) halloc(1 << 16);
+  int s = 0; int i;
+  for (i = 0; i < {2 * JIT_HEAT}; i = i + 1) {{ s = s + p[i * 13]; }}
+  emit_int(s); return 0;
+}}
+"""
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestLazilyZeroedSegments:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_untouched_pages_are_not_resident(self):
+        before = _resident_bytes()
+        spaces = []
+        for _ in range(20):
+            memory = standard_module_memory(b"\x01" * 64, b"\x02" * 64)
+            memory.store(HEAP_BASE, 4, 1)
+            memory.store(STACK_TOP, 4, 1)
+            spaces.append(memory)
+        grown = _resident_bytes() - before
+        mapped = sum(seg.size for memory in spaces for seg in memory.segments)
+        assert mapped == 20 * DEFAULT_SPACE
+        # Twenty live spaces cost less than one eagerly zeroed one.
+        assert grown < DEFAULT_SPACE
+
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "jit"])
+    @pytest.mark.parametrize("target",
+                             [INTERPRETER, "mips", "sparc", "ppc", "x86"])
+    def test_never_written_memory_reads_zero(self, target, engine):
+        runner = Engine(execution_engine=engine)
+        code, module = runner.run(UNTOUCHED_SUM, target)
+        assert code == 0 and module.host.output_values() == [0]
+        if engine == "jit":
+            assert runner.metrics.counters["execute.superblock_runs"] >= 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_childs_stores_stay_in_the_child(self):
+        memory = standard_module_memory(b"\x01" * 64, b"\x02" * 64)
+        memory.store(HEAP_BASE, 4, 7)
+        pid = os.fork()
+        if pid == 0:  # the child: store over a touched and a fresh page
+            status = 1
+            try:
+                memory.store(HEAP_BASE, 4, 99)
+                memory.store(HEAP_BASE + (1 << 16), 4, 99)
+                status = 0
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert memory.load(HEAP_BASE, 4) == 7
+        assert memory.load(HEAP_BASE + (1 << 16), 4) == 0
