@@ -204,12 +204,12 @@ class Engine:
 
         with self._collecting():
             if getattr(program, "modules", None):
-                # Multi-module image: per-module translation units,
-                # individually cached and SFI-verified, then spliced
-                # (see repro.runtime.linker.translate_image).
+                # Multi-module image: verified once, then per-module
+                # translation units, individually cached and
+                # SFI-verified, then spliced (see
+                # repro.runtime.linker.translate_image).
                 from repro.runtime.linker import translate_image
 
-                verify_program(program)
                 return translate_image(program, arch, opts,
                                        cache=self.cache)
             from repro.sfi.verifier import verify_sfi

@@ -16,7 +16,8 @@ Design constraints:
 * **no global mutable results** — measurements accumulate into an
   explicitly installed :class:`MetricsCollector`; nesting is allowed
   (an :class:`~repro.engine.Engine` collector and an ad-hoc one can be
-  active at once) and every active collector observes every event;
+  active at once) and every active collector observes every event
+  once, however many threads installed it;
 * **no dependencies** — this module imports only the standard library,
   so any layer of the package may import it without cycles.
 
@@ -190,9 +191,17 @@ class MetricsCollector:
         return "\n".join(lines) if lines else "(no measurements)"
 
 
-#: Stack of active collectors; module-level so instrumentation points can
-#: test "anyone listening?" with one truthiness check.
-_ACTIVE: list[MetricsCollector] = []
+#: The active collectors, each once, in installation order; module-level
+#: so instrumentation points can test "anyone listening?" with one
+#: truthiness check.  Installation is process-wide (a collector installed
+#: by one thread observes events of every thread) and replaces the tuple,
+#: so recording iterates a snapshot.
+_ACTIVE: tuple[MetricsCollector, ...] = ()
+#: How many open :func:`collect` blocks, in any thread, hold each active
+#: collector: overlapping blocks install it once, and it stays active
+#: until the last one closes.
+_HOLDS: dict[MetricsCollector, int] = {}
+_HOLDS_LOCK = threading.Lock()
 
 
 def active() -> bool:
@@ -201,7 +210,7 @@ def active() -> bool:
 
 
 def current() -> MetricsCollector | None:
-    """The innermost active collector, or None."""
+    """The most recently installed active collector, or None."""
     return _ACTIVE[-1] if _ACTIVE else None
 
 
@@ -209,13 +218,25 @@ def current() -> MetricsCollector | None:
 def collect(collector: MetricsCollector | None = None
             ) -> Iterator[MetricsCollector]:
     """Install *collector* (a fresh one when omitted) for the duration
-    of the ``with`` block and yield it."""
+    of the ``with`` block and yield it.  A collector that is already
+    installed, by this thread or another, is not installed twice, so
+    every event counts once per collector."""
+    global _ACTIVE
     collector = collector or MetricsCollector()
-    _ACTIVE.append(collector)
+    with _HOLDS_LOCK:
+        holds = _HOLDS.get(collector, 0)
+        if not holds:
+            _ACTIVE = _ACTIVE + (collector,)
+        _HOLDS[collector] = holds + 1
     try:
         yield collector
     finally:
-        _ACTIVE.remove(collector)
+        with _HOLDS_LOCK:
+            holds = _HOLDS.pop(collector) - 1
+            if holds:
+                _HOLDS[collector] = holds
+            else:
+                _ACTIVE = tuple(c for c in _ACTIVE if c is not collector)
 
 
 def count(name: str, amount: int = 1) -> None:

@@ -8,12 +8,19 @@ every symbolic label to a 32-bit address, and applies data relocations.
 Because symbols are fully resolved here — before the module ships — the
 translated native code never pays dynamic-linking costs; the paper notes
 this lets the SPARC translator keep a global pointer set up across calls.
+
+:func:`link_at` is the one statement of the linking rules (symbol
+placement, naming, label resolution, data relocation, function ranges).
+:func:`link` runs it at the start of the code and data segments; the
+dynamic link-loader (:mod:`repro.runtime.linker`) runs it once per module
+at that module's placement, with imports resolved through a hook.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro import metrics
 from repro.errors import LinkError
@@ -36,11 +43,10 @@ class LinkedProgram:
     #: name -> (first instruction index, one-past-last index)
     function_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     entry_symbol: str = "main"
-    #: Index of the first instruction within the code segment.  The
-    #: static linker always produces base 0; the dynamic link-loader
-    #: builds per-module translation units whose text starts deeper in
-    #: the segment (``symbols``/``function_ranges`` use absolute
-    #: addresses/indices either way).
+    #: Index of the first instruction within the code segment.  A
+    #: whole program starts at 0; each module of a dynamic link is linked
+    #: at its own placement deeper in the segment (``symbols`` and
+    #: ``function_ranges`` use absolute addresses and indices either way).
     base_index: int = 0
     #: OmniVM byte addresses of control-transfer targets that live in
     #: *other* modules of a dynamic link.  Empty for whole programs.
@@ -67,115 +73,117 @@ def link(objects: list[ObjectModule], name: str = "a.out",
          entry_symbol: str = "main") -> LinkedProgram:
     """Link *objects* into an executable module."""
     with metrics.stage("link"):
-        return _link(objects, name, entry_symbol)
+        return link_at(objects, name, entry_symbol)
 
 
-def _link(objects: list[ObjectModule], name: str,
-          entry_symbol: str) -> LinkedProgram:
-    program = LinkedProgram(name, entry_symbol=entry_symbol)
+def link_at(objects: list[ObjectModule], name: str, entry_symbol: str,
+            base_index: int = 0, data_base: int = DATA_BASE,
+            module: str | None = None,
+            external: Callable[[str, str | None], int] | None = None,
+            ) -> LinkedProgram:
+    """Link *objects* with their text from instruction *base_index* of
+    the code segment and their data from address *data_base*.
 
-    # Pass 1: lay out text and data, building the global symbol table.
-    # Local (non-global) symbols are mangled with the object index so the
-    # same label name can appear in several objects.
-    text_base_index: list[int] = []
-    data_base: list[int] = []
-    instr_cursor = 0
+    The naming rule: an object defines each name at most once, local or
+    global, and a link defines each global at most once.  A local symbol
+    is visible only in its own object and is qualified by the object's
+    index (``loop@0``), or by *module* when the objects are one module
+    of a dynamic link (whose duplicate errors then name the module).
+    A reference to a name no object defines resolves through
+    ``external(symbol, kind)``, where *kind* is the referencing
+    instruction's kind, or None for a data word; without *external* it
+    is an error.
+    """
+    program = LinkedProgram(name, entry_symbol=entry_symbol,
+                            base_index=base_index)
+
+    # Pass 1: lay out text and data, building the symbol table.
+    text_base: list[int] = []
+    data_offset: list[int] = []
+    instr_cursor = base_index
     data_cursor = 0
     for obj in objects:
-        text_base_index.append(instr_cursor)
+        text_base.append(instr_cursor)
         instr_cursor += len(obj.text)
         data_cursor = align_up(data_cursor, 8)
-        data_base.append(data_cursor)
+        data_offset.append(data_cursor)
         data_cursor += len(obj.data) + obj.bss_size
     # The last aligned slot of the code segment is the return sentinel;
     # text that reaches it would shadow the halt address.
-    check_sentinel_clearance(0, instr_cursor)
+    check_sentinel_clearance(base_index, instr_cursor - base_index)
 
-    def mangle(obj_index: int, symbol: str, is_global: bool) -> str:
-        return symbol if is_global else f"{symbol}@{obj_index}"
-
+    # Per object: each name it defines -> its key in program.symbols.
+    scopes: list[dict[str, str]] = []
     for obj_index, obj in enumerate(objects):
+        scope: dict[str, str] = {}
+        qualifier = obj_index if module is None else module
         for sym in obj.symbols:
-            key = mangle(obj_index, sym.name, sym.is_global)
+            key = sym.name if sym.is_global else f"{sym.name}@{qualifier}"
             if sym.section == "text":
                 if sym.offset % INSTR_SIZE != 0:
                     raise LinkError(f"misaligned text symbol {sym.name!r}")
-                address = CODE_BASE + (
-                    text_base_index[obj_index] * INSTR_SIZE + sym.offset
-                )
+                address = (CODE_BASE + text_base[obj_index] * INSTR_SIZE
+                           + sym.offset)
             elif sym.section == "data":
-                address = DATA_BASE + data_base[obj_index] + sym.offset
+                address = data_base + data_offset[obj_index] + sym.offset
             elif sym.section == "bss":
-                address = DATA_BASE + data_base[obj_index] + len(obj.data) + sym.offset
+                address = (data_base + data_offset[obj_index]
+                           + len(obj.data) + sym.offset)
             else:
                 raise LinkError(f"symbol {sym.name!r} in bad section {sym.section!r}")
-            if key in program.symbols:
+            if sym.name in scope or key in program.symbols:
+                if module is not None:
+                    raise LinkError(f"duplicate symbol {sym.name!r} "
+                                    f"in module {module!r}")
                 if sym.is_global:
                     raise LinkError(f"duplicate symbol {sym.name!r}")
                 raise LinkError(f"duplicate local symbol {key!r}")
+            scope[sym.name] = key
             program.symbols[key] = u32(address)
+        scopes.append(scope)
+
+    def resolve(obj_index: int, symbol: str, kind: str | None) -> int:
+        address = program.symbols.get(scopes[obj_index].get(symbol, symbol))
+        if address is not None:
+            return address
+        if external is not None:
+            return external(symbol, kind)
+        referrer = objects[obj_index].name
+        raise LinkError(f"undefined symbol {symbol!r} " + (
+            f"in data of {referrer!r}" if kind is None
+            else f"referenced from object {referrer!r}"))
 
     # Pass 2: copy text, resolving labels.
     for obj_index, obj in enumerate(objects):
-        local_names = {s.name for s in obj.symbols if not s.is_global}
         for instr in obj.text:
             clone = VMInstr(instr.op, instr.rd, instr.rs, instr.rt,
                             instr.fd, instr.fs, instr.ft, instr.imm,
                             instr.imm2, None)
             if instr.label is not None:
-                key = instr.label
-                if key in local_names:
-                    key = mangle(obj_index, key, False)
-                if key not in program.symbols:
-                    raise LinkError(
-                        f"undefined symbol {instr.label!r} referenced from "
-                        f"object {obj.name!r}"
-                    )
-                clone.imm = program.symbols[key]
+                clone.imm = resolve(obj_index, instr.label, instr.spec.kind)
             program.instrs.append(clone)
 
     # Pass 3: copy data and apply relocations.
     program.data_image = bytearray(data_cursor)
     for obj_index, obj in enumerate(objects):
-        base = data_base[obj_index]
+        base = data_offset[obj_index]
         program.data_image[base:base + len(obj.data)] = obj.data
-        local_names = {s.name for s in obj.symbols if not s.is_global}
         for reloc in obj.data_relocs:
-            key = reloc.symbol
-            if key in local_names:
-                key = mangle(obj_index, key, False)
-            if key not in program.symbols:
-                raise LinkError(
-                    f"undefined symbol {reloc.symbol!r} in data of {obj.name!r}"
-                )
+            address = resolve(obj_index, reloc.symbol, None)
             where = base + reloc.offset
             (addend,) = struct.unpack_from("<I", program.data_image, where)
-            struct.pack_into(
-                "<I", program.data_image, where,
-                u32(program.symbols[key] + addend),
-            )
+            struct.pack_into("<I", program.data_image, where,
+                             u32(address + addend))
 
     # Pass 4: function ranges (for the verifier and translators).
-    _compute_function_ranges(program, objects, text_base_index)
+    starts = sorted(
+        (text_base[obj_index] + sym.offset // INSTR_SIZE, sym.name)
+        for obj_index, obj in enumerate(objects)
+        for sym in obj.symbols
+        if sym.section == "text" and sym.is_global
+    )
+    for position, (start, sym_name) in enumerate(starts):
+        end = (starts[position + 1][0] if position + 1 < len(starts)
+               else instr_cursor)
+        program.function_ranges[sym_name] = (start, end)
     return program
-
-
-def _compute_function_ranges(
-    program: LinkedProgram,
-    objects: list[ObjectModule],
-    text_base_index: list[int],
-) -> None:
-    starts: list[tuple[int, str]] = []
-    for obj_index, obj in enumerate(objects):
-        for sym in obj.symbols:
-            if sym.section == "text" and sym.is_global:
-                index = text_base_index[obj_index] + sym.offset // INSTR_SIZE
-                starts.append((index, sym.name))
-    starts.sort()
-    for position, (start, name) in enumerate(starts):
-        end = (
-            starts[position + 1][0]
-            if position + 1 < len(starts)
-            else len(program.instrs)
-        )
-        program.function_ranges[name] = (start, end)

@@ -247,16 +247,32 @@ STACK_SIZE = 1 << 20
 STACK_TOP = STACK_BASE + STACK_SIZE - 16
 
 
+def module_segment_size(segment_size: int | None) -> int:
+    """The size of a module's code and heap segments (and of its data
+    segment, for a single program) for a requested *segment_size*:
+    ``None`` or 0 means :data:`DEFAULT_SEGMENT_SIZE`.  The default is
+    also the largest size, because the data, heap and stack segments
+    sit :data:`DEFAULT_SEGMENT_SIZE` apart; a larger or negative size
+    raises :class:`~repro.errors.QuotaExceeded`."""
+    size = segment_size or DEFAULT_SEGMENT_SIZE
+    if not 0 < size <= DEFAULT_SEGMENT_SIZE:
+        raise QuotaExceeded(
+            f"segment size {size} is outside 1..{DEFAULT_SEGMENT_SIZE} "
+            f"bytes",
+            quota="segment_size", limit=DEFAULT_SEGMENT_SIZE,
+        )
+    return size
+
+
 def standard_module_memory(code_image: bytes, data_image: bytes,
                            segment_size: int | None = None) -> Memory:
     """The address space of one module: code, data and heap segments of
-    *segment_size* bytes each (``None`` means
-    :data:`DEFAULT_SEGMENT_SIZE`) and the stack.  Raises
+    :func:`module_segment_size` bytes each and the stack.  Raises
     :class:`~repro.errors.QuotaExceeded` when the code or data image
     does not fit its segment.  (Multi-module images get
     :func:`repro.runtime.linker.image_memory`, the same shape with one
     data segment per module.)"""
-    size = segment_size or DEFAULT_SEGMENT_SIZE
+    size = module_segment_size(segment_size)
     memory = Memory()
     memory.add_segment("code", CODE_BASE, size,
                        PERM_READ | PERM_EXEC, code_image)

@@ -36,23 +36,16 @@ def verify_program(program: LinkedProgram) -> None:
 
 
 def _verify_program(program: LinkedProgram) -> None:
-    # A per-module dynamic-link translation unit occupies a window deeper
-    # in the code segment (base_index > 0) and may name control targets
-    # in *other* modules (extern_addrs); both default to the
-    # whole-program case.
-    base_index = getattr(program, "base_index", 0)
-    extern_addrs = getattr(program, "extern_addrs", frozenset())
+    # A whole program or a linked image, whose code starts at the
+    # segment base.  A dynamic link's per-module translation units are
+    # verified as part of their image, never on their own.
     code_size = len(program.instrs) * INSTR_SIZE
-    if base_index * INSTR_SIZE + code_size > DEFAULT_SEGMENT_SIZE:
+    if code_size > DEFAULT_SEGMENT_SIZE:
         raise VerifyError("code image exceeds the code segment")
     if len(program.data_image) > DEFAULT_SEGMENT_SIZE:
         raise VerifyError("data image exceeds the data segment")
-    code_lo = CODE_BASE + base_index * INSTR_SIZE
+    code_lo = CODE_BASE
     code_hi = code_lo + code_size
-    segment_hi = CODE_BASE + DEFAULT_SEGMENT_SIZE
-    for addr in extern_addrs:
-        if not CODE_BASE <= addr < segment_hi or addr % INSTR_SIZE:
-            raise VerifyError(f"bad extern target {addr:#x}")
     for index, instr in enumerate(program.instrs):
         spec = SPEC_BY_NAME.get(instr.op)
         if spec is None:
@@ -66,8 +59,7 @@ def _verify_program(program: LinkedProgram) -> None:
             )
         if spec.kind in ("branch", "branchi", "jump", "call"):
             target = instr.imm & 0xFFFFFFFF
-            if not code_lo <= target < code_hi and \
-                    target not in extern_addrs:
+            if not code_lo <= target < code_hi:
                 raise VerifyError(
                     f"instruction {index}: control target {target:#x} "
                     f"outside code segment"

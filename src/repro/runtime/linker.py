@@ -11,9 +11,13 @@ link-loader layer on top of the static OmniVM linker:
   module can be *revoked* or *reloaded* in a running service;
 * :func:`dynamic_link` resolves a root set's import closure, rejects
   cycles / missing / duplicate exports, lays the modules out at a
-  canonical dependencies-first position in the code segment, and routes
-  every cross-module call through an import **trampoline** (a single
-  OmniVM ``j`` per imported function, placed after the importer's text);
+  canonical dependencies-first position in the code segment, and links
+  each module with the static linker
+  (:func:`~repro.omnivm.linker.link_at`) at that placement, dependencies
+  first, routing every cross-module call through an import
+  **trampoline** (a single OmniVM ``j`` per imported function, placed
+  after the importer's text).  Each module's link is its translation
+  unit; the image splices the units;
 * the resulting :class:`LinkedImage` *is* a
   :class:`~repro.omnivm.linker.LinkedProgram` — every existing execution
   engine (reference interpreter, threaded engines, all four native
@@ -21,10 +25,11 @@ link-loader layer on top of the static OmniVM linker:
   per-module layout, so verification can enforce the cross-module rule:
   **a module may only transfer control into another module through an
   exported symbol**;
-* :func:`translate_image` translates each module as its own translation
-  unit (content-addressed in the :class:`~repro.cache.TranslationCache`,
-  so a shared library translates once no matter how many programs link
-  it), SFI-verifies every unit under *that module's*
+* :func:`translate_image` verifies the image once, then translates each
+  module as its own translation unit (content-addressed in the
+  :class:`~repro.cache.TranslationCache`, so a shared library translates
+  once no matter how many programs link it), SFI-verifies every unit
+  under *that module's*
   :class:`~repro.sfi.policy.SandboxPolicy`, then splices the chunks,
   patching the trampoline fix-ups against the merged address map after
   checking each one targets an exported symbol.
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -58,7 +62,7 @@ from repro.errors import (
     UnresolvedImportError,
 )
 from repro.omnivm.isa import INSTR_SIZE, VMInstr
-from repro.omnivm.linker import LinkedProgram
+from repro.omnivm.linker import LinkedProgram, link_at
 from repro.omnivm.memory import (
     CODE_BASE,
     DATA_BASE,
@@ -68,6 +72,7 @@ from repro.omnivm.memory import (
     PERM_WRITE,
     Memory,
     add_heap_and_stack,
+    module_segment_size,
 )
 from repro.omnivm.objfile import ObjectModule
 from repro.sfi.policy import (
@@ -418,7 +423,7 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
         lineage=tuple((n, closure[n].epoch) for n in order),
     )
 
-    # Pass 1: place text and data.
+    # Layout: place text and data.
     layouts: dict[str, ModuleLayout] = {}
     instr_cursor = 0
     data_cursor = 0
@@ -463,115 +468,62 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
     if data_cursor > DEFAULT_SEGMENT_SIZE:
         raise LinkError("linked image exceeds the data segment")
 
-    # Pass 2: absolute symbol tables.
-    module_symbols: dict[str, dict[str, int]] = {}
-    for module_name in order:
-        obj = closure[module_name].obj
-        layout = layouts[module_name]
-        table: dict[str, int] = {}
-        for sym in obj.symbols:
-            if sym.section == "text":
-                if sym.offset % INSTR_SIZE:
-                    raise LinkError(f"misaligned text symbol {sym.name!r}")
-                address = layout.code_lo + sym.offset
-            elif sym.section == "data":
-                address = layout.data_base + sym.offset
-            elif sym.section == "bss":
-                address = layout.data_base + len(obj.data) + sym.offset
-            else:
-                raise LinkError(
-                    f"symbol {sym.name!r} in bad section {sym.section!r}"
-                )
-            if sym.name in table:
-                raise LinkError(
-                    f"duplicate symbol {sym.name!r} in module {module_name!r}"
-                )
-            table[sym.name] = u32(address)
-            if sym.is_global:
-                layout.exports[sym.name] = u32(address)
-                image.symbols[sym.name] = u32(address)
-            else:
-                image.symbols[f"{sym.name}@{module_name}"] = u32(address)
-        module_symbols[module_name] = table
-
-    def resolve(module_name: str, symbol: str, control: bool) -> int:
-        """Address a reference from *module_name* to *symbol* resolves
-        to: local definition, local trampoline (control transfers to an
-        import), or the provider's export directly (data references and
-        materialized function pointers — the indirect-call map covers
-        those at run time)."""
-        local = module_symbols[module_name].get(symbol)
-        if local is not None:
-            return local
-        layout = layouts[module_name]
-        if control and symbol in layout.trampolines:
-            return layout.trampolines[symbol]
-        provider = providers[module_name].get(symbol)
-        if provider is None:
-            raise UnresolvedImportError(symbol, importer=module_name)
-        return layouts[provider].exports[symbol]
-
-    # Pass 3: text — resolve labels, append trampolines, pad with traps.
-    for module_name in order:
-        obj = closure[module_name].obj
-        layout = layouts[module_name]
-        while len(image.instrs) < layout.base_index:
-            image.instrs.append(VMInstr("trap", imm=0xDEAD))
-        for instr in obj.text:
-            clone = VMInstr(instr.op, instr.rd, instr.rs, instr.rt,
-                            instr.fd, instr.fs, instr.ft, instr.imm,
-                            instr.imm2, None)
-            if instr.label is not None:
-                clone.imm = resolve(
-                    module_name, instr.label,
-                    control=instr.spec.kind in _CONTROL_KINDS,
-                )
-            image.instrs.append(clone)
-        for symbol in sorted(layout.trampolines):
-            provider = providers[module_name][symbol]
-            image.instrs.append(
-                VMInstr("j", imm=layouts[provider].exports[symbol])
-            )
-
-    # Pass 4: data — copy blocks, apply relocations.
+    # Link each module at its placement, dependencies first, so every
+    # provider's exports are known before its importers link.  Each
+    # module's link is its translation unit: absolute addresses
+    # (``base_index`` places it), its own symbols and function ranges,
+    # and the foreign control targets its trampolines (or stray direct
+    # branches) name.  The image splices the units with trap padding.
     image.data_image = bytearray(data_cursor)
     for module_name in order:
         obj = closure[module_name].obj
         layout = layouts[module_name]
-        base = layout.data_base - DATA_BASE
-        image.data_image[base:base + len(obj.data)] = obj.data
-        for reloc in obj.data_relocs:
-            where = base + reloc.offset
-            (addend,) = struct.unpack_from("<I", image.data_image, where)
-            value = resolve(module_name, reloc.symbol, control=False)
-            struct.pack_into("<I", image.data_image, where,
-                             u32(value + addend))
 
-    # Pass 5: function ranges (absolute indices; trampolines and padding
-    # belong to no function).
-    for module_name in order:
-        obj = closure[module_name].obj
-        layout = layouts[module_name]
-        starts = sorted(
-            (layout.base_index + sym.offset // INSTR_SIZE, sym.name)
-            for sym in obj.symbols
-            if sym.section == "text" and sym.is_global
-        )
-        text_end = layout.base_index + layout.text_len - layout.tramp_len
-        for position, (start, sym_name) in enumerate(starts):
-            end = (starts[position + 1][0]
-                   if position + 1 < len(starts) else text_end)
-            image.function_ranges[sym_name] = (start, end)
+        def external(symbol: str, kind: str | None) -> int:
+            """An import resolves to the module's trampoline when it is
+            a control transfer, else to the provider's export (data
+            references and materialized function pointers: the
+            indirect-call map covers those at run time)."""
+            if kind in _CONTROL_KINDS and symbol in layout.trampolines:
+                return layout.trampolines[symbol]
+            provider = layout.imports.get(symbol)
+            if provider is None:
+                raise UnresolvedImportError(symbol, importer=module_name)
+            return layouts[provider].exports[symbol]
 
-    # Pass 6: per-module translation units and the export map.
-    export_addrs = set()
-    for module_name in order:
-        layout = layouts[module_name]
-        for symbol, address in layout.exports.items():
-            if layout.contains_code(address):
-                export_addrs.add(address)
+        unit = link_at([obj], f"{image.name}:{module_name}", _MODULE_START,
+                       layout.base_index, layout.data_base,
+                       module=module_name, external=external)
+        for sym in obj.symbols:
+            if sym.is_global:
+                layout.exports[sym.name] = unit.symbols[sym.name]
+        unit.instrs += [
+            VMInstr("j", imm=layouts[layout.imports[symbol]].exports[symbol])
+            for symbol in sorted(layout.trampolines)
+        ]
+        image.instrs += [VMInstr("trap", imm=0xDEAD) for _ in
+                         range(layout.base_index - len(image.instrs))]
+        image.instrs += unit.instrs
+        data_lo = layout.data_base - DATA_BASE
+        image.data_image[data_lo:data_lo + layout.data_len] = \
+            unit.data_image
+        image.symbols.update(unit.symbols)
+        image.function_ranges.update(unit.function_ranges)
         image.modules.append(layout)
-    image.code_export_addrs = frozenset(export_addrs)
+        if layout.text_len:
+            unit.symbols[_MODULE_START] = layout.code_lo
+            unit.extern_addrs = frozenset(
+                u32(i.imm) for i in unit.instrs
+                if i.spec.kind in _CONTROL_KINDS
+                and not layout.contains_code(u32(i.imm))
+            )
+            layout.subprogram = unit
+
+    image.code_export_addrs = frozenset(
+        address for layout in image.modules
+        for address in layout.exports.values()
+        if layout.contains_code(address)
+    )
     from repro.cache import program_digest
 
     image_hash = hashlib.sha256(b"linked-image\x00")
@@ -579,10 +531,9 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
     for module_name in order:
         layout = layouts[module_name]
         if layout.text_len:
-            layout.subprogram = _module_subprogram(image, layout, closure)
             digest = program_digest(layout.subprogram)
-            # The subprogram is sealed from here on; pinning its digest
-            # saves re-encoding it on every later cache probe.
+            # The unit is sealed from here on; pinning its digest saves
+            # re-encoding it on every later cache probe.
             layout.subprogram.digest_hint = digest
             closure[module_name].chunk_digests.add(digest)
             image_hash.update(f"{module_name}\x00{digest}\x00".encode())
@@ -613,47 +564,6 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
     return image
 
 
-def _module_subprogram(image: LinkedImage, layout: ModuleLayout,
-                       closure: dict[str, ModuleDef]) -> LinkedProgram:
-    """One module's slice of the image as a standalone translation unit:
-    absolute addresses (``base_index`` places it), local symbols and
-    function ranges only, and the set of foreign control targets its
-    trampolines (or stray direct branches) name."""
-    start = layout.base_index
-    instrs = image.instrs[start:start + layout.text_len]
-    data_lo = layout.data_base - DATA_BASE
-    extern: set[int] = set()
-    for instr in instrs:
-        if instr.spec.kind in _CONTROL_KINDS:
-            target = u32(instr.imm)
-            if not layout.contains_code(target):
-                extern.add(target)
-    symbols = {
-        symbol: address
-        for symbol, address in image.symbols.items()
-        if layout.contains_code(address)
-        or layout.data_base <= address < layout.data_base + layout.data_len
-    }
-    symbols[_MODULE_START] = layout.code_lo
-    function_ranges = {
-        name: (lo, hi)
-        for name, (lo, hi) in image.function_ranges.items()
-        if start <= lo < start + layout.text_len
-    }
-    return LinkedProgram(
-        name=f"{image.name}:{layout.name}",
-        instrs=instrs,
-        data_image=bytearray(
-            image.data_image[data_lo:data_lo + layout.data_len]
-        ),
-        symbols=symbols,
-        function_ranges=function_ranges,
-        entry_symbol=_MODULE_START,
-        base_index=start,
-        extern_addrs=frozenset(extern),
-    )
-
-
 def translate_image(
     image: LinkedImage,
     arch: str,
@@ -663,12 +573,15 @@ def translate_image(
 ):
     """Translate *image* per module and splice the chunks.
 
-    Each module translates as its own unit — content-addressed in
-    *cache* under the cache's admission rule
-    (:func:`~repro.cache.cached_translation`: a module under a
-    non-default sandbox policy, or translated with verification off,
-    never enters it), so a library shared by many images translates
-    once — and is SFI-verified under its own policy *before* splicing.
+    With *verify* on, the whole image is verified once first (structure
+    and the cross-module export rule; the image is spliced from its
+    units, so no unit is verified again).  Each module translates as
+    its own unit — content-addressed in *cache* under the cache's
+    admission rule (:func:`~repro.cache.cached_translation`: a module
+    under a non-default sandbox policy, or translated with verification
+    off, never enters it), so a library shared by many images
+    translates once — and is SFI-verified under its own policy *before*
+    splicing.
     Splicing relocates native control targets, merges the
     indirect-entry maps, and patches every trampoline fix-up after
     checking that its target is an exported symbol of the providing
@@ -680,6 +593,8 @@ def translate_image(
     from repro.translators import TranslatedModule, target_spec, translate
 
     with metrics.stage("link.translate"):
+        if verify:
+            verify_program(image)
         out_instrs = []
         global_map: dict[int, int] = {}
         pending_fixups: list[tuple[int, str, list[tuple[int, int]]]] = []
@@ -692,8 +607,6 @@ def translate_image(
             def produce():
                 nonlocal missed
                 missed = True
-                if verify:
-                    verify_program(subprogram)
                 chunk = translate(subprogram, arch, options,
                                   policy=layout.policy)
                 if verify:
@@ -770,12 +683,12 @@ def image_memory(image: LinkedImage,
                  segment_size: int | None = None) -> Memory:
     """The multi-module address space: the shape of
     :func:`~repro.omnivm.memory.standard_module_memory` (code and heap
-    of *segment_size* bytes, ``None`` meaning the default), except that
-    each module's data block gets a *private data segment* (wild
+    of :func:`~repro.omnivm.memory.module_segment_size` bytes), except
+    that each module's data block gets a *private data segment* (wild
     pointers between modules' data blocks fault at the segment
     boundaries).  Raises :class:`~repro.errors.QuotaExceeded` when the
     code or the data blocks do not fit *segment_size*."""
-    size = segment_size or DEFAULT_SEGMENT_SIZE
+    size = module_segment_size(segment_size)
     if len(image.data_image) > size:
         raise QuotaExceeded(
             f"image data: {len(image.data_image)}-byte image does not "

@@ -141,14 +141,12 @@ def load_for_target(
                                               segment_size))
     key = cache_key(program, arch, options)
     if is_image:
-        # Multi-module image: verify the whole image (including the
-        # cross-module export checks), then translate per module — each
-        # unit is content-addressed in the cache and SFI-verified under
-        # its own policy, so only the splice is paid per load.  The
-        # spliced whole is deliberately *not* cached: its chunks are,
-        # and those are what module revocation invalidates.
-        if verify:
-            verify_program(program)
+        # Multi-module image: translate_image verifies the whole image
+        # (including the cross-module export checks), then translates
+        # per module — each unit is content-addressed in the cache and
+        # SFI-verified under its own policy, so only the splice is paid
+        # per load.  The spliced whole is deliberately *not* cached: its
+        # chunks are, and those are what module revocation invalidates.
         translated = linker.translate_image(program, arch, options,
                                             cache=cache, verify=verify)
     else:

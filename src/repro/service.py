@@ -918,7 +918,8 @@ class ModuleHost:
         try:
             if self.faults is not None:
                 self.faults.on_execute(request)
-            return module.run(request.entry)
+            with self.engine._collecting():
+                return module.run(request.entry)
         except FuelExhausted:
             if guard is not None and guard.expired:
                 raise DeadlineExceeded(

@@ -7,6 +7,7 @@ from repro.omnivm.asmparser import assemble
 from repro.omnivm.isa import INSTR_SIZE
 from repro.omnivm.linker import link
 from repro.omnivm.memory import CODE_BASE, DATA_BASE
+from repro.runtime.linker import ModuleRegistry, dynamic_link
 from repro.runtime.loader import run_module
 
 
@@ -93,6 +94,35 @@ class TestSymbolResolution:
         b = assemble(".text\n.globl f\nf:\n jr ra", "b")
         with pytest.raises(LinkError, match="duplicate"):
             link([a, b])
+
+    @pytest.mark.parametrize("global_first, message", [
+        (True, "duplicate local symbol 'x@0'"),
+        (False, "duplicate symbol 'x'"),
+    ])
+    def test_local_and_global_of_one_name_rejected(self, global_first,
+                                                    message):
+        """One naming rule for both linkers: an object defines each name
+        once, local or global (the static linker used to accept this
+        pair and the dynamic one refused it)."""
+        obj = assemble(".text\n.globl main\nmain:\n jr ra\n jr ra", "dup")
+        for is_global in (global_first, not global_first):
+            obj.define("x", "text", 8 if is_global else 0, is_global)
+        with pytest.raises(LinkError, match=message):
+            link([obj])
+        registry = ModuleRegistry()
+        registry.register("dup", obj)
+        with pytest.raises(LinkError,
+                           match="duplicate symbol 'x' in module 'dup'"):
+            dynamic_link(registry, ["dup"])
+
+    def test_same_name_local_in_one_object_global_in_another(self):
+        a = assemble(".text\n.globl main\nmain:\n jal x\n jr ra", "a")
+        a.define("x", "text", 8, is_global=False)
+        b = assemble(".text\n.globl x\nx:\n jr ra", "b")
+        program = link([a, b])
+        assert program.symbols["x@0"] == CODE_BASE + 8
+        assert program.symbols["x"] == CODE_BASE + 16
+        assert program.instrs[0].imm == CODE_BASE + 8  # a's own x
 
     def test_missing_entry_rejected(self):
         obj = assemble(".text\n.globl f\nf:\n jr ra")

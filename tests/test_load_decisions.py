@@ -8,10 +8,11 @@
   an image's key covers its modules' sandbox policies; and an
   arch-filtered invalidation keeps the interpreter's artifacts.
 * Address-space shape: images honour ``segment_size`` like single
-  programs, and a module too big for its segments is a typed
-  :class:`~repro.errors.QuotaExceeded`, in the library and in the
-  service, raised before the module is verified, translated or
-  admitted to the cache.
+  programs, and a module too big for its segments, or a segment size
+  outside the layout, is a typed :class:`~repro.errors.QuotaExceeded`,
+  in the library and in the service, raised before the module is
+  verified, translated or admitted to the cache.
+* Verification: a load verifies an image once, whole.
 * Profile timing: a PPC ``native-cc`` translation carries its compare
   latency from the moment it is made, in memory and from the disk tier.
 """
@@ -24,6 +25,7 @@ from repro.compiler import CompileOptions, compile_to_object
 from repro.engine import INTERPRETER, Engine, RunConfig
 from repro.errors import QuotaExceeded, VerifyError
 from repro.native.profiles import MOBILE_SFI, NATIVE_CC
+from repro.omnivm.memory import DEFAULT_SEGMENT_SIZE
 from repro.runtime import linker
 from repro.service import ModuleRequest, RequestQuota
 from repro.sfi.policy import DEFAULT_POLICY, PADDED_POLICY
@@ -85,7 +87,8 @@ class TestUnverifiedLoadsStayOutOfTheCache:
         image = engine.link_modules(["app"])
         linker.translate_image(image, "mips", MOBILE_SFI,
                                cache=engine.cache, verify=False)
-        # The verified chunk step of a load re-verifies the module ...
+        assert engine.cache.stats().stores == 0
+        # A verified translation of the image verifies it ...
         with pytest.raises(VerifyError, match="bad hostcall index 9999"):
             linker.translate_image(image, "mips", MOBILE_SFI,
                                    cache=engine.cache)
@@ -217,6 +220,73 @@ class TestTooSmallASegmentIsAQuota:
         assert response.error == "QuotaExceeded"
         assert host.stats.counters["quota_exceeded"] == 1
         assert host.stats.completed == 1  # its latency is recorded
+
+
+class TestSegmentSizeOutOfRange:
+    """A segment size the layout cannot hold is a quota, refused before
+    anything is mapped: above the default the data segment would
+    overlap the heap, and a negative size maps nothing."""
+
+    SIZES = [2 * DEFAULT_SEGMENT_SIZE, -1]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("target", [INTERPRETER, "mips"])
+    def test_engine_run(self, target, size):
+        engine = linking_engine()
+        for program in (engine.compile(EMIT), engine.link_modules(["app"])):
+            with pytest.raises(QuotaExceeded) as err:
+                engine.run(program, target,
+                           config=RunConfig(segment_size=size))
+            assert (err.value.quota, err.value.limit) == (
+                "segment_size", DEFAULT_SEGMENT_SIZE)
+        assert_no_load_work(engine)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("target", [INTERPRETER, "mips"])
+    def test_service(self, target, size):
+        engine = linking_engine()
+        quota = RequestQuota(segment_size=size)
+        with engine.serve(workers=1) as host:
+            responses = [
+                host.run(ModuleRequest(program=EMIT, target=target,
+                                       quota=quota)),
+                host.run(ModuleRequest(modules=["app"], target=target,
+                                       quota=quota)),
+            ]
+        assert [(r.ok, r.fallback, r.error) for r in responses] == \
+            [(False, False, "QuotaExceeded")] * 2
+        assert host.stats.counters["quota_exceeded"] == 2
+        assert engine.stats()["counters"]["service.quota_exceeded"] == 2
+
+
+class TestAnImageIsVerifiedOnce:
+    """A load verifies an image once, whole (it is spliced from its
+    units); each module's native chunk is still SFI-verified under its
+    own policy when it is translated."""
+
+    def assert_verified_once(self, engine, image):
+        assert engine.metrics.stage_calls["verify.module"] == 1
+        assert engine.metrics.counters["verify.module.instrs"] == \
+            len(image.instrs)
+
+    def test_cold_and_warm_loads(self):
+        engine = linking_engine()
+        image = engine.link_modules(["app"])
+        engine.reset_stats()
+        engine.load(image, "mips")
+        self.assert_verified_once(engine, image)
+        assert engine.metrics.stage_calls["verify.sfi"] == 2  # lib, app
+        engine.reset_stats()
+        engine.load(image, "mips")
+        self.assert_verified_once(engine, image)
+        assert "verify.sfi" not in engine.metrics.stage_calls  # chunk hits
+
+    def test_engine_translate(self):
+        engine = linking_engine()
+        image = engine.link_modules(["app"])
+        engine.reset_stats()
+        engine.translate(image, "mips")
+        self.assert_verified_once(engine, image)
 
 
 class TestProfileTimingIsFixedAtTranslation:

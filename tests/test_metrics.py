@@ -1,6 +1,8 @@
 """The pipeline metrics layer."""
 
 import json
+import sys
+import threading
 
 from repro import metrics
 from repro.compiler import compile_and_link
@@ -61,6 +63,70 @@ class TestCollector:
                 metrics.count("both", 5)
         assert outer.counters["both"] == 5
         assert inner.counters["both"] == 5
+
+    def test_a_collector_installed_twice_counts_once(self):
+        with metrics.collect() as collector:
+            with metrics.collect(collector):
+                metrics.count("event")
+            assert metrics.current() is collector  # still installed
+            metrics.count("event")
+        assert not metrics.active()
+        assert collector.counters["event"] == 2
+
+    def test_overlapping_threads_count_once(self):
+        """Installation is process-wide: a collector two threads hold
+        at once observes each event once, and stays installed until
+        both have released it."""
+        collector = MetricsCollector()
+        both_inside = threading.Barrier(2)
+        released = threading.Event()
+
+        def hold():
+            with metrics.collect(collector):
+                both_inside.wait()
+                released.wait()
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        with metrics.collect(collector):
+            both_inside.wait()
+            metrics.count("event")
+            with metrics.stage("phase"):
+                pass
+        metrics.count("event")  # the other thread still holds it
+        released.set()
+        thread.join()
+        assert not metrics.active()
+        assert collector.counters["event"] == 2
+        assert collector.stage_calls["phase"] == 1
+
+    def test_install_churn_counts_every_event_once(self):
+        """Stress: more threads than cores install and release one
+        collector over and over, counting while they hold it.  A lost
+        update to the hold count would drop events or leave the
+        collector installed; a double install would count twice."""
+        collector = MetricsCollector()
+        threads, rounds = 8, 300
+        interval = sys.getswitchinterval()
+
+        def churn():
+            for _ in range(rounds):
+                with metrics.collect(collector):
+                    metrics.count("event")
+
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert collector.counters["event"] == threads * rounds
+        assert not metrics.active()
 
     def test_merge_and_reset(self):
         a, b = MetricsCollector(), MetricsCollector()

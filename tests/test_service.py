@@ -47,6 +47,15 @@ int main() {
     return i;
 }
 """
+LOOP_SRC = """
+int main() {
+    int i; int s;
+    s = 0;
+    for (i = 0; i < 1000; i = i + 1) { s = s + i * 3; }
+    emit_int(s);
+    return 0;
+}
+"""
 EMITTER_SRC = """
 int main() {
     int i;
@@ -400,6 +409,51 @@ class TestServiceMetrics:
         counters = engine.stats()["counters"]
         assert counters["service.request"] == 3
         assert counters["service.ok"] == 3
+
+    def test_served_runs_count_their_execution(self):
+        """The engine's collector sees a served module execute, as it
+        sees an ``Engine.run``: N served runs retire N times the native
+        instructions of one run."""
+        loop = compile_and_link([LOOP_SRC])
+        reference = Engine(target="mips")
+        reference.run(loop)
+        one = reference.stats()["counters"]["execute.native.instret"]
+        engine = Engine(target="mips")
+        with engine.serve(workers=1) as host:
+            responses = host.run_batch([ModuleRequest(program=loop)
+                                        for _ in range(3)])
+        assert all(response.ok for response in responses)
+        stats = engine.stats()
+        assert stats["counters"]["execute.native.instret"] == 3 * one
+        assert stats["stage_calls"]["execute"] == 3
+        assert stats["counters"]["execute.superblocks"] >= 1
+
+    def test_counts_do_not_depend_on_the_worker_count(self):
+        """Workers that overlap install the engine's collector once
+        between them, so each event is counted once."""
+        def source(k):
+            body = "\n".join(f"s = s + (i * {k + j}) % {j + 7};"
+                             for j in range(12))
+            return (f"int f(int n) {{ int i; int s; s = 0; "
+                    f"for (i = 0; i < n; i = i + 1) {{ {body} }} "
+                    f"return s; }}\n"
+                    f"int main() {{ emit_int(f({k + 3})); return 0; }}")
+
+        sources = [source(k) for k in range(16)]
+
+        def counts(workers):
+            engine = Engine(target="mips")
+            with engine.serve(workers=workers) as host:
+                responses = host.run_batch(
+                    [ModuleRequest(program=text) for text in sources])
+            assert all(response.ok for response in responses)
+            stats = engine.stats()
+            return (stats["stage_calls"]["frontend.lex"],
+                    stats["counters"]["cache.miss"],
+                    stats["cache"]["misses"],
+                    stats["counters"]["service.request"])
+
+        assert counts(4) == counts(1) == (16, 16, 16, 16)
 
     def test_counters_visible_to_ambient_collector(self, program):
         collector = metrics.MetricsCollector()
