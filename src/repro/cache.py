@@ -125,11 +125,9 @@ _MINSTR_FIELDS = (
 def program_digest(program: LinkedProgram) -> str:
     """Content hash of everything translation output depends on.
 
-    A program that carries a precomputed ``digest_hint`` (set by the
-    dynamic linker on the sealed per-module translation units it
-    builds) short-circuits the hash: linking re-digests each shared
-    chunk once, not once per cache probe."""
-    hint = getattr(program, "digest_hint", None)
+    A linked program is sealed, so its digest is computed once and kept
+    as its ``digest_hint``; every later call returns the hint."""
+    hint = program.digest_hint
     if hint is not None:
         return hint
     digest = hashlib.sha256()
@@ -151,7 +149,8 @@ def program_digest(program: LinkedProgram) -> str:
             ("\x00extern\x00"
              + ",".join(str(a) for a in sorted(extern_addrs))).encode()
         )
-    return digest.hexdigest()
+    program.digest_hint = digest.hexdigest()
+    return program.digest_hint
 
 
 def options_digest(options: TranslationOptions | None) -> str:

@@ -14,6 +14,11 @@ placement, naming, label resolution, data relocation, function ranges).
 :func:`link` runs it at the start of the code and data segments; the
 dynamic link-loader (:mod:`repro.runtime.linker`) runs it once per module
 at that module's placement, with imports resolved through a hook.
+
+A program is sealed once it is linked: nothing changes its instructions,
+data, symbols or function ranges afterwards.  Its encoded text and its
+cache digest (:func:`repro.cache.program_digest`) are therefore computed
+once, on first use, and kept on the program.
 """
 
 from __future__ import annotations
@@ -51,6 +56,13 @@ class LinkedProgram:
     #: OmniVM byte addresses of control-transfer targets that live in
     #: *other* modules of a dynamic link.  Empty for whole programs.
     extern_addrs: frozenset[int] = frozenset()
+    #: The encoded text and the cache digest, once computed.  They are
+    #: not init fields, so a copy made with :func:`dataclasses.replace`
+    #: computes its own; a shallow :func:`copy.copy` shares them.
+    _text_image: bytes | None = field(default=None, init=False,
+                                      repr=False, compare=False)
+    digest_hint: str | None = field(default=None, init=False,
+                                    repr=False, compare=False)
 
     @property
     def entry_address(self) -> int:
@@ -61,7 +73,15 @@ class LinkedProgram:
 
     @property
     def text_image(self) -> bytes:
-        return encode_program(self.instrs)
+        """The encoded text, computed on first use."""
+        if self._text_image is None:
+            self._text_image = encode_program(self.instrs)
+        return self._text_image
+
+    @text_image.setter
+    def text_image(self, text: bytes) -> None:
+        # For a linker that builds the text from parts it already holds.
+        self._text_image = text
 
     def address_of(self, symbol: str) -> int:
         if symbol not in self.symbols:

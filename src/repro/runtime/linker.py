@@ -61,6 +61,7 @@ from repro.errors import (
     QuotaExceeded,
     UnresolvedImportError,
 )
+from repro.omnivm.encoding import encode_instr
 from repro.omnivm.isa import INSTR_SIZE, VMInstr
 from repro.omnivm.linker import LinkedProgram, link_at
 from repro.omnivm.memory import (
@@ -96,6 +97,9 @@ _CONTROL_KINDS = ("branch", "branchi", "jump", "call")
 #: Synthetic symbol anchoring each per-module translation unit's entry.
 _MODULE_START = "__module_start"
 
+#: The encoded ``trap`` that pads each module's text to its alignment.
+_TRAP_TEXT = encode_instr(VMInstr("trap", imm=0xDEAD))
+
 
 def object_digest(obj: ObjectModule) -> str:
     """Content hash identifying one registered object module."""
@@ -116,6 +120,12 @@ class ModuleDef:
     #: this definition (filled during linking; drained on revocation so
     #: the engine can drop exactly this module's cached chunks)
     chunk_digests: set[str] = field(default_factory=set)
+    #: sealed translation units linked from this definition, each with
+    #: the symbols its link defined, keyed by placement and resolved
+    #: import addresses (see :func:`dynamic_link`); changed only under
+    #: the registry lock, dropped on revocation
+    units: dict[tuple, tuple[LinkedProgram, dict[str, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.digest:
@@ -192,6 +202,7 @@ class ModuleRegistry:
             if definition is None:
                 raise DynamicLinkError(f"unknown module {name!r}")
             definition.revoked = True
+            definition.units.clear()
             metrics.count("link.revoke")
             return definition
 
@@ -401,6 +412,14 @@ def dynamic_link(
     alignment, 4 KiB data alignment), so the translation unit of a
     module that many programs share is byte-identical across links and
     its native translation is served from the cache after the first.
+
+    Each module is linked once per placement: its
+    :class:`ModuleDef` memoizes the sealed unit under (base index, data
+    base, the addresses its imports resolve to), which is everything
+    the unit's content depends on.  A later link with the same key
+    splices a shallow copy of that unit under the new image's name, so
+    neither :func:`~repro.omnivm.linker.link_at` nor the unit's encoding
+    and digest run again.
     """
     with metrics.stage("link.dynamic"), registry.lock:
         image = _dynamic_link(registry, list(roots), entry_symbol, name)
@@ -473,51 +492,44 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
     # module's link is its translation unit: absolute addresses
     # (``base_index`` places it), its own symbols and function ranges,
     # and the foreign control targets its trampolines (or stray direct
-    # branches) name.  The image splices the units with trap padding.
+    # branches) name.  The image splices the units with trap padding,
+    # and its text splices the units' encoded texts.
     image.data_image = bytearray(data_cursor)
+    text: list[bytes] = []
     for module_name in order:
-        obj = closure[module_name].obj
+        definition = closure[module_name]
         layout = layouts[module_name]
-
-        def external(symbol: str, kind: str | None) -> int:
-            """An import resolves to the module's trampoline when it is
-            a control transfer, else to the provider's export (data
-            references and materialized function pointers: the
-            indirect-call map covers those at run time)."""
-            if kind in _CONTROL_KINDS and symbol in layout.trampolines:
-                return layout.trampolines[symbol]
-            provider = layout.imports.get(symbol)
-            if provider is None:
-                raise UnresolvedImportError(symbol, importer=module_name)
-            return layouts[provider].exports[symbol]
-
-        unit = link_at([obj], f"{image.name}:{module_name}", _MODULE_START,
-                       layout.base_index, layout.data_base,
-                       module=module_name, external=external)
-        for sym in obj.symbols:
-            if sym.is_global:
-                layout.exports[sym.name] = unit.symbols[sym.name]
-        unit.instrs += [
-            VMInstr("j", imm=layouts[layout.imports[symbol]].exports[symbol])
-            for symbol in sorted(layout.trampolines)
-        ]
-        image.instrs += [VMInstr("trap", imm=0xDEAD) for _ in
-                         range(layout.base_index - len(image.instrs))]
+        # The unit's content follows from its placement and the
+        # addresses its imports resolve to (a module's own exports
+        # follow from its placement).
+        key = (layout.base_index, layout.data_base, tuple(
+            layouts[provider].exports[symbol]
+            for symbol, provider in layout.imports.items()
+            if provider != module_name))
+        memo = definition.units.get(key)
+        if memo is None:
+            metrics.count("link.unit_miss")
+            unit, symbols = definition.units[key] = _link_unit(
+                definition, layout, layouts, f"{image.name}:{module_name}")
+        else:
+            metrics.count("link.unit_hit")
+            unit, symbols = memo
+            unit = copy.copy(unit)
+            unit.name = f"{image.name}:{module_name}"
+            layout.exports = _exports(definition.obj, symbols)
+        padding = layout.base_index - len(image.instrs)
+        image.instrs += [VMInstr("trap", imm=0xDEAD) for _ in range(padding)]
         image.instrs += unit.instrs
+        text += (_TRAP_TEXT * padding, unit.text_image)
         data_lo = layout.data_base - DATA_BASE
         image.data_image[data_lo:data_lo + layout.data_len] = \
             unit.data_image
-        image.symbols.update(unit.symbols)
+        image.symbols.update(symbols)
         image.function_ranges.update(unit.function_ranges)
         image.modules.append(layout)
         if layout.text_len:
-            unit.symbols[_MODULE_START] = layout.code_lo
-            unit.extern_addrs = frozenset(
-                u32(i.imm) for i in unit.instrs
-                if i.spec.kind in _CONTROL_KINDS
-                and not layout.contains_code(u32(i.imm))
-            )
             layout.subprogram = unit
+    image.text_image = b"".join(text)
 
     image.code_export_addrs = frozenset(
         address for layout in image.modules
@@ -532,9 +544,6 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
         layout = layouts[module_name]
         if layout.text_len:
             digest = program_digest(layout.subprogram)
-            # The unit is sealed from here on; pinning its digest saves
-            # re-encoding it on every later cache probe.
-            layout.subprogram.digest_hint = digest
             closure[module_name].chunk_digests.add(digest)
             image_hash.update(f"{module_name}\x00{digest}\x00".encode())
             if layout.policy != DEFAULT_POLICY:
@@ -562,6 +571,52 @@ def _dynamic_link(registry: ModuleRegistry, roots: list[str],
     for module_name in order:
         closure[module_name].chunk_digests.add(image_digest)
     return image
+
+
+def _link_unit(definition: ModuleDef, layout: ModuleLayout,
+               layouts: dict[str, ModuleLayout], name: str
+               ) -> tuple[LinkedProgram, dict[str, int]]:
+    """Link *definition* at *layout*'s placement into its sealed
+    translation unit: the module's text, its trampolines, and
+    ``__module_start`` as its entry.  Returns the unit and the symbols
+    the link defined (the image's share, without that entry anchor),
+    and records the module's exports in *layout*."""
+
+    def external(symbol: str, kind: str | None) -> int:
+        """An import resolves to the module's trampoline when it is a
+        control transfer, else to the provider's export (data references
+        and materialized function pointers: the indirect-call map covers
+        those at run time)."""
+        if kind in _CONTROL_KINDS and symbol in layout.trampolines:
+            return layout.trampolines[symbol]
+        provider = layout.imports.get(symbol)
+        if provider is None:
+            raise UnresolvedImportError(symbol, importer=definition.name)
+        return layouts[provider].exports[symbol]
+
+    unit = link_at([definition.obj], name, _MODULE_START, layout.base_index,
+                   layout.data_base, module=definition.name,
+                   external=external)
+    symbols = dict(unit.symbols)
+    layout.exports = _exports(definition.obj, symbols)
+    unit.instrs += [
+        VMInstr("j", imm=layouts[layout.imports[symbol]].exports[symbol])
+        for symbol in sorted(layout.trampolines)
+    ]
+    if layout.text_len:
+        unit.symbols[_MODULE_START] = layout.code_lo
+        unit.extern_addrs = frozenset(
+            u32(i.imm) for i in unit.instrs
+            if i.spec.kind in _CONTROL_KINDS
+            and not layout.contains_code(u32(i.imm))
+        )
+    return unit, symbols
+
+
+def _exports(obj: ObjectModule, symbols: dict[str, int]) -> dict[str, int]:
+    """Where a link of *obj* that defined *symbols* placed each global."""
+    return {sym.name: symbols[sym.name]
+            for sym in obj.symbols if sym.is_global}
 
 
 def translate_image(

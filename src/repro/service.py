@@ -804,7 +804,9 @@ class ModuleHost:
                 program = request.program
                 if not isinstance(program, LinkedProgram):
                     program = engine.compile(program)
-            arch = engine._resolve_target(request.target)
+            # Named before the load, so a load refused for its quota or
+            # deadline reports the arch it was refused on.
+            arch = response.arch = engine._resolve_target(request.target)
             module = None
             host = CappedHost(request.quota.max_output_bytes)
             if arch != INTERPRETER:
@@ -819,9 +821,8 @@ class ModuleHost:
                     # reference interpreter rather than failing it.
                     self.stats.count("fallback")
                     response.fallback = True
-                    arch = INTERPRETER
+                    arch = response.arch = INTERPRETER
                     host = CappedHost(request.quota.max_output_bytes)
-            response.arch = arch
             if module is None:
                 module = engine.load(
                     program, arch, request.options,

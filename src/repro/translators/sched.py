@@ -55,15 +55,16 @@ def build_dependences(
     open_loads: list[int] = []  # loads issued since the last store/barrier
     last_barrier = -1
     for j, instr in enumerate(block):
+        reads = instr.cached_reads()
+        writes = instr.cached_writes()
         preds: set[int] = set()
-        for key in instr.reg_reads():
+        for key in reads:
             if key in last_write:
                 preds.add(last_write[key])
-        for key in instr.reg_writes():
+        for key in writes:
             if key in last_write:
                 preds.add(last_write[key])  # WAW
-            for reader in last_reads.get(key, ()):
-                preds.add(reader)  # WAR
+            preds.update(last_reads.get(key, ()))  # WAR
         kind = _mem_kind(instr)
         if precise and kind in ("load", "store"):
             kind = "barrier"
@@ -84,9 +85,9 @@ def build_dependences(
         for p in preds:
             if p != j:
                 succs[p].append(j)
-        for key in instr.reg_reads():
+        for key in reads:
             last_reads.setdefault(key, []).append(j)
-        for key in instr.reg_writes():
+        for key in writes:
             last_write[key] = j
             last_reads[key] = []
         if kind == "store":
@@ -106,7 +107,13 @@ def list_schedule(
 ) -> list[MInstr]:
     """Reorder *block* to reduce stalls; the final instruction stays last
     if it is a control transfer.  *precise* pins memory operations (see
-    :func:`build_dependences`)."""
+    :func:`build_dependences`).
+
+    Latencies come from *spec*, the translator's target description,
+    never from an instruction's cached issue record: the machine that
+    runs the code may charge a different timing (the cc profile's PPC
+    compares), so the scheduler leaves that record alone.
+    """
     if len(block) < 2:
         return block
     tail: list[MInstr] = []
@@ -118,49 +125,57 @@ def list_schedule(
             return block
     succs = build_dependences(block, precise)
     n = len(body)
+    latency = [spec.timing.result_latency(instr) for instr in body]
+    # Predecessor counts and latency-weighted critical-path heights.
     indegree = [0] * n
-    for i in range(n):
-        for j in succs[i]:
-            if j < n:
-                indegree[j] += 1
-    # Critical-path heights (latency-weighted).
     height = [0] * n
     for i in range(n - 1, -1, -1):
-        latency = spec.timing.result_latency(body[i])
         best = 0
         for j in succs[i]:
             if j < n:
-                best = max(best, height[j])
-        height[i] = latency + best
+                indegree[j] += 1
+                if height[j] > best:
+                    best = height[j]
+        height[i] = latency[i] + best
     ready = [i for i in range(n) if indegree[i] == 0]
-    # Operand availability times per register.
+    # Operand availability times per register, and per ready
+    # instruction the time its operands are available.  That time is
+    # fixed while the instruction waits: every other writer of a
+    # register it reads is ordered before it (and already scheduled) or
+    # after it (and not yet ready).
     available: dict[tuple[str, int], int] = {}
+    operands_at = [0] * n
     clock = 0
     scheduled: list[int] = []
-    in_ready = set(ready)
     while ready:
         # Pick the ready instruction that can issue earliest; break ties
         # by critical-path height, then original order (determinism).
-        def start_time(i: int) -> int:
-            t = clock
-            for key in body[i].reg_reads():
-                t = max(t, available.get(key, 0))
-            return t
-
-        ready.sort(key=lambda i: (start_time(i), -height[i], i))
-        chosen = ready.pop(0)
-        in_ready.discard(chosen)
-        clock = max(clock + 1, start_time(chosen) + 1)
-        latency = spec.timing.result_latency(body[chosen])
-        for key in body[chosen].reg_writes():
-            available[key] = clock + latency - 1
+        pick = 0
+        chosen = ready[0]
+        start = max(clock, operands_at[chosen])
+        for position in range(1, len(ready)):
+            i = ready[position]
+            t = max(clock, operands_at[i])
+            if t < start or t == start and (
+                    height[i] > height[chosen]
+                    or height[i] == height[chosen] and i < chosen):
+                pick, chosen, start = position, i, t
+        ready[pick] = ready[-1]
+        ready.pop()
+        clock = start + 1
+        done = clock + latency[chosen] - 1
+        for key in body[chosen].cached_writes():
+            available[key] = done
         scheduled.append(chosen)
         for j in succs[chosen]:
-            if j < n and j not in in_ready and j not in scheduled:
+            if j < n:
                 indegree[j] -= 1
                 if indegree[j] == 0:
+                    t = 0
+                    for key in body[j].cached_reads():
+                        t = max(t, available.get(key, 0))
+                    operands_at[j] = t
                     ready.append(j)
-                    in_ready.add(j)
     if len(scheduled) != n:  # cycle safety net: keep original order
         return block
     result = [body[i] for i in scheduled]
@@ -209,14 +224,14 @@ def _can_fill(candidate: MInstr, branch: MInstr, link_reg: int) -> bool:
         "bcc", "fbcc", "hostcall", "trap", "nop", "jal", "jalr", "jr", "j",
     ):
         return False
-    written = set(candidate.reg_writes())
-    if any(read in written for read in branch.reg_reads()):
+    written = set(candidate.cached_writes())
+    if any(read in written for read in branch.cached_reads()):
         return False
     # Calls write the link register BEFORE the delay slot executes, so a
     # candidate that reads or writes it must not move into the slot
     # (the classic $ra-in-jal-delay-slot hazard).
     if branch.op in ("jal", "jalr") and link_reg >= 0:
-        touched = set(candidate.reg_reads()) | written
+        touched = set(candidate.cached_reads()) | written
         if ("r", link_reg) in touched:
             return False
     # cc state: a cc-writing candidate cannot slide past a cc-reading

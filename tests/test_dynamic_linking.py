@@ -9,6 +9,8 @@ on hot reload), and the inter-module SFI rule (cross-module control
 transfers must land on exported symbols).  All tests are fast and
 deterministic (tier-1)."""
 
+import dataclasses
+import hashlib
 import importlib.util
 import threading
 from pathlib import Path
@@ -26,9 +28,12 @@ from repro.errors import (
     UnresolvedImportError,
     VerifyError,
 )
+from repro.omnivm import encoding
+from repro.omnivm.asmparser import assemble
 from repro.omnivm.isa import INSTR_SIZE
 from repro.omnivm.memory import CODE_BASE
 from repro.omnivm.verifier import verify_program
+from repro.runtime import linker as linker_module
 from repro.runtime.linker import (
     TEXT_ALIGN_INSTRS,
     ModuleRegistry,
@@ -301,6 +306,166 @@ class TestSharedLibraryCache:
         # The layout's subprogram digest is what the cache keys on.
         assert program_digest(layout.subprogram) in \
             definition.chunk_digests
+
+
+def fingerprint(image) -> tuple:
+    """Everything a link produces: text, data, tables, the image digest
+    and per module its placement, unit digest and unit text."""
+    return (hashlib.sha256(image.text_image).hexdigest(),
+            hashlib.sha256(bytes(image.data_image)).hexdigest(),
+            image.digest_hint, tuple(image.symbols.items()),
+            tuple(image.function_ranges.items()),
+            tuple((layout.name, layout.base_index,
+                   tuple(layout.exports.items()),
+                   program_digest(layout.subprogram),
+                   hashlib.sha256(layout.subprogram.text_image).hexdigest())
+                  for layout in image.modules))
+
+
+class TestUnitMemo:
+    """Each module is linked once per placement and resolved import
+    addresses; a warm link splices the memoized unit."""
+
+    def _units(self, engine: Engine) -> tuple[int, int]:
+        counters = engine.metrics.counters
+        return (counters.get("link.unit_hit", 0),
+                counters.get("link.unit_miss", 0))
+
+    def _counting(self, monkeypatch, module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_relinking_links_each_module_once(self, monkeypatch):
+        expected = fingerprint(make_engine().link_modules(["app"]))
+        engine = make_engine()
+        links = self._counting(monkeypatch, linker_module, "link_at")
+        encoded = self._counting(monkeypatch, encoding, "encode_instr")
+        prints = [fingerprint(engine.link_modules(["app"]))
+                  for _ in range(5)]
+        assert prints == [expected] * 5
+        assert sorted(args[1] for args in links) == [
+            "app:app", "app:libcompose", "app:libmath"]
+        assert self._units(engine) == (12, 3)
+        # Only the first link encodes, and only its units.
+        image = engine.link_modules(["app"])
+        assert len(encoded) == sum(layout.text_len
+                                   for layout in image.modules)
+
+    def test_a_unit_hit_keeps_its_image_name(self):
+        engine = make_engine()
+        engine.register_module("other", """
+            extern int scale(int x);
+            int main() { emit_int(scale(5)); return 0; }
+        """)
+        first = engine.link_modules(["app"])
+        second = engine.link_modules(["other"])
+        assert self._units(engine) == (1, 4)   # libmath shared
+        ours = first.layout_named("libmath").subprogram
+        theirs = second.layout_named("libmath").subprogram
+        assert (ours.name, theirs.name) == ("app:libmath", "other:libmath")
+        assert theirs.instrs is ours.instrs
+        assert theirs.text_image is ours.text_image
+        assert program_digest(theirs) == program_digest(ours)
+        assert engine.load(second).run() == 0
+
+    def test_importers_relink_only_when_provider_exports_move(self):
+        engine = make_engine()
+        image = engine.link_modules(["app"])
+        exports = image.layout_named("libmath").exports
+        # A new body with the same export addresses: only libmath
+        # relinks, and the importers' units still reach the new code.
+        engine.register_module("libmath", LIB_MATH.replace("x + 1", "x + 2"))
+        before = self._units(engine)
+        image = engine.link_modules(["app"])
+        assert image.layout_named("libmath").exports == exports
+        after = self._units(engine)
+        assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
+        module = engine.load(image)
+        assert module.run() == 0 and module.host.output_values() == [30, 24]
+        # A function in front of scale moves every export: all relink.
+        engine.register_module(
+            "libmath", "int pad(int x) { return x - 1; }\n" + LIB_MATH)
+        before = after
+        image = engine.link_modules(["app"])
+        assert image.layout_named("libmath").exports["scale"] != \
+            exports["scale"]
+        after = self._units(engine)
+        assert (after[0] - before[0], after[1] - before[1]) == (0, 3)
+        module = engine.load(image)
+        assert module.run() == 0 and module.host.output_values() == [30, 21]
+
+    def test_a_module_importing_its_own_export(self):
+        # Its trampoline targets its own export, which the memo key
+        # leaves out: the placement already fixes it.
+        obj = assemble("""
+            .text
+            .import f
+            .globl main
+        main:
+            addi r15, r15, -8
+            sw ra, r15, 0
+            jal f
+            lw ra, r15, 0
+            addi r15, r15, 8
+            jr ra
+            .globl f
+        f:
+            li r1, 5
+            jr ra
+        """, "selfish")
+        engine = Engine()
+        engine.register_module("selfish", obj)
+        images = [engine.link_modules(["selfish"]) for _ in range(2)]
+        assert self._units(engine) == (1, 1)
+        assert fingerprint(images[0]) == fingerprint(images[1])
+        assert engine.load(images[1]).run() == 5
+
+    def test_revocation_and_reregistration_drop_the_memo(self):
+        engine = make_engine()
+        engine.link_modules(["app"])
+        revoked = engine.registry.lookup("libmath")
+        assert revoked.units
+        engine.revoke_module("libmath")
+        assert not revoked.units
+        engine.register_module("libmath", LIB_MATH)
+        assert not engine.registry.lookup("libmath").units
+        before = self._units(engine)
+        engine.link_modules(["app"])
+        after = self._units(engine)
+        assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
+        # Re-registration alone drops the old definition's memo too.
+        engine.register_module("app", APP)
+        before = after
+        engine.link_modules(["app"])
+        after = self._units(engine)
+        assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
+
+    @pytest.mark.parametrize("target", ["mips", None])
+    def test_a_program_is_encoded_and_digested_once(self, target,
+                                                    monkeypatch):
+        engine = Engine(target=target)
+        program = engine.compile(
+            "int main() { emit_int(6 * 7); return 0; }")
+        encoded = self._counting(monkeypatch, encoding, "encode_instr")
+        for _ in range(4):
+            code, module = engine.run(program)
+            assert code == 0 and module.host.output_values() == [42]
+        assert len(encoded) == len(program.instrs)
+        # A copy made with dataclasses.replace keeps neither the text
+        # nor the digest, so it is encoded and digested again.
+        copy = dataclasses.replace(program)
+        assert copy.digest_hint is None
+        code, module = engine.run(copy)
+        assert code == 0 and module.host.output_values() == [42]
+        assert len(encoded) == 2 * len(program.instrs)
+        assert copy.digest_hint == program.digest_hint
 
 
 class TestServiceIntegration:

@@ -7,9 +7,11 @@ their insertion order, and the entry address.  A dynamically linked
 image also pins its export addresses, lineage and digest, and per
 module its placement, exports, imports, trampolines and translation
 unit (the unit's own fingerprint, its cache digest, base index and
-foreign control targets).  A linker change that is meant to be a pure
-refactor must leave every one of them unchanged; one that changes a
-link on purpose regenerates the file (``python
+foreign control targets).  Each dynamic case is linked twice on one
+registry, and both images must match the pin: the second link splices
+the units the first one memoized.  A linker change that is meant to be
+a pure refactor must leave every one of them unchanged; one that
+changes a link on purpose regenerates the file (``python
 tests/test_link_images.py``) and says why.  The type and message of
 each faulty link's error are pinned the same way.
 """
@@ -215,35 +217,45 @@ def _asm(name, source):
     return name, obj
 
 
-def _image(modules, roots, policies=None):
+def _registry(modules, roots, policies=None):
     registry = ModuleRegistry()
     for name, obj in modules:
         registry.register(name, obj,
                           (policies or {}).get(name, DEFAULT_POLICY))
-    return dynamic_link(registry, roots)
+    return registry, roots
 
 
-def dynamic_links():
+def _image(modules, roots, policies=None):
+    return dynamic_link(*_registry(modules, roots, policies))
+
+
+def dynamic_registries():
+    """Each dynamic case as a fresh registry and its link roots."""
     libmath = lambda: _minic("libmath", LIBMATH)
     tables = lambda: _minic("tables", TABLES)
     three = lambda: (libmath(), _minic("libcompose", LIBCOMPOSE),
                      _minic("app", APP))
     return {
-        "dynamic/three-module": lambda: _image(three(), ["app"]),
-        "dynamic/two-roots": lambda: _image(
+        "dynamic/three-module": lambda: _registry(three(), ["app"]),
+        "dynamic/two-roots": lambda: _registry(
             three() + (_minic("tools", TOOLS),), ["app", "tools"]),
-        "dynamic/padded-library": lambda: _image(
+        "dynamic/padded-library": lambda: _registry(
             (libmath(), _minic("solo", SOLO)), ["solo"],
             policies={"libmath": PADDED_POLICY}),
-        "dynamic/data-only": lambda: _image(
+        "dynamic/data-only": lambda: _registry(
             (tables(), _minic("reader", READER)), ["reader"]),
-        "dynamic/data-and-pointers": lambda: _image(
+        "dynamic/data-and-pointers": lambda: _registry(
             (libmath(), tables(), _minic("pointers", POINTERS)),
             ["pointers"]),
-        "dynamic/asm-locals": lambda: _image(
+        "dynamic/asm-locals": lambda: _registry(
             (_asm("asm_lib", ASM_LIB), _asm("asm_app", ASM_APP)),
             ["asm_app"]),
     }
+
+
+def dynamic_links():
+    return {key: (lambda build=build: dynamic_link(*build()))
+            for key, build in dynamic_registries().items()}
 
 
 # -- link errors --------------------------------------------------------------
@@ -392,14 +404,18 @@ def test_static_link(key):
 
 @pytest.mark.parametrize("key", list(dynamic_links()))
 def test_dynamic_link(key):
-    image = dynamic_links()[key]()
-    assert image_print(image) == PINNED[key]
-    # Each unit's pinned digest is the digest of its content, not a
-    # stale hint.
-    for layout in image.modules:
-        if layout.subprogram is not None:
-            assert layout.subprogram.digest_hint == program_digest(
-                dataclasses.replace(layout.subprogram))
+    # The second link on the same registry splices the units the first
+    # one memoized, and must give the same image.
+    registry, roots = dynamic_registries()[key]()
+    for image in (dynamic_link(registry, roots),
+                  dynamic_link(registry, roots)):
+        assert image_print(image) == PINNED[key]
+        # Each unit's pinned digest is the digest of its content, not
+        # a stale hint.
+        for layout in image.modules:
+            if layout.subprogram is not None:
+                assert layout.subprogram.digest_hint == program_digest(
+                    dataclasses.replace(layout.subprogram))
 
 
 @pytest.mark.parametrize("key", list(failing_links()))

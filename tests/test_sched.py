@@ -1,12 +1,19 @@
 """Instruction scheduler and delay-slot filler unit tests."""
 
+import pytest
+
+from repro.difftest import ProgramGenerator
+from repro.native.profiles import PROFILES
 from repro.targets.base import MInstr
-from repro.translators import target_spec
+from repro.translators import ARCHITECTURES, target_spec, translate
+from repro.translators import base as translator_base
 from repro.translators.sched import (
     build_dependences,
     finalize_block,
     list_schedule,
 )
+from repro.workloads import suite
+from tests import sched_reference as reference
 
 
 def names(block):
@@ -180,3 +187,61 @@ class TestDelaySlotHazards:
         ]
         out = finalize_block(block, spec, schedule=True)
         assert out[-1].op == "li"
+
+
+def scheduled_blocks() -> list:
+    """Every block the translators schedule, with the spec and the
+    precise flag they schedule it under: the four SPEC kernels and a
+    fixed-seed difftest corpus, on all four targets under every profile
+    that schedules."""
+    recorded = []
+
+    def recording(block, spec, precise=False):
+        recorded.append((list(block), spec, precise))
+        return list_schedule(block, spec, precise)
+
+    programs = [suite.build(name) for name in suite.WORKLOAD_NAMES]
+    programs += [ProgramGenerator("sched").program(index).build()
+                 for index in range(24)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(translator_base, "list_schedule", recording)
+        for program in programs:
+            for arch in ARCHITECTURES:
+                for options in PROFILES.values():
+                    if options.schedule:
+                        translate(program, arch, options)
+    return recorded
+
+
+class TestMatchesReference:
+    """The scheduler returns the order of the reference scheduler in
+    ``sched_reference.py`` (the one that rebuilt register sets and
+    re-sorted the ready list at every pick) for every block the
+    translators schedule, with and without *precise*."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        return scheduled_blocks()
+
+    def test_corpus_covers_both_modes_and_every_target(self, blocks):
+        assert {precise for _block, _spec, precise in blocks} == \
+            {False, True}
+        assert {spec.name for _block, spec, _precise in blocks} == \
+            set(ARCHITECTURES)
+
+    def test_same_dependences(self, blocks):
+        for block, _spec, _precise in blocks:
+            for precise in (False, True):
+                assert build_dependences(block, precise) == \
+                    reference.build_dependences(block, precise)
+
+    def test_same_order(self, blocks):
+        for block, spec, _precise in blocks:
+            for precise in (False, True):
+                want = reference.list_schedule(list(block), spec, precise)
+                got = list_schedule(list(block), spec, precise)
+                assert list(map(id, got)) == list(map(id, want))
+
+    def test_scheduling_leaves_issue_records_alone(self, blocks):
+        assert all(instr.cissue is None
+                   for block, _spec, _precise in blocks for instr in block)

@@ -272,6 +272,16 @@ class TestQuotas:
                 quota=RequestQuota(segment_size=1 << 16)))
         assert response.ok and response.output == "42"
 
+    def test_refused_native_load_names_its_arch(self):
+        engine = Engine(target="mips")
+        with engine.serve(workers=1) as host:
+            response = host.run(ModuleRequest(
+                program="int main() { emit_int(1); return 0; }",
+                quota=RequestQuota(segment_size=1 << 25)))
+        assert not response.ok and response.error == "QuotaExceeded"
+        assert response.arch == "mips" and not response.fallback
+        assert engine.stats()["counters"]["service.quota_exceeded"] == 1
+
 
 class TestRetryAndFallback:
     def test_retry_then_succeed(self, program):
