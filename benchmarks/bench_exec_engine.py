@@ -66,7 +66,7 @@ JIT_RESULT_KEYS = frozenset(
 
 #: Share of a threaded block dispatch's time that running it inside a
 #: superblock saves, for ``breakeven_dispatches``: a round figure inside
-#: the 45-83% that the warm per-kernel speedups (1.8-5.9x) imply.
+#: the 41-78% that the warm per-kernel speedups (1.7-4.5x) imply.
 SAVED_FRACTION = 0.7
 
 #: Acceptance bars from the issue: threaded must beat legacy by at

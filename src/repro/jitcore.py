@@ -40,10 +40,12 @@ from repro.errors import FuelExhausted
 from repro.optable import exec_env
 
 #: Block-entry dispatch count at which a superblock is formed, counted
-#: per translation.  Ski-rental break-even: compiling one superblock
-#: costs about as much as 270-520 threaded dispatches of its entry block
-#: save at ~70% each (DESIGN.md §3a).
-JIT_HEAT = 256
+#: per translation.  Ski-rental break-even: on the cold corpus,
+#: compiling one superblock costs about as much as 384-490 threaded
+#: dispatches of its entry block save at ~70% each; this is the
+#: smallest executor's break-even, rounded down to a multiple of 32
+#: (DESIGN.md §3a).  The SPEC kernels' longer traces break even later.
+JIT_HEAT = 384
 #: Heat threshold of a machine that never tiers up: ``engine="threaded"``
 #: runs the same dispatch loop, and its superblock probe never fires.
 NO_TIER_UP = 1 << 62

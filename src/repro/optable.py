@@ -38,9 +38,10 @@ from repro.omnivm import semantics
 from repro.utils.bits import round_f32
 
 #: Fault classes.  ``MEM`` and ``DIV`` ops raise an exception annotated
-#: with the faulting op's location; an ``FPDIV`` op raises unattributed
-#: (the enclosing block is the unit of accounting); ``TRAP`` always
-#: raises.
+#: with the faulting op's location; an ``FPDIV`` op raises without one
+#: (the enclosing block is the unit of ``instret`` accounting), except
+#: for the location a tier asks for to replay cycle charges; ``TRAP``
+#: always raises.
 NONE = "none"
 MEM = "mem"
 DIV = "div"
@@ -49,7 +50,8 @@ TRAP = "trap"
 
 #: The divide-by-zero test and trap every ``FPDIV`` op carries.
 FPDIV_CHECK = "fregs[{ft}] == 0.0"
-FPDIV_RAISE = f"raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})"
+FPDIV_ERROR = f"VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})"
+FPDIV_RAISE = f"raise {FPDIV_ERROR}"
 
 #: Comparison operators by predicate name, and predicate inversion.
 CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -327,10 +329,13 @@ class OpTable:
             return cell
         return _subst(template, replace)
 
-    def lines(self, name, k, bound, annotate, instr=None) -> list[str]:
+    def lines(self, name, k, bound, annotate, instr=None,
+              trap_annotate=None) -> list[str]:
         """Op *name* as threaded-closure lines (operand suffix *k*),
         wrapped for its fault class: ``MEM``/``DIV`` faults get
-        attribute *annotate* set to the op's location ``at<k>``."""
+        attribute *annotate* set to the op's location ``at<k>``, and an
+        ``FPDIV`` trap gets attribute *trap_annotate* when one is
+        named."""
         op = self.ops[name]
         text = self.text(op.stmt, k, bound, instr)
         body = text.split("\n") if text else []
@@ -341,8 +346,12 @@ class OpTable:
                        f"    _e.{annotate} = at{k}",
                        "    raise"])
         if op.fault == FPDIV:
-            return ([f"if {self.text(FPDIV_CHECK, k, bound)}:",
-                     "    " + FPDIV_RAISE] + body)
+            check = f"if {self.text(FPDIV_CHECK, k, bound)}:"
+            if trap_annotate is None:
+                return [check, "    " + FPDIV_RAISE] + body
+            return [check, f"    _e = {FPDIV_ERROR}",
+                    f"    _e.{trap_annotate} = at{k}",
+                    "    raise _e"] + body
         return body
 
     def variant(self, name, instr) -> tuple:

@@ -126,20 +126,20 @@ class ModuleDef:
     #: the registry lock, dropped on revocation
     units: dict[tuple, tuple[LinkedProgram, dict[str, int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: the linkage interface — exported symbols with their sections,
+    #: and imported names — computed once: a definition's object never
+    #: changes after registration
+    exports: dict[str, SymbolSection] = field(
+        init=False, repr=False, compare=False)
+    imports: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.digest:
             self.digest = object_digest(self.obj)
-
-    @property
-    def exports(self) -> dict[str, SymbolSection]:
-        return {
+        self.exports = {
             s.name: s.section for s in self.obj.symbols if s.is_global
         }
-
-    @property
-    def imports(self) -> set[str]:
-        return set(self.obj.imports) | self.obj.undefined_symbols()
+        self.imports = set(self.obj.imports) | self.obj.undefined_symbols()
 
 
 SymbolSection = str  # 'text' | 'data' | 'bss'

@@ -448,7 +448,9 @@ def _check_instr(ctx: _Ctx, index: int, instr: MInstr,
 
 
 def _int_writes(instr: MInstr) -> list[int]:
-    return [reg for kind, reg in instr.reg_writes() if kind == "r"]
+    """The integer registers *instr* writes, from its cached operand
+    set (mutants are verified on clones, whose caches start empty)."""
+    return [reg for kind, reg in instr.cached_writes() if kind == "r"]
 
 
 def _is_small_sp_update(instr: MInstr, sp: int) -> bool:

@@ -189,6 +189,25 @@ _WRITES_NO_RS = frozenset(("li", "lui"))
 _TWO_OPERAND_READS_DEST = frozenset(())
 
 
+#: The scoreboard is a flat list of ready cycles, one slot per register:
+#: integer registers 0-71, FP registers 72-111 and the condition codes
+#: at 112.  :meth:`Timing.issue` names the slots an instruction reads
+#: and writes.
+FP_SLOT = 72
+CC_SLOT = 112
+SCOREBOARD_SLOTS = CC_SLOT + 1
+
+
+def scoreboard_slot(key: tuple[str, int]) -> int:
+    """The scoreboard slot of an operand key ``(kind, index)``."""
+    kind, index = key
+    if kind == "r":
+        return index
+    if kind == "f":
+        return FP_SLOT + index
+    return CC_SLOT
+
+
 def _depends_on(instr: MInstr, prev: MInstr) -> bool:
     """Does *instr* read a register *prev* writes?"""
     written = prev.cached_writes()
@@ -251,7 +270,7 @@ class Timing:
 
     def issue(self, instr: MInstr) -> tuple:
         """The issue record of *instr*, cached on the instruction:
-        ``(reads, writes, latency, extra)`` — the scoreboard keys it
+        ``(reads, writes, latency, extra)`` — the scoreboard slots it
         reads and writes, its result latency, and the x86
         memory-resident-register surcharge added to its issue cycle.
         """
@@ -267,8 +286,10 @@ class Timing:
                         operands += 1
                 if operands > 1:
                     extra = self.memory_reg_cost * (operands - 1)
-            record = instr.cissue = (reads, writes,
-                                     self.result_latency(instr), extra)
+            record = instr.cissue = (
+                tuple(map(scoreboard_slot, reads)),
+                tuple(map(scoreboard_slot, writes)),
+                self.result_latency(instr), extra)
         return record
 
     def pairs(self, prev: MInstr | None, instr: MInstr) -> bool:
@@ -344,7 +365,7 @@ class TargetMachine:
         #: dynamic instruction counts per expansion category (Figure 1)
         self.category_counts: dict[str, int] = {c: 0 for c in CATEGORIES}
         # timing state
-        self._ready: dict[tuple[str, int], int] = {}
+        self._ready = [0] * SCOREBOARD_SLOTS
         self._last_issued: MInstr | None = None
         self._last_issue_cycle = -1
         self._pair_open = False
@@ -359,8 +380,8 @@ class TargetMachine:
         reads, writes, latency, extra = record
         ready_map = self._ready
         stall_until = 0
-        for key in reads:
-            ready = ready_map.get(key, 0)
+        for slot in reads:
+            ready = ready_map[slot]
             if ready > stall_until:
                 stall_until = ready
         # Dual issue: the previous instruction's issue slot may have room
@@ -376,8 +397,8 @@ class TargetMachine:
         issue_cycle += extra
         if issue_cycle > self.cycles:
             self.cycles = issue_cycle
-        for key in writes:
-            ready_map[key] = issue_cycle + latency
+        for slot in writes:
+            ready_map[slot] = issue_cycle + latency
         self._last_issued = instr
         self._last_issue_cycle = issue_cycle
 

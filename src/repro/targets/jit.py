@@ -13,16 +13,18 @@ closure chain.
 What the generated code folds in, bit-identically to the threaded tier
 (which is itself bit-identical to the legacy executor):
 
-* **cycle accounting** — the scoreboard (`TargetMachine._ready`), the
-  issue cursor, dual-issue pairing (PPC/x86) and the x86
-  memory-resident-register surcharge are computed on *locals*; each
-  instruction's issue record (read/write keys, latency, surcharge) and
-  the pairing test with a statically known predecessor come from the
-  target's :class:`~repro.targets.base.Timing` at compile time — the
-  same statement ``TargetMachine._charge`` applies at run time — so a
+* **cycle accounting** — the scoreboard (`TargetMachine._ready`, a
+  flat list with one slot per register), the issue cursor, dual-issue
+  pairing (PPC/x86) and the x86 memory-resident-register surcharge are
+  computed on *locals*: the prologue reads each slot the trace touches
+  by its index, ``_t<slot>``.  Each instruction's issue record
+  (read/write slots, latency, surcharge) and the pairing test with a
+  statically known predecessor come from the target's
+  :class:`~repro.targets.base.Timing` at compile time — the same
+  statement ``TargetMachine._charge`` applies at run time — so a
   typical instruction costs one or two integer compares.  Every side
-  exit writes the scoreboard back before returning, so ``cycles``
-  matches the threaded tier exactly.
+  exit writes the slots back before returning, so ``cycles`` matches
+  the threaded tier exactly.
 * **SFI dynamic guard chains** — the sandboxing sequences the rewriter
   inserts (``category="sfi"``) are straight-line ALU ops and are
   emitted inline like any other instruction.  The trace former never
@@ -88,8 +90,8 @@ from repro.utils.bits import u32
 
 #: Assembly-time placeholder for "write the scoreboard/cycle locals and
 #: the condition codes back to the machine" — expanded once the full
-#: set of touched scoreboard keys is known, so an exit emitted early in
-#: a looped trace also syncs keys first written later in the iteration.
+#: set of touched scoreboard slots is known, so an exit emitted early in
+#: a looped trace also syncs slots first written later in the iteration.
 _SYNC = "_SYNCSTATE_"
 
 __all__ = [
@@ -118,7 +120,7 @@ class _Trace:
     """Emission state for one native superblock.
 
     Tracks — entirely at compile time — the retired-but-uncommitted
-    instruction count and category tallies, the set of scoreboard keys
+    instruction count and category tallies, the set of scoreboard slots
     the trace touches, the identity of the previously *charged*
     instruction (for dual-issue pairing and ``_last_issued`` restore),
     and the scalar pair-open flag.  ``prev`` is one of ``("static", k)``
@@ -139,7 +141,7 @@ class _Trace:
         self.entry = entry
         self.link = program.spec.reserved.get("ra", 31)
         self.em = _Emitter()
-        self.keys: dict[tuple, str] = {}
+        self.slots: dict[int, str] = {}
         self.uses_cc = False
         self.total = 0
         self.pending = 0
@@ -150,12 +152,11 @@ class _Trace:
         self.prev: tuple = ("runtime",)
         self.po = "runtime"  # scalar pair-open: "true" | "false" | "runtime"
 
-    def key_name(self, key) -> str:
-        name = self.keys.get(key)
+    def slot_name(self, slot) -> str:
+        """The local that holds scoreboard slot *slot*."""
+        name = self.slots.get(slot)
         if name is None:
-            kind, idx = key
-            name = "_tcc" if kind == "cc" else f"_t{kind}{idx}"
-            self.keys[key] = name
+            name = self.slots[slot] = f"_t{slot}"
         return name
 
     def retire(self, mi) -> None:
@@ -195,7 +196,7 @@ def _emit_charge(w, em, k, depth=0) -> None:
     if mi.category == "fused":
         return  # zero issue cost; does not touch the pair window
     reads, writes, latency, extra = w.timing.issue(mi)
-    rnames = [w.key_name(key) for key in dict.fromkeys(reads)]
+    rnames = [w.slot_name(slot) for slot in dict.fromkeys(reads)]
 
     paired_check = None
     if w.dual:
@@ -238,8 +239,8 @@ def _emit_charge(w, em, k, depth=0) -> None:
     if extra:
         em.emit(f"_ic += {extra}", depth)
     em.emit("_cy = _ic", depth)
-    for key in dict.fromkeys(writes):
-        em.emit(f"{w.key_name(key)} = _ic + {latency}", depth)
+    for slot in dict.fromkeys(writes):
+        em.emit(f"{w.slot_name(slot)} = _ic + {latency}", depth)
     em.emit("_lic = _ic", depth)
     w.prev = ("static", k)
     if not w.dual:
@@ -300,10 +301,10 @@ def _emit_fault_commit(w, em, k, fault_pc, depth, mark_final) -> None:
     em.emit("raise", depth)
 
 
-def _mem_fault_ctx(mode, w, term_k):
+def _mem_fault_ctx(mode, k, term_k):
     """(fault_pc, mark_final, commit) for the three emission modes."""
     if mode == "body":
-        return w.block_entry, False, True
+        return k, False, True
     if mode == "slot_local":
         return term_k, True, True
     return term_k, True, False  # slot_direct: state already committed
@@ -313,7 +314,7 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
     """Charge + op-table statement for one straight-line instruction.
 
     *mode* selects the fault-commit contract: ``"body"`` (on-trace,
-    charge in locals, faults commit with ``pc`` = block entry),
+    charge in locals, faults commit with ``pc`` = the faulting index),
     ``"slot_local"`` (on-trace delay slot, faults commit with ``pc`` =
     the branch index and are marked final), ``"slot_direct"`` (delay
     slot on an already-committed exit path: charge via ``m._charge``,
@@ -327,7 +328,7 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
         _emit_charge(w, em, k, depth)
     op = OPS[mi.op]
     parts = TABLE.render(mi)
-    fault_pc, mark_final, commit = _mem_fault_ctx(mode, w, term_k)
+    fault_pc, mark_final, commit = _mem_fault_ctx(mode, k, term_k)
 
     def guard(exc, d):
         em.emit(f"except {exc} as _v:", d)
@@ -523,32 +524,20 @@ def _emit_term(w, em, k, slot_k):
     op = mi.op
     charge = mi.category != "fused"
 
-    if op == "trap":
-        # Dispatcher order: block commit -> fuel check -> pc = trap
-        # index -> charge -> raise.
+    if op in ("trap", "hostcall"):
+        # Dispatcher order: the block's charge, terminator included ->
+        # block commit -> fuel check -> the terminator.  The commit
+        # syncs the charge, so the host observes exact cycle state.
+        if charge:
+            _emit_charge(w, em, k)
         _emit_exit_state(w, em, w.block_entry)
         _emit_fuel_guard(w, em)
         em.emit(f"m.pc = {k}")
-        if charge:
-            em.emit(f"m._charge(_instrs[{k}])")
+    if op == "trap":
         em.emit(TABLE.render(mi)[0])
         return None
 
     if op == "hostcall":
-        # Commit + fuel check *before* the terminator charge (the
-        # threaded tier charges inside the terminator closure), then
-        # re-sync the charge so the host observes exact cycle state.
-        _emit_exit_state(w, em, w.block_entry)
-        _emit_fuel_guard(w, em)
-        if charge:
-            _emit_charge(w, em, k)
-            em.emit(_SYNC)
-            em.emit(f"m._last_issued = _instrs[{k}]")
-            if w.dual:
-                em.emit("m._pair_open = _po")
-            else:
-                em.emit("m._pair_open = True")
-        em.emit(f"m.pc = {k}")
         em.emit("if m.hostcall is None:")
         em.emit("    raise VMRuntimeError('hostcall without attached "
                 "host')")
@@ -697,10 +686,10 @@ def native_superblock_source(program, entry: int) -> str:
     # -- assemble ---------------------------------------------------------
     cells, invalidate = cache_cells(em)
     sync_lines = []
-    if w.keys:
+    if w.slots:
         sync_lines.append("_rm = m._ready")
-        for key, name in w.keys.items():
-            sync_lines.append(f"_rm[{key!r}] = {name}")
+        for slot, name in w.slots.items():
+            sync_lines.append(f"_rm[{slot}] = {name}")
     sync_lines.append("m.cycles = _cy")
     sync_lines.append("m._last_issue_cycle = _lic")
     if w.uses_cc:
@@ -734,10 +723,10 @@ def native_superblock_source(program, entry: int) -> str:
     # Entry prologue: pull the scoreboard and cycle state into locals.
     out.append(body + "_instrs = m.instrs")
     out.append(body + "_ct = m.category_counts")
-    if w.keys:
-        out.append(body + "_rg = m._ready.get")
-        for key, name in w.keys.items():
-            out.append(body + f"{name} = _rg({key!r}, 0)")
+    if w.slots:
+        out.append(body + "_rm = m._ready")
+        for slot, name in w.slots.items():
+            out.append(body + f"{name} = _rm[{slot}]")
     out.append(body + "_cy = m.cycles")
     out.append(body + "_lic = m._last_issue_cycle")
     out.append(body + "_li = m._last_issued")
@@ -841,5 +830,8 @@ class JitTargetMachine(SuperblockTier, ThreadedTargetMachine):
     violation) are bit-identical to the threaded tier; only fuel cuts
     are coarser (superblock boundaries instead of block boundaries).
     """
+
+    COUNTERS = SuperblockTier.COUNTERS + (
+        ("execute.charge_misses", "_charge_misses"),)
 
     _compile_superblock = staticmethod(compile_native_superblock)

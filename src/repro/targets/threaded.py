@@ -9,25 +9,37 @@ cells — and then executed as lazily-discovered basic blocks with
 ``instret``, the fuel check, and the Figure-1 category counters charged
 once per block.
 
-The cycle-accurate parts stay per-instruction: each closure still calls
-:meth:`TargetMachine._charge` in original program order (the scoreboard,
-dual-issue pairing, and memory-resident-register costs are stateful), so
-``cycles`` is bit-identical to the legacy executor.  What the threaded
-engine removes is the per-step dispatch chain, the per-step fuel and
-category bookkeeping, and the dict-built condition-code predicate of
-``_cc_predicate`` (generated inline per predicate).
+Cycles are charged once per block too.  :meth:`TargetMachine._charge`
+is shift-invariant, so a block's charge depends only on the block and
+its entry state: the ready times of the scoreboard slots it reads
+before writing them, relative to ``_last_issue_cycle`` and clamped at
+0, and on a dual-issue target whether its first instruction pairs with
+the one issued last.  Each block keeps the last entry state and its
+result (a :class:`BlockCharge`); a block entered in that state moves
+the issue cursor and writes its slots in one step, and any other state
+charges per instruction with ``_charge``, in program order, and
+replaces the entry.  So ``cycles`` is bit-identical to the legacy
+executor, which stays per-instruction as the oracle.  What the threaded
+engine removes is the per-step dispatch chain, the per-step fuel,
+category and cycle bookkeeping, and the dict-built condition-code
+predicate of ``_cc_predicate`` (generated inline per predicate).
 
 Superinstruction fusion is **per-target**: ``TargetSpec.fusion_pairs``
 lists the (op, op) pairs the target's translator actually emits hot
 (cmp+bcc on the condition-code machines, slt+beq/bne on MIPS, lui+ori
 constant synthesis, address+memory pairs).  A fused closure, one
-factory per pair, charges and executes both halves in exact legacy
-order, so timing and faults are unchanged.
+factory per pair, executes both halves in exact legacy order, so
+faults are unchanged, and the block charges both.
 
 Delay-slot semantics (MIPS/SPARC) are preserved exactly: the slot
 instruction executes outside the violation try (slot faults propagate to
 the host, as in the legacy loop), annulled untaken branches skip the
-slot, and the taken-branch penalty lands after the slot.
+slot, and the taken-branch penalty lands after the slot.  The block
+charge includes the slot where the slot always runs; the dispatcher
+charges the slot of an annulling branch, and of ``jr``/``jalr`` (whose
+target lookup can raise first), when it runs.  When the body raises,
+nothing is charged yet, so the dispatcher replays the charges of the
+retired prefix.
 
 :meth:`ThreadedTargetMachine._run` is the one native block-dispatch
 loop: the superblock JIT (:class:`~repro.targets.jit.JitTargetMachine`)
@@ -47,7 +59,7 @@ from repro.errors import (
 )
 from repro.jitcore import BlockDispatch, JitState
 from repro.optable import MEM, NONE
-from repro.targets.base import MInstr, TargetMachine, TargetSpec
+from repro.targets.base import MInstr, TargetMachine, TargetSpec, Timing
 from repro.targets.ops import OPS, TABLE
 from repro.utils.bits import s32, u32
 
@@ -72,26 +84,26 @@ _TAILS = {"j": "return {target}",
 
 
 def _half(mi, k, bound):
-    """Closure lines for *mi* as operand suffix *k*: its cycle charge
-    (fused-category ops issue free), then its table statement — for a
-    conditional branch, the redirect (-2 when untaken)."""
-    lines = [] if mi.category == "fused" else [f"m._charge(i{k})"]
+    """Closure lines for *mi* as operand suffix *k*: its table statement
+    — for a conditional branch, the redirect (-2 when untaken).  The
+    dispatcher charges the cycles, once per block."""
     name = mi.op
     if name in _TAILS:
-        return lines + [TABLE.text(_TAILS[name], k, bound)]
+        return [TABLE.text(_TAILS[name], k, bound)]
     op = OPS.get(name)
     if op is None:
         raise VMRuntimeError(f"target op {name!r} not implemented")
     if op.cond:
         taken = TABLE.text(op.stmt, k, bound, mi)
-        return lines + [TABLE.text(f"return {{target}} if {taken} else -2",
-                                   k, bound)]
-    return lines + TABLE.lines(name, k, bound, "fault_native", mi)
+        return [TABLE.text(f"return {{target}} if {taken} else -2",
+                           k, bound)]
+    return TABLE.lines(name, k, bound, "fault_native", mi,
+                       trap_annotate="charge_native")
 
 
 def _compile(mi, idx):
     """The closure for one instruction, from its op's factory."""
-    key = (mi.op, mi.category == "fused", TABLE.variant(mi.op, mi))
+    key = (mi.op, TABLE.variant(mi.op, mi))
     make = TABLE.factory(key, _PARAMS, lambda bound: _half(mi, 1, bound))
     return make(mi, idx)
 
@@ -112,12 +124,10 @@ def _compile_native_term(mi, idx, spec):
         rs = mi.rs
         if op == "jal":
             def fn(m, regs, fregs, memory):
-                m._charge(mi)
                 regs[link] = ret
                 return target
         else:
             def fn(m, regs, fregs, memory):
-                m._charge(mi)
                 regs[link] = ret
                 return m.map_omni_target(regs[rs])
         return _JUMP, fn
@@ -125,7 +135,6 @@ def _compile_native_term(mi, idx, spec):
         index = mi.imm
 
         def fn(m, regs, fregs, memory):
-            m._charge(mi)
             if m.hostcall is None:
                 raise VMRuntimeError("hostcall without attached host")
             m.hostcall(m, index)
@@ -144,8 +153,8 @@ def _is_term_op(op: str) -> bool:
 
 def _fusable(i1, i2):
     """Can the body op *i1* and *i2* run as one closure?  Both halves
-    charge and execute strictly in order, so register aliasing and
-    fault delivery behave exactly as unfused.  A fused terminator's
+    execute strictly in order, so register aliasing and fault delivery
+    behave exactly as unfused.  A fused terminator's
     first half must not fault, so block fault accounting never has to
     unwind a partially-retired terminator."""
     first = OPS[i1.op].fault
@@ -165,6 +174,48 @@ def _fuse(i1, i2, idx1, idx2):
 # ---------------------------------------------------------------------------
 # predecoded program + block cache
 # ---------------------------------------------------------------------------
+
+class BlockCharge:
+    """The cycle charge of one predecoded block, with a one-entry memo.
+
+    ``instrs`` are the instructions the block charges, in order: the
+    body, the terminator (both halves of a fused pair), and the delay
+    slot where the slot always runs — after a conditional branch that
+    does not annul, and after ``j``/``jal``.  ``reads`` are the
+    scoreboard slots they read before writing them, ``writes`` the
+    slots they write, ``first`` and ``last`` the first and last of them.
+
+    :meth:`TargetMachine._charge` is shift-invariant, so the block's
+    charge depends only on the block and its entry state: the ready
+    times of ``reads`` relative to ``_last_issue_cycle``, clamped at 0,
+    and, on a dual-issue target, whether ``first`` pairs with the
+    instruction issued last.  ``memo`` is the last entry state and its
+    result as one tuple, ``(ready, pairs, (advance, pair_open,
+    written))``: how far ``_last_issue_cycle`` moves, the exit
+    ``_pair_open``, and the ready times of ``writes`` relative to the
+    entry.  Machines that share the artifact (``serve`` workers)
+    replace the tuple without a lock; a reader sees either the old
+    tuple or the new one, and both are a correct state and its result.
+    """
+
+    __slots__ = ("instrs", "reads", "writes", "first", "last", "memo")
+
+    def __init__(self, instrs: list[MInstr], timing: Timing):
+        written: dict[int, None] = {}
+        reads: dict[int, None] = {}
+        for mi in instrs:
+            slots_read, slots_written, _latency, _extra = timing.issue(mi)
+            for slot in slots_read:
+                if slot not in written:
+                    reads[slot] = None
+            written.update(dict.fromkeys(slots_written))
+        self.instrs = tuple(instrs)
+        self.reads = tuple(reads)
+        self.writes = tuple(written)
+        self.first = instrs[0]
+        self.last = instrs[-1]
+        self.memo = None
+
 
 class ThreadedNativeProgram:
     """Predecoded translated module: per-index closures + lazy blocks.
@@ -201,12 +252,16 @@ class ThreadedNativeProgram:
         """Build (and memoize) the block entered at native *index*.
 
         Returns ``(body, cats, total, term_kind, term_fn, term_mi,
-        term_end, slot, fused)`` where ``body`` is a tuple of closures,
-        ``cats`` the per-category instruction counts for the whole block
-        (body + terminator, not the delay slot), ``total`` the number of
-        instructions they represent, ``term_end`` the native index of
-        the terminator's last instruction, and ``slot`` the predecoded
-        delay-slot record ``(slot_fn, slot_mi)`` or None.
+        term_end, slot, fused, charge)`` where ``body`` is a tuple of
+        closures, ``cats`` the per-category instruction counts for the
+        whole block (body + terminator, not the delay slot), ``total``
+        the number of instructions they represent, ``term_end`` the
+        native index of the terminator's last instruction, ``slot`` the
+        predecoded delay-slot record ``(slot_fn, slot_mi, slot_charge)``
+        or None — ``slot_charge`` is True when the dispatcher charges
+        the slot itself, because it does not always run — and
+        ``charge`` the block's :class:`BlockCharge` (None when it
+        charges nothing).
         """
         instrs = self.instrs
         spec = self.spec
@@ -219,6 +274,7 @@ class ThreadedNativeProgram:
         term_fn = None
         term_mi = None
         term_end = index - 1
+        charged = []
         i = index
         while i < n:
             mi = instrs[i]
@@ -228,6 +284,7 @@ class ThreadedNativeProgram:
                 term_mi = mi
                 cats[mi.category] = cats.get(mi.category, 0) + 1
                 total += 1
+                charged.append(mi)
                 term_kind, term_fn = _compile_native_term(mi, i, spec)
                 break
             nxt = i + 1
@@ -240,6 +297,7 @@ class ThreadedNativeProgram:
                     cats[mi2.category] = cats.get(mi2.category, 0) + 1
                     total += 2
                     fused += 1
+                    charged += (mi, mi2)
                     if _is_term_op(mi2.op):
                         term_end = nxt
                         term_mi = mi2
@@ -252,14 +310,25 @@ class ThreadedNativeProgram:
             body.append(self._body_step(i))
             cats[mi.category] = cats.get(mi.category, 0) + 1
             total += 1
+            charged.append(mi)
             i += 1
         slot = None
         if spec.delay_slots and term_kind in (_COND, _JUMP) \
                 and term_end + 1 < n:
             slot_mi = instrs[term_end + 1]
-            slot = (self._body_step(term_end + 1), slot_mi)
+            # The slot of an annulling branch runs only when taken, and
+            # the slot of jr/jalr only once map_omni_target has not
+            # raised: the dispatcher charges those when they run.
+            slot_charge = (term_mi.op in ("jr", "jalr") if term_kind == _JUMP
+                           else term_mi.annul)
+            if not slot_charge:
+                charged.append(slot_mi)
+            slot = (self._body_step(term_end + 1), slot_mi,
+                    slot_charge and slot_mi.category != "fused")
+        charged = [mi for mi in charged if mi.category != "fused"]
+        charge = BlockCharge(charged, spec.timing) if charged else None
         block = (tuple(body), tuple(cats.items()), total, term_kind,
-                 term_fn, term_mi, term_end, slot, fused)
+                 term_fn, term_mi, term_end, slot, fused, charge)
         self.blocks[index] = block
         return block
 
@@ -288,11 +357,14 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
     """TargetMachine with block dispatch over a predecoded program.
 
     ``cycles``, register state, memory, and the virtual exception model
-    are bit-identical to the legacy executor; ``instret``/fuel and the
-    Figure-1 category counters are charged per block, so fuel cuts land
-    at block boundaries (at most one block late), exactly like the
-    interpreter-side threaded engine.
+    are bit-identical to the legacy executor; ``instret``/fuel, the
+    Figure-1 category counters and the cycles are charged per block, so
+    fuel cuts land at block boundaries (at most one block late), exactly
+    like the interpreter-side threaded engine.
     """
+
+    COUNTERS = BlockDispatch.COUNTERS + (
+        ("execute.charge_misses", "_charge_misses"),)
 
     def __init__(self, spec, instrs, memory, omni_to_native,
                  hostcall=None, fuel=100_000_000,
@@ -306,6 +378,41 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                          hostcall, fuel)
         self._threaded = threaded
         self._init_dispatch(self._threaded.length)
+        self._dual = spec.timing.dual_issue is not None
+        self._charge_misses = 0
+
+    def _charge_block(self, charge: BlockCharge) -> None:
+        """Charge the cycles of a block whose body ran: from the
+        block's memo when its entry state matches, else per instruction
+        with :meth:`_charge`, which replaces the memo."""
+        lic = self._last_issue_cycle
+        ready = self._ready
+        reads = charge.reads
+        if reads and max(map(ready.__getitem__, reads)) > lic:
+            state = tuple([r - lic if r > lic else 0
+                           for r in map(ready.__getitem__, reads)])
+        else:
+            state = ()
+        pairs = (self._pair_open and self._dual
+                 and self.spec.timing.pairs(self._last_issued, charge.first))
+        memo = charge.memo
+        if memo is not None and memo[0] == state and memo[1] == pairs:
+            advance, pair_open, written = memo[2]
+            for slot, rel in zip(charge.writes, written):
+                ready[slot] = lic + rel
+            lic += advance
+            self._last_issue_cycle = lic
+            if lic > self.cycles:
+                self.cycles = lic
+            self._pair_open = pair_open
+            self._last_issued = charge.last
+            return
+        self._charge_misses += 1
+        for mi in charge.instrs:
+            self._charge(mi)
+        charge.memo = (state, pairs, (
+            self._last_issue_cycle - lic, self._pair_open,
+            tuple([ready[slot] - lic for slot in charge.writes])))
 
     def _charge_fault_prefix(self, start: int, fault: int) -> None:
         """Account instret/categories for block instructions up to and
@@ -316,6 +423,14 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
         instrs = self.instrs
         for i in range(start, fault + 1):
             counts[instrs[i].category] += 1
+
+    def _replay_charges(self, start: int, fault: int) -> None:
+        """Charge the cycles of block instructions up to and including
+        the faulting one: the body raised before its block charge."""
+        instrs = self.instrs
+        for i in range(start, fault + 1):
+            if instrs[i].category != "fused":
+                self._charge(instrs[i])
 
     def _run(self, entry_native_index: int) -> int:
         self.pc = entry_native_index
@@ -379,7 +494,7 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                 if block is None:
                     block = build(pc)
                 (body, cats, total, term_kind, term_fn, term_mi,
-                 term_end, slot, fused) = block
+                 term_end, slot, fused, charge) = block
                 blocks_run += 1
                 fused_run += fused
                 try:
@@ -388,6 +503,8 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                 except AccessViolation as violation:
                     fault = violation.fault_native
                     self._charge_fault_prefix(pc, fault)
+                    self._replay_charges(pc, fault)
+                    self.pc = fault
                     redirect = self._deliver_violation(
                         self.instrs[fault], violation)
                     self.pc = redirect
@@ -399,7 +516,16 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                     fault = getattr(err, "fault_native", None)
                     if fault is not None:
                         self._charge_fault_prefix(pc, fault)
+                        self.pc = fault
+                    else:
+                        # An FP divide trap: instret stays at the block
+                        # boundary; its cycles are charged.
+                        fault = getattr(err, "charge_native", None)
+                    if fault is not None:
+                        self._replay_charges(pc, fault)
                     raise
+                if charge is not None:
+                    self._charge_block(charge)
                 self.instret += total
                 for category, count in cats:
                     counts[category] += count
@@ -423,10 +549,12 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                     continue
                 if term_kind == _COND:
                     if slot is not None:
-                        slot_fn, slot_mi = slot
+                        slot_fn, slot_mi, slot_charge = slot
                         if not (term_mi.annul and redirect == -2):
                             self.instret += 1
                             counts[slot_mi.category] += 1
+                            if slot_charge:
+                                self._charge(slot_mi)
                             slot_fn(self, regs, fregs, memory)
                         if redirect == -2:
                             self.pc = term_end + 2
@@ -441,9 +569,11 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                             self._branch_taken_penalty()
                 elif term_kind == _JUMP:
                     if slot is not None:
-                        slot_fn, slot_mi = slot
+                        slot_fn, slot_mi, slot_charge = slot
                         self.instret += 1
                         counts[slot_mi.category] += 1
+                        if slot_charge:
+                            self._charge(slot_mi)
                         slot_fn(self, regs, fregs, memory)
                     self.pc = redirect
                     self._branch_taken_penalty()

@@ -32,6 +32,7 @@ from repro.omnivm import encoding
 from repro.omnivm.asmparser import assemble
 from repro.omnivm.isa import INSTR_SIZE
 from repro.omnivm.memory import CODE_BASE
+from repro.omnivm.objfile import ObjectModule
 from repro.omnivm.verifier import verify_program
 from repro.runtime import linker as linker_module
 from repro.runtime.linker import (
@@ -357,6 +358,23 @@ class TestUnitMemo:
         image = engine.link_modules(["app"])
         assert len(encoded) == sum(layout.text_len
                                    for layout in image.modules)
+
+    def test_warm_links_build_no_interface(self, monkeypatch):
+        """A definition's exports and imports are computed once, at
+        registration: warm links read them and build none."""
+        engine = make_engine()
+        engine.link_modules(["app"])
+        built = self._counting(monkeypatch, ObjectModule,
+                               "undefined_symbols")
+        definitions = [engine.registry.lookup(name)
+                       for name in engine.registry.names()]
+        interfaces = [(d.exports, d.imports) for d in definitions]
+        for _ in range(100):
+            engine.link_modules(["app"])
+        assert built == []
+        for definition, (exports, imports) in zip(definitions, interfaces):
+            assert definition.exports is exports
+            assert definition.imports is imports
 
     def test_a_unit_hit_keeps_its_image_name(self):
         engine = make_engine()
