@@ -38,10 +38,9 @@ from repro.omnivm import semantics
 from repro.utils.bits import round_f32
 
 #: Fault classes.  ``MEM`` and ``DIV`` ops raise an exception annotated
-#: with the faulting op's location; an ``FPDIV`` op raises without one
-#: (the enclosing block is the unit of ``instret`` accounting), except
-#: for the location a tier asks for to replay cycle charges; ``TRAP``
-#: always raises.
+#: with the faulting op's location; an ``FPDIV`` op's trap carries its
+#: location as ``trap_at``, which only cycle replay reads (the enclosing
+#: block is the unit of ``instret`` accounting); ``TRAP`` always raises.
 NONE = "none"
 MEM = "mem"
 DIV = "div"
@@ -329,13 +328,11 @@ class OpTable:
             return cell
         return _subst(template, replace)
 
-    def lines(self, name, k, bound, annotate, instr=None,
-              trap_annotate=None) -> list[str]:
+    def lines(self, name, k, bound, annotate, instr=None) -> list[str]:
         """Op *name* as threaded-closure lines (operand suffix *k*),
         wrapped for its fault class: ``MEM``/``DIV`` faults get
         attribute *annotate* set to the op's location ``at<k>``, and an
-        ``FPDIV`` trap gets attribute *trap_annotate* when one is
-        named."""
+        ``FPDIV`` trap gets ``trap_at``."""
         op = self.ops[name]
         text = self.text(op.stmt, k, bound, instr)
         body = text.split("\n") if text else []
@@ -346,12 +343,10 @@ class OpTable:
                        f"    _e.{annotate} = at{k}",
                        "    raise"])
         if op.fault == FPDIV:
-            check = f"if {self.text(FPDIV_CHECK, k, bound)}:"
-            if trap_annotate is None:
-                return [check, "    " + FPDIV_RAISE] + body
-            return [check, f"    _e = {FPDIV_ERROR}",
-                    f"    _e.{trap_annotate} = at{k}",
-                    "    raise _e"] + body
+            return ([f"if {self.text(FPDIV_CHECK, k, bound)}:",
+                     f"    _e = {FPDIV_ERROR}",
+                     f"    _e.trap_at = at{k}",
+                     "    raise _e"] + body)
         return body
 
     def variant(self, name, instr) -> tuple:

@@ -97,8 +97,7 @@ def _half(mi, k, bound):
         taken = TABLE.text(op.stmt, k, bound, mi)
         return [TABLE.text(f"return {{target}} if {taken} else -2",
                            k, bound)]
-    return TABLE.lines(name, k, bound, "fault_native", mi,
-                       trap_annotate="charge_native")
+    return TABLE.lines(name, k, bound, "fault_native", mi)
 
 
 def _compile(mi, idx):
@@ -520,7 +519,7 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                     else:
                         # An FP divide trap: instret stays at the block
                         # boundary; its cycles are charged.
-                        fault = getattr(err, "charge_native", None)
+                        fault = getattr(err, "trap_at", None)
                     if fault is not None:
                         self._replay_charges(pc, fault)
                     raise
