@@ -12,9 +12,11 @@ not ISA-specific are hoisted here:
 * the source :class:`Emitter` and the instret bookkeeping of
   :class:`Acct`;
 * the heat/trace-limit constants;
-* the per-site inline memory-cache emission helpers and the assembly
-  scaffolding (cache cells, entry guard, the ``_FLUSH`` placeholder
-  expanded after inlined hostcalls);
+* the per-site inline memory-cache emission helpers, the fuel check
+  at a looped trace's backedge, and :func:`assemble`, the one
+  superblock assembler (factory, cache cells, entry guard, loop
+  wrapper, and the ``FLUSH`` placeholder expanded after inlined
+  hostcalls);
 * the fresh-namespace builder for ``exec``'d superblocks;
 * :class:`BlockDispatch`, the state and counters of each ISA's one
   block-dispatch loop; :class:`JitState`, the JIT's state for one
@@ -40,11 +42,12 @@ from repro.errors import FuelExhausted
 from repro.optable import exec_env
 
 #: Block-entry dispatch count at which a superblock is formed, counted
-#: per translation.  Ski-rental break-even: on the cold corpus,
-#: compiling one superblock costs about as much as 384-490 threaded
-#: dispatches of its entry block save at ~70% each; this is the
-#: smallest executor's break-even, rounded down to a multiple of 32
-#: (DESIGN.md §3a).  The SPEC kernels' longer traces break even later.
+#: per translation.  Ski-rental break-even: the smallest executor's
+#: cold-corpus break-even (384-490 threaded dispatches of the entry
+#: block, each saving ~70%) when native superblocks still folded the
+#: cycle model, rounded down to a multiple of 32.  With per-path cycle
+#: charges it is 177-213 on the targets and 477-523 on OmniVM
+#: (DESIGN.md §3a); the SPEC kernels' longer traces break even later.
 JIT_HEAT = 384
 #: Heat threshold of a machine that never tiers up: ``engine="threaded"``
 #: runs the same dispatch loop, and its superblock probe never fires.
@@ -66,8 +69,9 @@ __all__ = [
     "BlockDispatch",
     "JitState",
     "SuperblockTier",
+    "assemble",
     "base_exec_globals",
-    "cache_cells",
+    "emit_fuel_check",
     "emit_lines",
     "emit_mem_access",
 ]
@@ -212,9 +216,36 @@ def emit_mem_access(em, access, reg, addr, depth, guard):
     em.emit(f"{data} = _sg.data", depth + 1)
 
 
-def cache_cells(em) -> tuple[list[str], str]:
-    """The closure-cell names and the "invalidate every site" statement
-    for the sites allocated through *em* (used by both assemblers)."""
+def emit_fuel_check(em, over, fuel_exit, error, depth=0):
+    """Emit the block-boundary fuel check: when *over* holds, run the
+    *fuel_exit* lines and raise ``FuelExhausted(error)``.  A looped
+    trace ends each iteration with one, after committing the
+    iteration's retired count, so the watchdog's asynchronous fuel cut
+    lands at the backedge."""
+    em.emit(f"if {over}:", depth)
+    for line in fuel_exit:
+        em.emit("    " + line, depth)
+    em.emit(f"    raise FuelExhausted({error})", depth)
+
+
+def assemble(em, title, blocks, instrs, params, prologue=(), looped=False,
+             expand=None) -> str:
+    """The source of a superblock factory ``_make_superblock`` over the
+    statements of *em* (both JITs assemble through here).
+
+    The superblock is a closure: the inline-cache sites live in cells
+    of the enclosing ``_make_superblock`` scope, so they survive across
+    invocations — a short trace dispatched thousands of times warms each
+    site once, not once per call.  Each machine calls the factory for a
+    closure of its own.  The entry guard flushes every site on the first
+    call (``_mem`` starts as None) and whenever segment permissions
+    changed since the last call; the *prologue* lines follow it.  A
+    *looped* trace runs its statements in ``while True``, the last of
+    them its backedge.  A statement that is a placeholder — :data:`FLUSH`
+    or a key of *expand* — becomes its lines, at its own indentation;
+    :data:`FLUSH` invalidates every site, which is known only once the
+    whole trace is formed (a loop revisits sites emitted after it).
+    """
     cells = []
     for s in em.load_sites:
         cells += [f"_lb{s}", f"_ll{s}", f"_ld{s}"]
@@ -224,7 +255,48 @@ def cache_cells(em) -> tuple[list[str], str]:
         [f"_lb{s} = _ll{s}" for s in em.load_sites]
         + [f"_sb{s} = _sl{s}" for s in em.store_sites]
     )
-    return cells, invalidate
+    expand = {FLUSH: [f"{invalidate} = 0", "_ep = memory.perm_epoch"]
+              if cells else [], **(expand or {})}
+    out = [f"# {title} ({blocks} blocks, {instrs} instrs"
+           f"{', looped' if looped else ''})",
+           "def _make_superblock():"]
+    if cells:
+        out.append("    _mem = None")
+        out.append("    _ep = 0")
+        out.append(f"    {invalidate} = 0")
+        names = " = ".join(f"_ld{s}" for s in em.load_sites)
+        if names:
+            out.append(f"    {names} = None")
+        names = " = ".join(f"_sd{s}" for s in em.store_sites)
+        if names:
+            out.append(f"    {names} = None")
+    out.append(f"    def _superblock({params}):")
+    body = "        "
+    if cells:
+        decl = ["_mem", "_ep"] + cells
+        for i in range(0, len(decl), 8):
+            out.append(body + "nonlocal " + ", ".join(decl[i:i + 8]))
+        out.append(body + "if _mem is not memory "
+                          "or _ep != memory.perm_epoch:")
+        out.append(body + "    _mem = memory")
+        out.append(body + "    _ep = memory.perm_epoch")
+        out.append(body + f"    {invalidate} = 0")
+    out.extend(body + line for line in prologue)
+    pad = body
+    if looped:
+        out.append(body + "while True:")
+        pad = body + "    "
+    for line in em.lines:
+        stripped = line.lstrip()
+        lines = expand.get(stripped)
+        if lines is None:
+            out.append(pad + line)
+        else:
+            indent = pad + line[:len(line) - len(stripped)]
+            out.extend(indent + text for text in lines)
+    out.append("    return _superblock")
+    out.append("_superblock = _make_superblock()")
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

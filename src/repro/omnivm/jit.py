@@ -70,8 +70,9 @@ from repro.jitcore import (
     Acct as _Acct,
     Emitter as _Emitter,
     SuperblockTier,
+    assemble,
     base_exec_globals,
-    cache_cells,
+    emit_fuel_check,
     emit_lines,
     emit_mem_access,
 )
@@ -408,65 +409,16 @@ def superblock_source(program, entry_index: int) -> str:
             break
         index = offset >> 3
 
-    # -- assemble ---------------------------------------------------------
-    # The superblock is a closure: the inline-cache sites live in cells
-    # of the enclosing ``_make_superblock`` scope, so they survive
-    # across invocations — a short trace dispatched thousands of times
-    # warms each site once, not once per call.  Each VM calls the
-    # factory for a closure of its own.  The entry guard flushes every
-    # site on the first call (``_mem`` starts as None) and whenever
-    # segment permissions changed since the last call.
-    cells, invalidate = cache_cells(em)
-    out = [f"# superblock @{entry_pc:#010x} "
-           f"({len(visited)} blocks, {total} instrs"
-           f"{', looped' if looped else ''})",
-           "def _make_superblock():"]
-    body = "    "
-    if cells:
-        out.append("    _mem = None")
-        out.append("    _ep = 0")
-        out.append(f"    {invalidate} = 0")
-        names = " = ".join(f"_ld{s}" for s in em.load_sites)
-        if names:
-            out.append(f"    {names} = None")
-        names = " = ".join(f"_sd{s}" for s in em.store_sites)
-        if names:
-            out.append(f"    {names} = None")
-    out.append("    def _superblock(vm, state, regs, fregs, memory):")
-    body = "        "
-    if cells:
-        decl = ["_mem", "_ep"] + cells
-        for i in range(0, len(decl), 8):
-            out.append(body + "nonlocal " + ", ".join(decl[i:i + 8]))
-        out.append(body + "if _mem is not memory "
-                          "or _ep != memory.perm_epoch:")
-        out.append(body + "    _mem = memory")
-        out.append(body + "    _ep = memory.perm_epoch")
-        out.append(body + f"    {invalidate} = 0")
-    pad = body
-    if looped:
-        out.append(body + "while True:")
-        pad = body + "    "
-    for line in em.lines:
-        if line.lstrip() == _FLUSH:
-            if cells:
-                indent = line[:len(line) - len(line.lstrip())]
-                out.append(pad + indent + invalidate + " = 0")
-                out.append(pad + indent + "_ep = memory.perm_epoch")
-            continue
-        out.append(pad + line)
     if looped:
         # Backedge: commit the iteration, honour block-level fuel cuts
         # (the watchdog zeroes vm.fuel asynchronously), and go again.
-        out.append(pad + f"# backedge -> @{entry_pc:#010x}")
-        out.append(pad + f"state.instret += {acct.expr(off)}")
-        out.append(pad + "if state.instret > vm.fuel:")
-        out.append(pad + f"    state.pc = {entry_pc:#x}")
-        out.append(pad + "    raise FuelExhausted("
-                   "'exceeded fuel of %d instructions' % (vm.fuel,))")
-    out.append("    return _superblock")
-    out.append("_superblock = _make_superblock()")
-    return "\n".join(out) + "\n"
+        em.emit(f"# backedge -> @{entry_pc:#010x}")
+        em.emit(f"state.instret += {acct.expr(off)}")
+        emit_fuel_check(em, "state.instret > vm.fuel",
+                        [f"state.pc = {entry_pc:#x}"],
+                        "'exceeded fuel of %d instructions' % (vm.fuel,)")
+    return assemble(em, f"superblock @{entry_pc:#010x}", len(visited),
+                    total, "vm, state, regs, fregs, memory", looped=looped)
 
 
 def compile_superblock(program, entry_index: int):

@@ -224,9 +224,10 @@ class Timing:
 
     The one statement of a target's issue cost: :meth:`issue` computes
     each instruction's issue record and :meth:`pairs` is the dual-issue
-    test.  :meth:`TargetMachine._charge` applies them at run time, and
-    the native JIT folds the same record and test into its superblocks
-    at compile time.
+    test.  :meth:`TargetMachine._charge` applies them, one instruction
+    at a time; the threaded tier and the native JIT's superblocks call
+    it through a :class:`~repro.targets.threaded.BlockCharge`, on a miss
+    of its memo.
     """
 
     name: str = "generic"
@@ -401,10 +402,6 @@ class TargetMachine:
             ready_map[slot] = issue_cycle + latency
         self._last_issued = instr
         self._last_issue_cycle = issue_cycle
-
-    #: The dependency half of the pairing test, read by superblocks that
-    #: pair against an instruction issued before they were entered.
-    _depends_on = staticmethod(_depends_on)
 
     def _branch_taken_penalty(self) -> None:
         self.cycles += self.spec.timing.taken_branch_penalty

@@ -4,27 +4,26 @@ The native counterpart of :mod:`repro.omnivm.jit`: when a block entry
 of the threaded target engine (:mod:`repro.targets.threaded`) crosses a
 heat threshold, the hot chain of native blocks is stitched across
 likely-taken branches into a **superblock** and compiled to a single
-generated Python function.  Register indexes, immediates, category
-counts and — crucially — the whole per-arch cycle model are folded into
-the emitted source, so a hot loop iteration executes as one Python
-frame with no per-instruction dispatch, no ``_charge`` calls, and no
+generated Python function.  Register indexes, immediates and category
+counts are folded into the emitted source, so a hot loop iteration
+executes as one Python frame with no per-instruction dispatch and no
 closure chain.
 
-What the generated code folds in, bit-identically to the threaded tier
+What the generated code keeps bit-identical to the threaded tier
 (which is itself bit-identical to the legacy executor):
 
-* **cycle accounting** — the scoreboard (`TargetMachine._ready`, a
-  flat list with one slot per register), the issue cursor, dual-issue
-  pairing (PPC/x86) and the x86 memory-resident-register surcharge are
-  computed on *locals*: the prologue reads each slot the trace touches
-  by its index, ``_t<slot>``.  Each instruction's issue record
-  (read/write slots, latency, surcharge) and the pairing test with a
-  statically known predecessor come from the target's
-  :class:`~repro.targets.base.Timing` at compile time — the same
-  statement ``TargetMachine._charge`` applies at run time — so a
-  typical instruction costs one or two integer compares.  Every side
-  exit writes the slots back before returning, so ``cycles`` matches
-  the threaded tier exactly.
+* **cycle accounting** — charged once per static path, as the threaded
+  tier charges once per block.  A path runs from the entry, the loop
+  head or the last inlined hostcall to a point where the superblock
+  hands its state over: a side exit, a fault handler, a hostcall or
+  trap, the run-off-end exit or the backedge.  The trace former
+  records the instructions each path charges, in order, with a marker
+  for each on-trace taken-branch penalty, builds one
+  :class:`~repro.targets.threaded.BlockCharge` for the path at compile
+  time, and emits one ``m._charge_block(_cN)`` where the path ends.  A
+  superblock thus applies the same memoized charge as the dispatcher:
+  the timing state stays on the machine, and the generated code never
+  reads or writes the scoreboard or the issue state.
 * **SFI dynamic guard chains** — the sandboxing sequences the rewriter
   inserts (``category="sfi"``) are straight-line ALU ops and are
   emitted inline like any other instruction.  The trace former never
@@ -58,10 +57,12 @@ the cells of its ``_make_superblock`` closure, so the translation's
 :class:`~repro.jitcore.JitState`, carried by its predecoded
 :class:`~repro.targets.threaded.ThreadedNativeProgram`, shares the
 *factory* between machines and each machine calls it for a closure of
-its own (see :class:`repro.jitcore.SuperblockTier`); digest-filtered
-invalidation (module revoke/relink) drops the state together with the
-predecoded artifact that carries it (the side-table entry under the
-translation's cache key).
+its own (see :class:`repro.jitcore.SuperblockTier`).  The path charges
+live in the factory's namespace, so machines share their memos, as
+they share the threaded tier's.  Digest-filtered invalidation (module
+revoke/relink) drops the state together with the predecoded artifact
+that carries it (the side-table entry under the translation's cache
+key).
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ from repro.jitcore import (
     MAX_TRACE_INSTRS,
     Emitter as _Emitter,
     SuperblockTier,
+    assemble,
     base_exec_globals,
-    cache_cells,
+    emit_fuel_check,
     emit_lines,
     emit_mem_access,
 )
@@ -83,15 +85,16 @@ from repro.targets.ops import OPS, TABLE
 from repro.targets.threaded import (
     _COND_OPS,
     _JUMP_OPS,
+    BlockCharge,
     ThreadedTargetMachine,
     _is_term_op,
 )
 from repro.utils.bits import u32
 
-#: Assembly-time placeholder for "write the scoreboard/cycle locals and
-#: the condition codes back to the machine" — expanded once the full
-#: set of touched scoreboard slots is known, so an exit emitted early in
-#: a looped trace also syncs slots first written later in the iteration.
+#: Assembly-time placeholder for "write the condition codes back to the
+#: machine" — expanded once the whole trace is formed, so an exit
+#: emitted early in a looped trace also syncs condition codes that a
+#: compare later in the iteration wrote.
 _SYNC = "_SYNCSTATE_"
 
 __all__ = [
@@ -119,29 +122,23 @@ class _Unsupported(Exception):
 class _Trace:
     """Emission state for one native superblock.
 
-    Tracks — entirely at compile time — the retired-but-uncommitted
-    instruction count and category tallies, the set of scoreboard slots
-    the trace touches, the identity of the previously *charged*
-    instruction (for dual-issue pairing and ``_last_issued`` restore),
-    and the scalar pair-open flag.  ``prev`` is one of ``("static", k)``
-    (the instruction at index ``k`` charged last), ``("none",)`` (a
-    taken-branch penalty reset the pair window) or ``("runtime",)``
-    (nothing charged yet this call — the machine's own state, loaded
-    into ``_li``/``_po`` at entry, is current).
+    Tracks, entirely at compile time, the retired-but-uncommitted
+    instruction count and category tallies, the same at the current
+    block's entry (where an FP divide trap commits), and ``path``: the
+    instructions the current static path charges, in order, with
+    ``None`` for each taken-branch penalty.  ``charges`` holds one
+    :class:`~repro.targets.threaded.BlockCharge` per path end; the
+    source names the N-th ``_cN``.
     """
 
     def __init__(self, program, entry):
-        self.program = program
         self.instrs = program.instrs
         self.n = program.length
-        self.spec = program.spec
         self.timing = program.spec.timing
-        self.dual = self.timing.dual_issue is not None
         self.delay = program.spec.delay_slots
         self.entry = entry
         self.link = program.spec.reserved.get("ra", 31)
         self.em = _Emitter()
-        self.slots: dict[int, str] = {}
         self.uses_cc = False
         self.total = 0
         self.pending = 0
@@ -149,20 +146,20 @@ class _Trace:
         self.block_entry = entry
         self.block_pending = 0
         self.block_pcats: dict[str, int] = {}
-        self.prev: tuple = ("runtime",)
-        self.po = "runtime"  # scalar pair-open: "true" | "false" | "runtime"
-
-    def slot_name(self, slot) -> str:
-        """The local that holds scoreboard slot *slot*."""
-        name = self.slots.get(slot)
-        if name is None:
-            name = self.slots[slot] = f"_t{slot}"
-        return name
+        self.path: list = []
+        self.charges: list[BlockCharge] = []
 
     def retire(self, mi) -> None:
         self.total += 1
         self.pending += 1
         self.pcats[mi.category] = self.pcats.get(mi.category, 0) + 1
+
+    def charge(self, k) -> None:
+        """Instruction *k* issues on the current path (a fused one
+        issues at no cost and charges nothing)."""
+        mi = self.instrs[k]
+        if mi.category != "fused":
+            self.path.append(mi)
 
     def start_block(self, index) -> None:
         self.block_entry = index
@@ -170,113 +167,56 @@ class _Trace:
         self.block_pcats = dict(self.pcats)
 
     def commit_reset(self) -> None:
-        """An inline hostcall committed everything retired so far."""
+        """An inline hostcall committed and charged everything so far."""
         self.pending = 0
         self.pcats = {}
         self.block_pending = 0
         self.block_pcats = {}
+        self.path = []
 
 
 # ---------------------------------------------------------------------------
-# cycle model emission
+# cycle charges
 # ---------------------------------------------------------------------------
-
-def _emit_charge(w, em, k, depth=0) -> None:
-    """Fold one ``TargetMachine._charge`` into straight-line locals: the
-    instruction's issue record (``Timing.issue``) and, where the
-    previous charge is known at compile time, the pairing test
-    ``Timing.pairs`` are resolved here.
-
-    Invariant (holds for every charge shape): after a charge,
-    ``cycles == _last_issue_cycle`` — ``issue_cycle >= _lic + 1 >
-    cycles`` unpaired, ``issue_cycle == _lic + extra >= cycles``
-    paired — so the generated code updates ``_cy`` unconditionally.
-    """
-    mi = w.instrs[k]
-    if mi.category == "fused":
-        return  # zero issue cost; does not touch the pair window
-    reads, writes, latency, extra = w.timing.issue(mi)
-    rnames = [w.slot_name(slot) for slot in dict.fromkeys(reads)]
-
-    paired_check = None
-    if w.dual:
-        if w.prev[0] == "static":
-            if w.timing.pairs(w.instrs[w.prev[1]], mi):
-                paired_check = "_po and {stall} <= _lic"
-        elif w.prev[0] == "runtime":
-            paired_check = ("_po and _li is not None and {stall} <= _lic "
-                            f"and _du(_li, _instrs[{k}]) "
-                            f"and not _dp(_instrs[{k}], _li)")
-
-    if paired_check is None:
-        em.emit("_ic = _lic + 1", depth)
-        for name in rnames:
-            em.emit(f"if {name} > _ic:", depth)
-            em.emit(f"    _ic = {name}", depth)
-        if w.dual:
-            em.emit("_po = True", depth)
-    else:
-        if not rnames:
-            cond = paired_check.format(stall="0").replace(
-                "0 <= _lic", "_lic >= 0")
-        elif len(rnames) == 1:
-            cond = paired_check.format(stall=rnames[0])
-        else:
-            em.emit(f"_st = {rnames[0]}", depth)
-            for name in rnames[1:]:
-                em.emit(f"if {name} > _st:", depth)
-                em.emit(f"    _st = {name}", depth)
-            cond = paired_check.format(stall="_st")
-        em.emit(f"if {cond}:", depth)
-        em.emit("    _ic = _lic", depth)
-        em.emit("    _po = False", depth)
-        em.emit("else:", depth)
-        em.emit("    _ic = _lic + 1", depth)
-        for name in rnames:
-            em.emit(f"    if {name} > _ic:", depth)
-            em.emit(f"        _ic = {name}", depth)
-        em.emit("    _po = True", depth)
-    if extra:
-        em.emit(f"_ic += {extra}", depth)
-    em.emit("_cy = _ic", depth)
-    for slot in dict.fromkeys(writes):
-        em.emit(f"{w.slot_name(slot)} = _ic + {latency}", depth)
-    em.emit("_lic = _ic", depth)
-    w.prev = ("static", k)
-    if not w.dual:
-        w.po = "true"
-
 
 def _emit_penalty(w, em, depth=0) -> None:
-    """Local ``_branch_taken_penalty`` for an on-trace taken branch."""
-    em.emit(f"_cy += {w.timing.taken_branch_penalty}", depth)
-    em.emit("_lic = _cy", depth)
-    if w.dual:
-        em.emit("_po = False", depth)
-    w.prev = ("none",)
-    if not w.dual:
-        w.po = "false"
+    """An on-trace taken-branch penalty: the next item of the path.  A
+    path that has charged nothing yet applies it at once, as the
+    dispatcher does: a penalty adds to ``cycles``, which equals the
+    issue cursor a path's memo is relative to only after a charge (a
+    new machine's ``cycles`` is one past it)."""
+    if w.path:
+        w.path.append(None)
+    else:
+        em.emit("m._branch_taken_penalty()", depth)
+
+
+def _emit_path_charge(w, em, depth=0, penalty=False) -> None:
+    """The current path ends here: charge it, and a taken-branch
+    penalty after it when *penalty*, with one ``m._charge_block``."""
+    if not w.path:
+        if penalty:
+            em.emit("m._branch_taken_penalty()", depth)
+        return
+    em.emit(f"m._charge_block(_c{len(w.charges)})", depth)
+    w.charges.append(BlockCharge(w.path + [None] if penalty else w.path,
+                                 w.timing))
+
+
+def _emit_fuel_check(em, fuel_exit=()) -> None:
+    """The block-boundary fuel check at a superblock boundary."""
+    emit_fuel_check(em, "m.instret > m.fuel", fuel_exit,
+                    "'target simulation exceeded fuel'")
 
 
 def _emit_exit_state(w, em, pc, depth=0, pending=None, pcats=None,
-                     prev=None) -> None:
-    """Commit architectural state for a side exit / fault / raise:
-    scoreboard + cycles (via the ``_SYNC`` placeholder), issue-window
-    statics, ``instret``, category counts, and ``pc``."""
+                     penalty=False) -> None:
+    """Commit architectural state for a side exit / fault / raise: the
+    path's charge (with a taken-branch penalty when *penalty*), the
+    condition codes (via the ``_SYNC`` placeholder), ``instret``,
+    category counts, and ``pc``."""
+    _emit_path_charge(w, em, depth, penalty)
     em.emit(_SYNC, depth)
-    prev = w.prev if prev is None else prev
-    if prev[0] == "static":
-        em.emit(f"m._last_issued = _instrs[{prev[1]}]", depth)
-    elif prev[0] == "none":
-        em.emit("m._last_issued = None", depth)
-    else:
-        em.emit("m._last_issued = _li", depth)
-    if w.dual:
-        em.emit("m._pair_open = _po", depth)
-    elif w.po == "runtime":
-        em.emit("m._pair_open = _po", depth)
-    else:
-        em.emit(f"m._pair_open = {w.po == 'true'}", depth)
     count = w.pending if pending is None else pending
     cats = w.pcats if pcats is None else pcats
     if count:
@@ -292,8 +232,8 @@ def _emit_exit_state(w, em, pc, depth=0, pending=None, pcats=None,
 
 def _emit_fault_commit(w, em, k, fault_pc, depth, mark_final) -> None:
     """Handler body for a faulting memory/div access: annotate the
-    faulting native index, commit the retired prefix (the charge is
-    already in the locals), and re-raise."""
+    faulting native index, commit and charge the retired prefix, and
+    re-raise."""
     em.emit(f"_v.fault_native = {k}", depth)
     if mark_final:
         em.emit("_v.fault_final = True", depth)
@@ -314,18 +254,18 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
     """Charge + op-table statement for one straight-line instruction.
 
     *mode* selects the fault-commit contract: ``"body"`` (on-trace,
-    charge in locals, faults commit with ``pc`` = the faulting index),
-    ``"slot_local"`` (on-trace delay slot, faults commit with ``pc`` =
-    the branch index and are marked final), ``"slot_direct"`` (delay
-    slot on an already-committed exit path: charge via ``m._charge``,
-    faults just annotate and re-raise).
+    charged on the path, faults commit with ``pc`` = the faulting
+    index), ``"slot_local"`` (on-trace delay slot, faults commit with
+    ``pc`` = the branch index and are marked final), ``"slot_direct"``
+    (delay slot on an already-committed exit path: charge via
+    ``m._charge``, as the dispatcher does, faults just annotate and
+    re-raise).
     """
     mi = w.instrs[k]
-    if mode == "slot_direct":
-        if mi.category != "fused":
-            em.emit(f"m._charge(_instrs[{k}])", depth)
-    else:
-        _emit_charge(w, em, k, depth)
+    if mode != "slot_direct":
+        w.charge(k)
+    elif mi.category != "fused":
+        em.emit(f"m._charge(_instrs[{k}])", depth)
     op = OPS[mi.op]
     parts = TABLE.render(mi)
     fault_pc, mark_final, commit = _mem_fault_ctx(mode, k, term_k)
@@ -348,8 +288,8 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
         guard("VMRuntimeError", depth)
     elif op.fault == FPDIV:
         # The threaded tier raises an FP divide trap *without* a fault
-        # prefix: the block commit stands at the last boundary (the
-        # charge is already done).
+        # prefix: the block commit stands at the last boundary, and the
+        # cycles are charged through the divide.
         em.emit(f"if {parts[1]}:", depth)
         if mode == "body":
             _emit_exit_state(w, em, w.block_entry, depth + 1,
@@ -370,7 +310,7 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
 
 def _emit_slot_local(w, em, slot_k, term_k) -> None:
     """Run the delay slot on-trace: retired into the pending counts,
-    charged through the locals."""
+    charged on the path."""
     w.retire(w.instrs[slot_k])
     _emit_instr(w, em, slot_k, 0, "slot_local", term_k)
 
@@ -409,12 +349,6 @@ def _chain_coupled(w, k) -> bool:
     return False
 
 
-def _emit_fuel_guard(w, em, depth=0) -> None:
-    em.emit("if m.instret > m.fuel:", depth)
-    em.emit("    raise FuelExhausted('target simulation exceeded fuel')",
-            depth)
-
-
 def _emit_cond(w, em, k, slot_k):
     """Conditional branch. Returns the on-trace continuation index, or
     None when the branch compiles to a both-way exit."""
@@ -427,8 +361,7 @@ def _emit_cond(w, em, k, slot_k):
     has_slot = slot_k >= 0
     fall = k + 2 if has_slot else k + 1
     annul = bool(mi.annul) and has_slot
-    if mi.category != "fused":
-        _emit_charge(w, em, k)
+    w.charge(k)
 
     if _chain_coupled(w, k):
         # SFI guard-chain branch: never predicted.
@@ -436,11 +369,8 @@ def _emit_cond(w, em, k, slot_k):
             em.emit(f"_tk = {taken_expr}")
             _emit_slot_local(w, em, slot_k, k)
             em.emit("if _tk:")
-            _emit_exit_state(w, em, target, 1)
-            em.emit("    m._branch_taken_penalty()")
+            _emit_exit_state(w, em, target, 1, penalty=True)
             em.emit("    return")
-            _emit_exit_state(w, em, fall)
-            em.emit("return")
         elif annul:
             em.emit(f"if {taken_expr}:")
             _emit_exit_state(w, em, k, 1)
@@ -448,15 +378,12 @@ def _emit_cond(w, em, k, slot_k):
             em.emit(f"    m.pc = {target}")
             em.emit("    m._branch_taken_penalty()")
             em.emit("    return")
-            _emit_exit_state(w, em, fall)
-            em.emit("return")
         else:
             em.emit(f"if {taken_expr}:")
-            _emit_exit_state(w, em, target, 1)
-            em.emit("    m._branch_taken_penalty()")
+            _emit_exit_state(w, em, target, 1, penalty=True)
             em.emit("    return")
-            _emit_exit_state(w, em, fall)
-            em.emit("return")
+        _emit_exit_state(w, em, fall)
+        em.emit("return")
         return None
 
     if target == w.entry and 0 <= target < n:
@@ -473,21 +400,14 @@ def _emit_cond(w, em, k, slot_k):
             em.emit(f"_tk = {taken_expr}")
             _emit_slot_local(w, em, slot_k, k)
             em.emit("if not _tk:")
-            em.emit("    m._jit_deopts += 1")
-            _emit_exit_state(w, em, fall, 1)
-            em.emit("    return")
-        elif annul:
+        else:
             # Annulled untaken skips the slot: exit before running it.
             em.emit(f"if {untaken_expr}:")
-            em.emit("    m._jit_deopts += 1")
-            _emit_exit_state(w, em, fall, 1)
-            em.emit("    return")
+        em.emit("    m._jit_deopts += 1")
+        _emit_exit_state(w, em, fall, 1)
+        em.emit("    return")
+        if annul:
             _emit_slot_local(w, em, slot_k, k)
-        else:
-            em.emit(f"if {untaken_expr}:")
-            em.emit("    m._jit_deopts += 1")
-            _emit_exit_state(w, em, fall, 1)
-            em.emit("    return")
         _emit_penalty(w, em)
         return target
 
@@ -495,25 +415,18 @@ def _emit_cond(w, em, k, slot_k):
         em.emit(f"_tk = {taken_expr}")
         _emit_slot_local(w, em, slot_k, k)
         em.emit("if _tk:")
-        em.emit("    m._jit_deopts += 1")
-        _emit_exit_state(w, em, target, 1)
-        em.emit("    m._branch_taken_penalty()")
-        em.emit("    return")
-    elif annul:
-        # Annulled taken path runs the slot after the exit commit.
+    else:
         em.emit(f"if {taken_expr}:")
-        em.emit("    m._jit_deopts += 1")
+    em.emit("    m._jit_deopts += 1")
+    if annul:
+        # Annulled taken path runs the slot after the exit commit.
         _emit_exit_state(w, em, k, 1)
         _emit_slot_direct(w, em, slot_k, 1)
         em.emit(f"    m.pc = {target}")
         em.emit("    m._branch_taken_penalty()")
-        em.emit("    return")
     else:
-        em.emit(f"if {taken_expr}:")
-        em.emit("    m._jit_deopts += 1")
-        _emit_exit_state(w, em, target, 1)
-        em.emit("    m._branch_taken_penalty()")
-        em.emit("    return")
+        _emit_exit_state(w, em, target, 1, penalty=True)
+    em.emit("    return")
     return fall
 
 
@@ -522,16 +435,14 @@ def _emit_term(w, em, k, slot_k):
     when the trace ends here."""
     mi = w.instrs[k]
     op = mi.op
-    charge = mi.category != "fused"
 
     if op in ("trap", "hostcall"):
         # Dispatcher order: the block's charge, terminator included ->
-        # block commit -> fuel check -> the terminator.  The commit
-        # syncs the charge, so the host observes exact cycle state.
-        if charge:
-            _emit_charge(w, em, k)
+        # block commit -> fuel check -> the terminator.  The host
+        # observes exact cycle state.
+        w.charge(k)
         _emit_exit_state(w, em, w.block_entry)
-        _emit_fuel_guard(w, em)
+        _emit_fuel_check(em)
         em.emit(f"m.pc = {k}")
     if op == "trap":
         em.emit(TABLE.render(mi)[0])
@@ -554,14 +465,11 @@ def _emit_term(w, em, k, slot_k):
         em.emit("if m.halted:")
         em.emit(f"    m.pc = {k + 1}")
         em.emit("    return")
-        # Reload cycle state the hostcall may have advanced? It cannot:
-        # hosts never touch the scoreboard; locals stay authoritative.
         w.commit_reset()
         return k + 1
 
     if op in ("jr", "jalr"):
-        if charge:
-            _emit_charge(w, em, k)
+        w.charge(k)
         _emit_exit_state(w, em, k)
         if op == "jalr":
             em.emit(f"regs[{w.link}] = {u32(mi.imm)}")
@@ -574,8 +482,7 @@ def _emit_term(w, em, k, slot_k):
         return None
 
     if op in ("j", "jal"):
-        if charge:
-            _emit_charge(w, em, k)
+        w.charge(k)
         if op == "jal":
             em.emit(f"regs[{w.link}] = {u32(mi.imm)}")
         if slot_k >= 0:
@@ -612,9 +519,10 @@ def _block_traceable(w, index) -> bool:
     return True  # runs off the end; the trace exits there
 
 
-def native_superblock_source(program, entry: int) -> str:
-    """Generate Python source for the superblock entered at native
-    index *entry* over a :class:`ThreadedNativeProgram`.
+def _form(program, entry: int):
+    """Form the superblock entered at native index *entry* over a
+    :class:`ThreadedNativeProgram`: its source and its path charges,
+    ``_c0``, ``_c1``, ... in the source.
 
     Raises :class:`_Unsupported` when the entry block itself is outside
     the emitter's vocabulary.
@@ -664,7 +572,7 @@ def native_superblock_source(program, entry: int) -> str:
             # check, then report the out-of-range pc like the threaded
             # dispatcher does.
             _emit_exit_state(w, em, w.block_entry)
-            _emit_fuel_guard(w, em)
+            _emit_fuel_check(em)
             em.emit(f"m.pc = {n}")
             em.emit("return")
             break
@@ -683,113 +591,32 @@ def native_superblock_source(program, entry: int) -> str:
             break
         index = cont
 
-    # -- assemble ---------------------------------------------------------
-    cells, invalidate = cache_cells(em)
-    sync_lines = []
-    if w.slots:
-        sync_lines.append("_rm = m._ready")
-        for slot, name in w.slots.items():
-            sync_lines.append(f"_rm[{slot}] = {name}")
-    sync_lines.append("m.cycles = _cy")
-    sync_lines.append("m._last_issue_cycle = _lic")
-    if w.uses_cc:
-        sync_lines.append("m.cc = _ccs")
-        sync_lines.append("m.cc_unsigned = _ccu")
-
-    out = [f"# native superblock @{entry} ({len(visited)} blocks, "
-           f"{w.total} instrs{', looped' if looped else ''})",
-           "def _make_superblock():"]
-    if cells:
-        out.append("    _mem = None")
-        out.append("    _ep = 0")
-        out.append(f"    {invalidate} = 0")
-        names = " = ".join(f"_ld{s}" for s in em.load_sites)
-        if names:
-            out.append(f"    {names} = None")
-        names = " = ".join(f"_sd{s}" for s in em.store_sites)
-        if names:
-            out.append(f"    {names} = None")
-    out.append("    def _superblock(m, regs, fregs, memory):")
-    body = "        "
-    if cells:
-        decl = ["_mem", "_ep"] + cells
-        for j in range(0, len(decl), 8):
-            out.append(body + "nonlocal " + ", ".join(decl[j:j + 8]))
-        out.append(body + "if _mem is not memory "
-                          "or _ep != memory.perm_epoch:")
-        out.append(body + "    _mem = memory")
-        out.append(body + "    _ep = memory.perm_epoch")
-        out.append(body + f"    {invalidate} = 0")
-    # Entry prologue: pull the scoreboard and cycle state into locals.
-    out.append(body + "_instrs = m.instrs")
-    out.append(body + "_ct = m.category_counts")
-    if w.slots:
-        out.append(body + "_rm = m._ready")
-        for slot, name in w.slots.items():
-            out.append(body + f"{name} = _rm[{slot}]")
-    out.append(body + "_cy = m.cycles")
-    out.append(body + "_lic = m._last_issue_cycle")
-    out.append(body + "_li = m._last_issued")
-    out.append(body + "_po = m._pair_open")
-    if w.dual:
-        out.append(body + "_du = m.spec.timing.dual_issue")
-        out.append(body + "_dp = m._depends_on")
-    if w.uses_cc:
-        out.append(body + "_ccs = m.cc")
-        out.append(body + "_ccu = m.cc_unsigned")
-    pad = body
     if looped:
-        out.append(body + "while True:")
-        pad = body + "    "
-    for line in em.lines:
-        stripped = line.lstrip()
-        indent = line[:len(line) - len(stripped)]
-        if stripped == _SYNC:
-            for s_line in sync_lines:
-                out.append(pad + indent + s_line)
-            continue
-        if stripped == _FLUSH:
-            if cells:
-                out.append(pad + indent + invalidate + " = 0")
-                out.append(pad + indent + "_ep = memory.perm_epoch")
-            continue
-        out.append(pad + line)
-    if looped:
-        # Backedge: commit the iteration's retire counts, honour the
-        # block-level fuel cut (the watchdog zeroes m.fuel
-        # asynchronously), and go round again.
-        out.append(pad + f"# backedge -> @{entry}")
+        # Backedge: charge the iteration's path, commit its retire
+        # counts, and honour the block-level fuel cut.
+        em.emit(f"# backedge -> @{entry}")
+        _emit_path_charge(w, em)
         if w.pending:
-            out.append(pad + f"m.instret += {w.pending}")
+            em.emit(f"m.instret += {w.pending}")
         for cat in sorted(w.pcats):
-            out.append(pad + f"_ct[{cat!r}] += {w.pcats[cat]}")
-        out.append(pad + "if m.instret > m.fuel:")
-        for s_line in sync_lines:
-            out.append(pad + "    " + s_line)
-        if w.prev[0] == "static":
-            out.append(pad + f"    m._last_issued = _instrs[{w.prev[1]}]")
-        elif w.prev[0] == "none":
-            out.append(pad + "    m._last_issued = None")
-        else:
-            out.append(pad + "    m._last_issued = _li")
-        if w.dual or w.po == "runtime":
-            out.append(pad + "    m._pair_open = _po")
-        else:
-            out.append(pad + f"    m._pair_open = {w.po == 'true'}")
-        out.append(pad + f"    m.pc = {entry}")
-        out.append(pad + "    raise FuelExhausted("
-                         "'target simulation exceeded fuel')")
-        # Iteration >= 2: exits emitted before the first charge read
-        # ``_li``/``_po``; refresh them to the end-of-iteration state.
-        if w.prev[0] == "static":
-            out.append(pad + f"_li = _instrs[{w.prev[1]}]")
-        elif w.prev[0] == "none":
-            out.append(pad + "_li = None")
-        if not w.dual and w.po != "runtime":
-            out.append(pad + f"_po = {w.po == 'true'}")
-    out.append("    return _superblock")
-    out.append("_superblock = _make_superblock()")
-    return "\n".join(out) + "\n"
+            em.emit(f"_ct[{cat!r}] += {w.pcats[cat]}")
+        _emit_fuel_check(em, (_SYNC, f"m.pc = {entry}"))
+    prologue = ["_instrs = m.instrs", "_ct = m.category_counts"]
+    sync = []
+    if w.uses_cc:
+        prologue += ["_ccs = m.cc", "_ccu = m.cc_unsigned"]
+        sync = ["m.cc = _ccs", "m.cc_unsigned = _ccu"]
+    source = assemble(em, f"native superblock @{entry}", len(visited),
+                      w.total, "m, regs, fregs, memory", prologue, looped,
+                      {_SYNC: sync})
+    return source, w.charges
+
+
+def native_superblock_source(program, entry: int) -> str:
+    """Generate Python source for the superblock entered at native
+    index *entry* over a :class:`ThreadedNativeProgram` (see
+    :func:`_form`)."""
+    return _form(program, entry)[0]
 
 
 def compile_native_superblock(program, entry: int):
@@ -803,11 +630,13 @@ def compile_native_superblock(program, entry: int):
     Returns ``(None, None)`` when the entry block is untraceable.
     """
     try:
-        source = native_superblock_source(program, entry)
+        source, charges = _form(program, entry)
     except _Unsupported:
         return None, None
     code = compile(source, f"<jit-native@{entry}>", "exec")
     namespace = dict(_EXEC_GLOBALS)
+    for number, charge in enumerate(charges):
+        namespace[f"_c{number}"] = charge
     exec(code, namespace)
     return source, namespace["_make_superblock"]
 

@@ -180,9 +180,14 @@ class BlockCharge:
     ``instrs`` are the instructions the block charges, in order: the
     body, the terminator (both halves of a fused pair), and the delay
     slot where the slot always runs — after a conditional branch that
-    does not annul, and after ``j``/``jal``.  ``reads`` are the
-    scoreboard slots they read before writing them, ``writes`` the
-    slots they write, ``first`` and ``last`` the first and last of them.
+    does not annul, and after ``j``/``jal``.  A native superblock
+    charges each static path through its trace the same way
+    (:mod:`repro.targets.jit`); a path also holds ``None`` for each
+    taken-branch penalty on it, and starts with an instruction.
+    ``reads`` are the scoreboard slots the instructions read before
+    writing them, ``writes`` the slots they write, ``first`` and
+    ``last`` the first and last items: ``last`` is where the charge
+    leaves ``_last_issued``, None after a penalty.
 
     :meth:`TargetMachine._charge` is shift-invariant, so the block's
     charge depends only on the block and its entry state: the ready
@@ -192,9 +197,12 @@ class BlockCharge:
     result as one tuple, ``(ready, pairs, (advance, pair_open,
     written))``: how far ``_last_issue_cycle`` moves, the exit
     ``_pair_open``, and the ready times of ``writes`` relative to the
-    entry.  Machines that share the artifact (``serve`` workers)
-    replace the tuple without a lock; a reader sees either the old
-    tuple or the new one, and both are a correct state and its result.
+    entry.  A penalty keeps the charge shift-invariant: it moves the
+    issue cursor to ``cycles`` plus the penalty, and ``cycles ==
+    _last_issue_cycle`` after every charge.  Machines that share the
+    artifact (``serve`` workers) replace the tuple without a lock; a
+    reader sees either the old tuple or the new one, and both are a
+    correct state and its result.
     """
 
     __slots__ = ("instrs", "reads", "writes", "first", "last", "memo")
@@ -203,6 +211,8 @@ class BlockCharge:
         written: dict[int, None] = {}
         reads: dict[int, None] = {}
         for mi in instrs:
+            if mi is None:
+                continue
             slots_read, slots_written, _latency, _extra = timing.issue(mi)
             for slot in slots_read:
                 if slot not in written:
@@ -381,9 +391,10 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
         self._charge_misses = 0
 
     def _charge_block(self, charge: BlockCharge) -> None:
-        """Charge the cycles of a block whose body ran: from the
-        block's memo when its entry state matches, else per instruction
-        with :meth:`_charge`, which replaces the memo."""
+        """Charge the cycles of a block whose body ran, or of a
+        superblock path: from the memo when its entry state matches,
+        else item by item with :meth:`_charge` and
+        :meth:`_branch_taken_penalty`, which replaces the memo."""
         lic = self._last_issue_cycle
         ready = self._ready
         reads = charge.reads
@@ -408,7 +419,10 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
             return
         self._charge_misses += 1
         for mi in charge.instrs:
-            self._charge(mi)
+            if mi is None:
+                self._branch_taken_penalty()
+            else:
+                self._charge(mi)
         charge.memo = (state, pairs, (
             self._last_issue_cycle - lic, self._pair_open,
             tuple([ready[slot] - lic for slot in charge.writes])))

@@ -8,12 +8,17 @@ These tests run hand-laid native programs on every target under the
 legacy per-instruction executor (the oracle), under the threaded
 tier twice — on a freshly predecoded artifact (a cold memo) and as a
 second machine on the same artifact (a warm memo) — and under the JIT
-with every entry compiled, and compare the outcome, registers, memory
-digest, ``fault_pc``, ``instret`` and ``cycles``.  The shapes are the ones the block charge has to get right:
-faults in mid-block, annulled and ``jr`` delay slots, the FP divide
-trap, latencies and dual-issue pairs that cross a block boundary, x86
-memory-resident registers, and one block entered from two states in
-turn.  A stress test runs one artifact from four threads at once.
+twice, with every entry compiled, where each superblock charges its
+static paths from memos of their own (cold for the first machine, warm
+for the second), and compare the outcome, registers, memory digest,
+``fault_pc``, ``instret`` and ``cycles``.  The shapes are the ones the
+block charge has to get right: faults in mid-block, annulled and
+``jr`` delay slots, the FP divide trap, latencies and dual-issue pairs
+that cross a block boundary, x86 memory-resident registers, one block
+entered from two states in turn, and a looped trace that deopts at a
+different iteration on each pass.  Path charges with taken-branch
+penalties are checked against per-item charges from several entry
+states, and a stress test runs one artifact from four threads at once.
 """
 
 import sys
@@ -33,7 +38,11 @@ from repro.omnivm.memory import CODE_BASE, DATA_BASE, standard_module_memory
 from repro.targets.base import MInstr as M
 from repro.targets.base import TargetMachine
 from repro.targets.jit import JitTargetMachine
-from repro.targets.threaded import ThreadedTargetMachine, predecode_native
+from repro.targets.threaded import (
+    BlockCharge,
+    ThreadedTargetMachine,
+    predecode_native,
+)
 from repro.translators import ARCHITECTURES, target_spec
 from repro.utils.bits import f64_to_bits
 
@@ -210,6 +219,43 @@ def memory_registers(spec):
     ]) + [ret(spec)]
 
 
+def looped_deopts(spec):
+    """Two passes over a loop whose forward skip is laid out untaken but
+    taken on trip 3 of the first pass and trip 1 of the second, so the
+    loop's superblock deopts at a different iteration each pass.  The
+    first pass enters the loop with the multiply that writes ``r21``,
+    which the loop head reads, still in flight; the second enters it
+    with every register ready."""
+    return ([M("li", rd=6, imm=0),
+             "pass", M("li", rd=2, imm=0), M("li", rd=3, imm=6),
+             M("li", rd=23, imm=3), M("cmpi", rs=6, imm=0),
+             M("mul", rd=21, rs=3, rt=3), br(M("bcc", pred="eq"), "loop"),
+             M("li", rd=23, imm=1)]
+            + [M("addi", rd=22, rs=22, imm=1) for _ in range(12)]
+            + ["loop", M("add", rd=20, rs=21, rt=2),
+               M("cmp", rs=2, rt=23), br(M("bcc", pred="eq"), "skip"),
+               M("addi", rd=24, rs=20, imm=1),
+               "skip", M("addi", rd=2, rs=2, imm=1),
+               M("cmp", rs=2, rt=3), br(M("bcc", pred="lt"), "loop"),
+               M("addi", rd=6, rs=6, imm=1), M("cmpi", rs=6, imm=2),
+               br(M("bcc", pred="lt"), "pass"), ret(spec)])
+
+
+def fused_jump_entry(spec):
+    """The program's first instruction is a zero-cost (fused) jump, so
+    the superblock at the entry meets the jump's taken-branch penalty
+    before it charges anything: first on a new machine, whose
+    ``cycles`` is one past its issue cursor, and again, through the
+    dispatcher, in step.  The path it then charges reads no register
+    before writing it, so both entries share one memo state."""
+    return ["target", br(M("j", category="fused"), "body"),
+            "body", M("li", rd=20, imm=9), M("cmpi", rs=20, imm=9),
+            br(M("bcc", pred="eq"), "out"), ret(spec),
+            "out", M("addi", rd=2, rs=2, imm=1), M("cmpi", rs=2, imm=2),
+            br(M("bcc", pred="eq"), "done"), M("li", rd=12, imm=TARGET),
+            br(M("jr", rs=12)), "done", ret(spec)]
+
+
 PROGRAMS = {
     "mid_block_fault": mid_block_fault,
     "unhandled_fault": unhandled_fault,
@@ -220,6 +266,8 @@ PROGRAMS = {
     "two_states": two_states,
     "two_ready_states": two_ready_states,
     "memory_registers": memory_registers,
+    "looped_deopts": looped_deopts,
+    "fused_jump_entry": fused_jump_entry,
 }
 
 
@@ -259,27 +307,36 @@ def threaded_machine(spec, instrs, omni_to_native, program):
                                  omni_to_native, threaded=program)
 
 
+def jit_machine(spec, instrs, omni_to_native, program):
+    """A JIT machine that compiles every entry at its first dispatch."""
+    machine = JitTargetMachine(spec, instrs, fresh_memory(), omni_to_native,
+                               threaded=program)
+    machine._jit_heat = 1
+    return machine
+
+
 def run_three(arch, name):
-    """(legacy, cold, warm, jit) observations: the threaded tier on a
-    fresh artifact and again on the same one, and the JIT compiling
-    every entry at its first dispatch."""
+    """(legacy, cold, warm, jit, jit_warm) observations: the threaded
+    tier on a fresh artifact and again on the same one, and the JIT
+    compiling every entry at its first dispatch on another fresh
+    artifact and again on that one, where the superblocks' path memos
+    are warm."""
     spec, instrs, omni_to_native = build(arch, name)
     legacy = observe(TargetMachine(spec, instrs, fresh_memory(),
                                    omni_to_native))
     program = predecode_native(spec, instrs)
     cold = observe(threaded_machine(spec, instrs, omni_to_native, program))
     warm = observe(threaded_machine(spec, instrs, omni_to_native, program))
-    jit_machine = JitTargetMachine(
-        spec, instrs, fresh_memory(), omni_to_native,
-        threaded=predecode_native(spec, instrs))
-    jit_machine._jit_heat = 1
-    return legacy, cold, warm, observe(jit_machine)
+    program = predecode_native(spec, instrs)
+    jit = observe(jit_machine(spec, instrs, omni_to_native, program))
+    jit_warm = observe(jit_machine(spec, instrs, omni_to_native, program))
+    return legacy, cold, warm, jit, jit_warm
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_threaded_matches_legacy_cold_and_warm(arch, name):
-    legacy, cold, warm, jit = run_three(arch, name)
+    legacy, cold, warm, jit, jit_warm = run_three(arch, name)
     if name == "fp_divide":
         # The FP divide trap leaves pc and instret at the last block
         # boundary (the documented relaxation): the threaded tier has
@@ -291,6 +348,7 @@ def test_threaded_matches_legacy_cold_and_warm(arch, name):
     assert cold == legacy, f"{arch}/{name}: cold memo"
     assert warm == legacy, f"{arch}/{name}: warm memo"
     assert jit == legacy, f"{arch}/{name}: jit"
+    assert jit_warm == legacy, f"{arch}/{name}: jit, warm path memos"
 
 
 def test_programs_reach_their_shapes():
@@ -302,15 +360,17 @@ def test_programs_reach_their_shapes():
         "annulled_slots": "exit", "jr_slots": "sandbox",
         "fp_divide": "vmerror", "latency_across_blocks": "exit",
         "two_states": "exit", "two_ready_states": "exit",
-        "memory_registers": "exit"}
+        "memory_registers": "exit", "looped_deopts": "exit",
+        "fused_jump_entry": "exit"}
 
 
-def entry_states_of_b(arch, name):
+def entry_states_of_b(arch, name, make=threaded_machine):
     """The (ready state, pairs) entry states block ``B`` of program
-    *name* is charged from, in order."""
+    *name* is charged from, in order: the charges whose first
+    instruction writes ``r20``, on a machine from *make*."""
     spec, instrs, omni_to_native = build(arch, name)
     program = predecode_native(spec, instrs)
-    machine = threaded_machine(spec, instrs, omni_to_native, program)
+    machine = make(spec, instrs, omni_to_native, program)
     states = []
     charge_block = machine._charge_block
 
@@ -326,7 +386,7 @@ def entry_states_of_b(arch, name):
 
     machine._charge_block = recording
     observe(machine)
-    return states
+    return states, machine
 
 
 @pytest.mark.parametrize("arch", ["ppc", "x86"])
@@ -334,7 +394,7 @@ def test_pairing_across_a_block_boundary(arch):
     """On the dual-issue targets block B's first instruction pairs with
     the instruction issued last when B is entered by falling through;
     the ready state is the same both ways."""
-    states = entry_states_of_b(arch, "two_states")
+    states, _ = entry_states_of_b(arch, "two_states")
     assert len(states) == 6
     assert len({ready for ready, _ in states}) == 1
     assert [pairs for _, pairs in states] == [False, True] * 3
@@ -343,11 +403,105 @@ def test_pairing_across_a_block_boundary(arch):
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_a_block_entered_from_two_ready_states(arch):
     """Block B is entered with r21 in flight every other trip."""
-    states = entry_states_of_b(arch, "two_ready_states")
+    states, _ = entry_states_of_b(arch, "two_ready_states")
     readies = [ready for ready, _ in states]
     assert len(readies) == 6 and len(set(readies)) == 2
     assert readies[0::2] == readies[0:1] * 3
     assert readies[1::2] == readies[1:2] * 3
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_looped_trace_deopts_at_different_iterations(arch):
+    """The loop's forward skip is taken at trip 3 of the first pass and
+    at trip 1 of the second, so its superblock deopts at a different
+    iteration each pass, and its paths from the loop head are charged
+    from two ready states: with the multiply in flight on the first
+    pass's entry, and with every register ready after it."""
+    states, machine = entry_states_of_b(arch, "looped_deopts", jit_machine)
+    assert machine._jit_deopts >= 2
+    assert machine._superblocks_run > 0
+    # Every path from the loop head reads r21 first.
+    in_flight = [ready for ready, _ in states if ready[0]]
+    assert 0 < len(in_flight) < len(states)
+
+
+# -- superblock path charges ---------------------------------------------------
+
+#: Static superblock paths: the instructions a path charges, in order,
+#: with None for each on-trace taken-branch penalty, and one at the end
+#: as a taken side exit charges it.  A path starts with an instruction.
+PATHS = {
+    "int": [M("addi", rd=5, rs=2, imm=1), M("mul", rd=4, rs=3, rt=5), None,
+            M("lw", rd=6, rs=5, imm=0), M("add", rd=7, rs=4, rt=6),
+            M("addi", rd=8, rs=2, imm=2), None,
+            M("add", rd=9, rs=7, rt=8), M("cmp", rs=9, rt=8), None],
+    "fp": [M("cvtdw", fd=2, rs=3), M("addi", rd=5, rs=2, imm=1), None,
+           M("fmuld", fd=4, fs=2, ft=2), M("faddd", fd=6, fs=4, ft=2),
+           M("mul", rd=7, rs=5, rt=3), None, M("add", rd=8, rs=7, rt=5)],
+}
+
+#: The charges that leave a machine in each entry state (None: a
+#: taken-branch penalty).  ``fresh`` is a new machine, whose ``cycles``
+#: is 0 and issue cursor -1; ``shifted`` leaves the same relative state
+#: as ``multiply_in_flight`` at a later cycle.
+ENTRY_STATES = {
+    "fresh": [],
+    "pairable": [M("addi", rd=10, rs=11, imm=1)],
+    "multiply_in_flight": [M("mul", rd=3, rs=11, rt=11)],
+    "load_in_flight": [M("lw", rd=2, rs=11, imm=0)],
+    "after_a_penalty": [M("addi", rd=2, rs=11, imm=1), None],
+    "shifted": [M("addi", rd=10, rs=11, imm=1) for _ in range(4)]
+    + [M("mul", rd=3, rs=11, rt=11)],
+}
+
+
+def charge_items(machine, items):
+    for mi in items:
+        if mi is None:
+            machine._branch_taken_penalty()
+        else:
+            machine._charge(mi)
+
+
+def timing_state(spec, entry, charge):
+    """The timing state after the *entry* charges and then *charge*
+    (a BlockCharge, or its items charged one by one), and the memo
+    misses it took."""
+    machine = ThreadedTargetMachine(spec, [M("nop")], fresh_memory(), {})
+    charge_items(machine, entry)
+    if isinstance(charge, BlockCharge):
+        machine._charge_block(charge)
+    else:
+        charge_items(machine, charge)
+    return ((machine.cycles, machine._last_issue_cycle, list(machine._ready),
+             machine._last_issued, machine._pair_open),
+            machine._charge_misses)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_path_charge_matches_per_item_charges(arch):
+    """A BlockCharge with penalty items, charged from a cold memo and
+    then from the warm one, leaves the timing state that charging its
+    items one by one leaves, from every entry state; so does one charge
+    whose memo each state in turn replaces or hits."""
+    spec = target_spec(arch)
+    pairable = ENTRY_STATES["pairable"][-1]
+    pairs = []
+    for path, items in PATHS.items():
+        shared = BlockCharge(items, spec.timing)
+        for name, entry in list(ENTRY_STATES.items()) * 2:
+            oracle, _ = timing_state(spec, entry, items)
+            charge = BlockCharge(items, spec.timing)
+            context = f"{arch}/{path} from {name}"
+            assert timing_state(spec, entry, charge) == (oracle, 1), context
+            assert timing_state(spec, entry, charge) == (oracle, 0), context
+            assert timing_state(spec, entry, shared)[0] == oracle, context
+        assert shared.last is items[-1]
+        pairs.append(spec.timing.dual_issue is not None
+                     and spec.timing.pairs(pairable, items[0]))
+    # On PPC and x86 some path's first instruction pairs with the
+    # ``pairable`` state's last, so the memo's pairing bit is exercised.
+    assert any(pairs) == (arch in ("ppc", "x86"))
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)

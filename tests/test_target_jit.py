@@ -26,8 +26,13 @@ chains inlined without weakening.  These tests pin:
   touches the predecode hit/miss statistics;
 * mispredicted side exits: loops whose forward skips the static
   predictor lays out wrong (always taken, or taken every other trip)
-  deopt on the JIT and still match the legacy and threaded tiers.
+  deopt on the JIT and still match the legacy and threaded tiers;
+* path charges: no superblock the SPEC kernels compile names the
+  scoreboard or the issue state — each static path ends in one
+  ``m._charge_block`` of its own.
 """
+
+import re
 
 import pytest
 
@@ -62,6 +67,7 @@ from repro.targets.threaded import ThreadedTargetMachine, predecode_native
 from repro.translators import ARCHITECTURES, TranslationOptions, translate
 from repro.translators.base import initial_register_state
 from repro.utils.bits import f64_to_bits
+from repro.workloads import suite
 
 ENGINES = ("legacy", "threaded", "jit")
 
@@ -494,3 +500,42 @@ class TestMispredictedExitParity:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_alternating_skip(self, arch):
         self._check(self._alternating_skip(), arch)
+
+
+class TestPathCharges:
+    """A native superblock leaves the timing state to the machine: each
+    static path through it — from the entry, the loop head or the last
+    inlined hostcall to a side exit, fault handler, hostcall, run-off-end
+    exit or the backedge — ends in one ``m._charge_block`` of a
+    BlockCharge built at compile time, so no superblock reads or writes
+    the scoreboard or the issue state."""
+
+    TIMING_STATE = ("_ready", "_last_issue_cycle", "_last_issued",
+                    "_pair_open")
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_spec_superblocks_name_no_timing_state(self, arch, monkeypatch):
+        sources = []
+        compile_superblock = JitTargetMachine._compile_superblock
+
+        def recording(program, entry):
+            source, make = compile_superblock(program, entry)
+            sources.append(source)
+            return source, make
+
+        monkeypatch.setattr(JitTargetMachine, "_compile_superblock",
+                            staticmethod(recording))
+        for name in suite.WORKLOAD_NAMES:
+            module = load_for_target(suite.build(name), arch, engine="jit",
+                                     cache=TranslationCache())
+            module.machine._jit_heat = 1
+            module.run()
+            assert suite.check_output(name, module.host.output_values())
+        sources = [source for source in sources if source is not None]
+        assert len(sources) > 100
+        for source in sources:
+            for name in self.TIMING_STATE:
+                assert name not in source, f"{arch}: {name}"
+            charges = re.findall(r"m\._charge_block\(_c(\d+)\)", source)
+            assert charges == [str(k) for k in range(len(charges))]
+            assert charges
