@@ -13,9 +13,10 @@ TranslationOptions)``:
 * the **options digest** covers every field of
   :class:`~repro.translators.base.TranslationOptions`, so e.g. an
   SFI-off translation can never satisfy an SFI-on request;
-* entries are held in an **in-memory LRU** (bounded by ``capacity``)
-  with optional **on-disk persistence** (one JSON file per entry under
-  ``disk_dir``) that survives process restarts;
+* entries are held **in memory** (bounded by ``capacity``, evicted by
+  segmented LRU; see below) with optional **on-disk persistence** (one
+  JSON file per entry under ``disk_dir``) that survives process
+  restarts;
 * hit / miss / eviction / store counters are exported through
   :meth:`TranslationCache.stats` and mirrored into
   :mod:`repro.metrics` counters (``cache.hit`` / ``cache.miss`` / ...)
@@ -32,8 +33,18 @@ hash pins the exact input it was produced from.
 
 **One key per load**: the caller derives :func:`cache_key` once (arch
 ``"omnivm"`` for the interpreter) and hands it to both tables — the
-translation LRU and the predecode side table — so a load digests its
+translation table and the predecode side table — so a load digests its
 program once.
+
+**One eviction policy** serves both tables: a segmented LRU
+(:class:`_SegmentedLRU`; Karedla, Love and Wherry, IEEE Computer 1994)
+whose protected segment holds four fifths of the capacity.  A host's
+traffic is popular modules loaded again and again among rarer ones;
+under a plain LRU a run of rare loads flushes the popular modules,
+whose next loads then pay verification, translation and SFI
+verification again and lose their JIT heat.  Here a key hit once
+outlives a scan of ``capacity`` one-shot keys, while traffic that
+never repeats a key is served exactly as by a plain LRU.
 
 Durability guarantees (the service layer leans on all three):
 
@@ -50,12 +61,12 @@ Durability guarantees (the service layer leans on all three):
   (``cache.disk_reject``), so nothing unverified ever executes;
 * **disk-aware invalidation** — ``invalidate(program=...)`` /
   ``(arch=...)`` matches persisted entries (each payload stores its own
-  key) as well as resident ones, so an entry evicted from the LRU cannot
-  be resurrected after its program was invalidated.
+  key) as well as resident ones, so an entry evicted from memory
+  cannot be resurrected after its program was invalidated.
 
 All public methods are safe to call from multiple threads: one internal
-:class:`threading.RLock` serializes mutation of the LRU, the counters,
-and the disk directory (see :class:`repro.service.ModuleHost`).
+:class:`threading.RLock` serializes mutation of both tables, the
+counters, and the disk directory (see :class:`repro.service.ModuleHost`).
 
 **Single-flight translation** (:meth:`TranslationCache.translate_once`):
 when a thundering herd of requests misses on the same uncached key, one
@@ -75,6 +86,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -243,13 +255,90 @@ class CacheStats:
         }
 
 
-class TranslationCache:
-    """LRU cache of verified :class:`TranslatedModule` values.
+class _SegmentedLRU(Mapping):
+    """A bounded table evicted by segmented LRU, the cache's one policy.
 
-    ``capacity`` bounds the in-memory entry count (least recently used
-    entries are evicted first); ``disk_dir`` (optional) enables
-    persistence — evicted or restart-lost entries are reloaded from disk
-    on the next request and re-enter the LRU.
+    A new entry enters the most recently used (MRU) end of a *probation*
+    segment.  A hit in probation promotes the entry to a *protected*
+    segment of at most ``capacity * 4 // 5`` entries, whose least
+    recently used (LRU) entry falls back to probation's MRU end; a hit in
+    protected refreshes the entry.  Eviction takes probation's LRU entry,
+    and probation may use every slot protected leaves free, so a stream
+    that never repeats a key, and every capacity below 2, see a plain
+    LRU.
+
+    Read as a mapping (``[]``, ``in``, iteration, ``len``) it is a peek:
+    only :meth:`use` and :meth:`add` count as uses.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._protected_capacity = capacity * 4 // 5
+        self._probation: OrderedDict = OrderedDict()
+        self._protected: OrderedDict = OrderedDict()
+
+    def __getitem__(self, key):
+        if key in self._protected:
+            return self._protected[key]
+        return self._probation[key]
+
+    def __iter__(self):
+        yield from self._probation
+        yield from self._protected
+
+    def __len__(self) -> int:
+        return len(self._probation) + len(self._protected)
+
+    def use(self, key):
+        """The value under *key*, recording the use; None when absent."""
+        value = self._protected.get(key)
+        if value is not None:
+            self._protected.move_to_end(key)
+            return value
+        value = self._probation.pop(key, None)
+        if value is not None:
+            self._promote(key, value)
+        return value
+
+    def add(self, key, value) -> bool:
+        """Keep *value* under *key*; storing a resident key replaces its
+        value and counts as a use.  Returns whether an entry was
+        evicted to make room."""
+        resident = (self._protected.pop(key, None) is not None
+                    or self._probation.pop(key, None) is not None)
+        if resident:
+            self._promote(key, value)
+            return False
+        self._probation[key] = value
+        if len(self) <= self.capacity:
+            return False
+        self._probation.popitem(last=False)
+        return True
+
+    def drop(self, doomed) -> list:
+        """Remove every key for which *doomed* holds; returns them."""
+        keys = [key for key in self if doomed(key)]
+        for key in keys:
+            self._protected.pop(key, None)
+            self._probation.pop(key, None)
+        return keys
+
+    def _promote(self, key, value) -> None:
+        self._protected[key] = value
+        if len(self._protected) > self._protected_capacity:
+            demoted, demoted_value = self._protected.popitem(last=False)
+            self._probation[demoted] = demoted_value
+
+
+class TranslationCache:
+    """Cache of verified :class:`TranslatedModule` values.
+
+    ``capacity`` bounds the in-memory entry count of each table, and
+    each table evicts by segmented LRU with four fifths of it protected
+    for entries used more than once (:class:`_SegmentedLRU`), so a
+    host's popular modules outlive runs of one-shot loads; ``disk_dir``
+    (optional) enables persistence — evicted or restart-lost entries
+    are reloaded from disk on the next request and re-enter memory.
 
     Instances are thread-safe: every public method takes the internal
     reentrant lock, so a :class:`repro.service.ModuleHost` worker pool
@@ -262,17 +351,15 @@ class TranslationCache:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._entries: OrderedDict[tuple[str, str, str], TranslatedModule] = (
-            OrderedDict()
-        )
+        self._entries = _SegmentedLRU(capacity)
         # Predecoded threaded-engine artifacts (repro.omnivm.threaded /
         # repro.targets.threaded), one per translation; each carries the
         # superblock JIT's state for it (heat and compiled factories),
         # which is evicted and invalidated with it.
-        # Held beside the translation LRU, same capacity bound and same
-        # keys, but memory-only: the artifacts are closure tables and
-        # cannot be persisted.
-        self._predecoded: OrderedDict[tuple, object] = OrderedDict()
+        # Held beside the translation table, same capacity bound, policy
+        # and keys, but memory-only: the artifacts are closure tables
+        # and cannot be persisted.
+        self._predecoded = _SegmentedLRU(capacity)
         self._stats = CacheStats()
         self._lock = threading.RLock()
         # Single-flight coordination: key -> Event set when the leader's
@@ -297,9 +384,8 @@ class TranslationCache:
     def lookup(self, key: tuple[str, str, str]) -> TranslatedModule | None:
         """Return the cached translation for *key*, or None on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.use(key)
             if entry is not None:
-                self._entries.move_to_end(key)
                 self._stats.hits += 1
                 metrics.count("cache.hit")
                 return entry
@@ -331,10 +417,7 @@ class TranslationCache:
 
     def _insert(self, key: tuple[str, str, str],
                 translated: TranslatedModule) -> None:
-        self._entries[key] = translated
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        if self._entries.add(key, translated):
             self._stats.evictions += 1
             metrics.count("cache.eviction")
 
@@ -462,11 +545,14 @@ class TranslationCache:
         """Return the threaded-engine artifact for *key* (see
         :func:`cache_key`), calling *build* and keeping its result on a
         miss.  The side table is memory only, and its eviction is silent
-        — translation ``stats().evictions`` stays untouched."""
+        — translation ``stats().evictions`` stays untouched.
+
+        *build* runs outside the lock, so two loads of one key may both
+        build; the first artifact stored stays resident (with its JIT
+        heat and compiled superblocks) and is returned to both."""
         with self._lock:
-            artifact = self._predecoded.get(key)
+            artifact = self._predecoded.use(key)
             if artifact is not None:
-                self._predecoded.move_to_end(key)
                 self._stats.predecode_hits += 1
                 metrics.count("cache.predecode_hit")
                 return artifact
@@ -474,10 +560,10 @@ class TranslationCache:
             metrics.count("cache.predecode_miss")
         artifact = build()
         with self._lock:
-            self._predecoded[key] = artifact
-            self._predecoded.move_to_end(key)
-            while len(self._predecoded) > self.capacity:
-                self._predecoded.popitem(last=False)
+            resident = self._predecoded.get(key)
+            if resident is not None:
+                return resident
+            self._predecoded.add(key, artifact)
         return artifact
 
     # -- invalidation ---------------------------------------------------------
@@ -487,7 +573,7 @@ class TranslationCache:
                    digest: str | None = None) -> int:
         """Drop entries matching *program* and/or *arch* (both None =
         everything).  Removes matching disk entries too — including
-        entries the LRU already evicted but disk still holds (each
+        entries memory already evicted but disk still holds (each
         payload stores its own key, which is matched against the
         filter), so an invalidated translation can never be resurrected
         by a later :meth:`get`.  Disk-only removals are counted in
@@ -505,14 +591,12 @@ class TranslationCache:
                     and (arch is None or key[1] == arch))
 
         with self._lock:
-            dropped = [key for key in self._entries if doomed(key)]
+            dropped = self._entries.drop(doomed)
             for key in dropped:
-                del self._entries[key]
                 self._disk_remove(key)
             # Predecoded artifacts derive from the same translation
             # inputs, so they go with it.
-            for key in [key for key in self._predecoded if doomed(key)]:
-                del self._predecoded[key]
+            self._predecoded.drop(doomed)
             self._stats.invalidations += len(dropped)
             self._stats.invalidations += self._disk_invalidate(digest, arch)
             return len(dropped)
@@ -625,7 +709,7 @@ class TranslationCache:
             os.replace(tmp, path)
             _fsync_dir(path.parent)
         except OSError:
-            # persistence is best-effort; the LRU still has it
+            # persistence is best-effort; memory still has it
             try:
                 tmp.unlink()
             except OSError:

@@ -521,7 +521,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"{cache.get('hits', 0)} hits "
                 f"({cache.get('disk_hits', 0)} from disk), "
                 f"{cache.get('misses', 0)} misses, "
-                f"{cache.get('evictions', 0)} evictions",
+                f"{cache.get('evictions', 0)} evictions; "
+                f"predecode {cache.get('predecode_hits', 0)} hits, "
+                f"{cache.get('predecode_misses', 0)} misses",
                 file=sys.stderr,
             )
         else:

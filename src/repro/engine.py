@@ -407,7 +407,9 @@ class Engine:
             lines.append(
                 f"translation cache: {stats.hits} hits "
                 f"({stats.disk_hits} from disk), {stats.misses} misses, "
-                f"{stats.evictions} evictions, {len(self.cache)} resident"
+                f"{stats.evictions} evictions, {len(self.cache)} resident; "
+                f"predecode {stats.predecode_hits} hits, "
+                f"{stats.predecode_misses} misses"
             )
         return "\n".join(lines)
 

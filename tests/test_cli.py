@@ -189,6 +189,20 @@ class TestServe:
         assert main(["serve", "--requests", str(reqs)]) == 0
         assert "file" in capsys.readouterr().out
 
+    def test_serve_sharded_stats_report_both_tables(self, tmp_path,
+                                                     capsys):
+        reqs = self._write_requests(tmp_path, [
+            {"source": HELLO, "id": "hello", "repeat": 3},
+        ])
+        code = main(["serve", "--requests", str(reqs), "--arch", "mips",
+                     "--processes", "2", "--workers", "1", "--stats"])
+        captured = capsys.readouterr()
+        assert code == 0
+        # One program routes to one shard: a miss, then two hits.
+        assert ("translation cache (all shards): 2 hits (0 from disk), "
+                "1 misses, 0 evictions; predecode 2 hits, 1 misses"
+                in captured.err)
+
     def test_serve_json_summary(self, tmp_path, capsys):
         reqs = self._write_requests(tmp_path, [
             {"source": HELLO, "id": "a"},

@@ -131,6 +131,15 @@ class TestEngineCaching:
         engine.reset_stats()
         assert not engine.metrics.counters
 
+    def test_stats_text_reports_both_tables(self):
+        engine = Engine(target="mips")
+        engine.run(SRC)
+        engine.run(SRC)  # hits the translation and its predecoded artifact
+        (line,) = [line for line in engine.stats_text().splitlines()
+                   if line.startswith("translation cache:")]
+        assert "1 hits (0 from disk), 1 misses, 0 evictions" in line
+        assert line.endswith("; predecode 1 hits, 1 misses")
+
     def test_metrics_disabled(self):
         engine = Engine(target="mips", collect_metrics=False)
         code, _module = engine.run(SRC)

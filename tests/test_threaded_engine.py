@@ -545,7 +545,7 @@ class TestBenchmarkSmoke:
         payload = bench.collect_benchmark(
             workloads=("li",), executors=("omnivm", "mips"), repeats=1)
         bench.validate_artifact(payload)
-        assert payload["schema_version"] == bench.SCHEMA_VERSION == 4
+        assert payload["schema_version"] == bench.SCHEMA_VERSION == 5
         assert {r["executor"] for r in payload["results"]} == \
             {"omnivm", "mips"}
         by_executor = {r["executor"]: r for r in payload["results"]}
