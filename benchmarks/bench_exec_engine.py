@@ -10,8 +10,8 @@ for every executor on the four SPEC-derived workloads, and emits the
 
 All engines must retire the *same* dynamic instruction count and
 produce the same output (asserted per run), so the comparison is pure
-dispatch overhead: predecoded closures, superinstruction fusion, and
-compiled superblocks versus the big-switch loops.  The JIT is measured
+dispatch overhead: predecoded closures and compiled superblocks versus
+the big-switch loops.  The JIT is measured
 twice.  ``jit_cold_seconds`` is one run on a fresh
 :class:`~repro.cache.TranslationCache`, compile time included — what a
 first request pays.  The warm runs then share that cache, so their

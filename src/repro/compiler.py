@@ -29,7 +29,7 @@ from repro.omnivm.codegen import generate_object
 from repro.omnivm.linker import LinkedProgram, link
 from repro.omnivm.objfile import ObjectModule
 from repro.opt import addrfold, dce
-from repro.opt.pipeline import OptOptions, optimize_module
+from repro.opt.pipeline import optimize_module
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def compile_to_ir(source: str, options: CompileOptions | None = None) -> Module:
     with metrics.stage("ir.build"):
         module = build_module(unit, options.module_name, parser.struct_types)
         verify_module(module)
-    optimize_module(module, OptOptions(level=options.opt_level))
+    optimize_module(module, options.opt_level)
     # Addressing-mode selection + cleanup of folded-through adds.
     with metrics.stage("opt.addrfold"):
         for func in module.functions:

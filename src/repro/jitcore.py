@@ -335,12 +335,10 @@ class BlockDispatch:
     """
 
     #: (metrics counter, attribute) pairs, in reporting order.
-    COUNTERS = (("execute.blocks", "_blocks_run"),
-                ("execute.fused", "_fused_run"))
+    COUNTERS = (("execute.blocks", "_blocks_run"),)
 
     def _init_dispatch(self, length: int) -> None:
         self._blocks_run = 0
-        self._fused_run = 0
         self._superblocks: dict[int, object] = {}
         self._heat = [0] * length
         self._jit_heat = NO_TIER_UP

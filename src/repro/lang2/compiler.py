@@ -40,7 +40,7 @@ from repro.ir.ir import (
 from repro.omnivm.codegen import generate_object
 from repro.omnivm.objfile import ObjectModule
 from repro.opt import addrfold, dce
-from repro.opt.pipeline import OptOptions, optimize_module
+from repro.opt.pipeline import optimize_module
 
 _ARITH = {"+": "add", "-": "sub", "*": "mul", "/": "div", "mod": "rem"}
 _CMP = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "=": "eq", "/=": "ne"}
@@ -321,7 +321,7 @@ class MiniLispCompiler:
 def compile_minilisp_to_ir(source: str, module_name: str = "lisp") -> Module:
     """MiniLisp → optimized IR (same pipeline position as MiniC)."""
     module = MiniLispCompiler(module_name).compile(source)
-    optimize_module(module, OptOptions(level=2))
+    optimize_module(module, level=2)
     for func in module.functions:
         addrfold.run(func)
         dce.run(func)

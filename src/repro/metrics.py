@@ -38,7 +38,7 @@ module-hosting service's ``service.request`` / ``service.fallback`` /
 ``service.retry`` / ``service.timeout`` family).  The threaded-code
 execution engines add ``execute.predecode_ms`` (wall milliseconds spent
 predecoding a program into closures), ``execute.blocks`` (basic blocks
-dispatched), ``execute.fused`` (superinstructions executed), and the
+dispatched), and the
 cache's ``cache.predecode_hit`` / ``cache.predecode_miss`` pair for the
 in-memory predecode side table.  The CFG-based SFI verifier reports its
 graph shape per verification — ``verify.sfi.blocks`` /

@@ -12,15 +12,9 @@ paper puts translation cost:
   of semantics (once per op, on first use): operands are bound as
   cells, immediates pre-normalized.  The closures live in a
   per-program dispatch array indexed by pc;
-* **superinstruction fusion** — the dominant dynamic pairs exposed by
-  the opcode-count instrumentation on the four SPEC workloads
-  (``mov``/``li`` shuffles, ``addi``/``slli``+``mov`` address
-  arithmetic, ``lw``+``lw`` / ``sw``+``sw`` block moves,
-  ``li``+indexed-load, ``addi``/``li``+``jr`` returns, and
-  ``lw``+compare-and-branch) run as single closures, one factory per
-  pair generated from the two table statements;
-* **basic-block batching** — straight-line runs execute without
-  re-entering the dispatch loop; ``instret`` and the fuel check are
+* **basic-block batching** — a straight-line run executes one closure
+  per instruction (``nop`` has none) without re-entering the dispatch
+  loop, then its terminator's; ``instret`` and the fuel check are
   charged once per block, so a fuel cut (including the service
   watchdog's asynchronous ``fuel = -1``) lands at the next block
   boundary, at most one block length late.
@@ -56,10 +50,9 @@ from repro.errors import (
 )
 from repro.jitcore import BlockDispatch, JitState
 from repro.omnivm.interp import OmniVM
-from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA
+from repro.omnivm.isa import INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
 from repro.omnivm.ops import OPS, TABLE, TERMINATORS, fold_branch
-from repro.optable import MEM
 from repro.utils.bits import s32
 
 __all__ = ["BLOCK_ENDS", "ThreadedProgram", "ThreadedVM", "predecode_program"]
@@ -84,20 +77,19 @@ _TAILS = {
 }
 
 
-def _tail(instr, k, bound, folded):
-    """Closure lines for the block terminator *instr* (operand suffix
-    *k*); *folded* is its :func:`~repro.omnivm.ops.fold_branch`."""
+def _tail(instr, bound, folded):
+    """Closure lines for the block terminator *instr*; *folded* is its
+    :func:`~repro.omnivm.ops.fold_branch`."""
     name = instr.op
     if name in _TAILS:
-        return TABLE.text(_TAILS[name], k, bound).split("\n")
+        return TABLE.text(_TAILS[name], bound).split("\n")
     if not OPS[name].cond:
-        return TABLE.lines(name, k, bound, "fault_pc")  # trap
+        return TABLE.lines(name, bound, "fault_pc")  # trap
     if folded is not None:
         return [TABLE.text("return {target}" if folded else "return {next}",
-                           k, bound)]
-    taken = TABLE.text(OPS[name].stmt, k, bound)
-    return [TABLE.text(f"return {{target}} if {taken} else {{next}}",
-                       k, bound)]
+                           bound)]
+    taken = TABLE.text(OPS[name].stmt, bound)
+    return [TABLE.text(f"return {{target}} if {taken} else {{next}}", bound)]
 
 
 def _compile_host(instr, pc):
@@ -123,54 +115,13 @@ def _compile_step(instr, pc):
             return (True, _compile_host(instr, pc))
         folded = fold_branch(instr)
         make = TABLE.factory(("term", name, folded), _TERM,
-                             lambda bound: _tail(instr, 1, bound, folded))
+                             lambda bound: _tail(instr, bound, folded))
         return (True, make(instr, pc))
     if name == "nop":
         return (False, None)
     make = TABLE.factory(name, _BODY, lambda bound: TABLE.lines(
-        name, 1, bound, "fault_pc"))
+        name, bound, "fault_pc"))
     return (False, make(instr, pc))
-
-
-# ---------------------------------------------------------------------------
-# superinstruction fusion
-# ---------------------------------------------------------------------------
-#
-# Pair selection is grounded in the dynamic pair frequencies the
-# opcode-count instrumentation reports on the four SPEC workloads (li,
-# compress, alvinn, eqntott); see DESIGN.md.  A fused closure runs both
-# table statements in sequential order, so register aliasing between
-# the halves behaves identically to unfused execution, and each memory
-# half annotates faults with its own pc so block fault accounting stays
-# precise.
-
-_BODY_FUSE = frozenset((
-    ("mov", "mov"), ("mov", "li"), ("li", "mov"), ("addi", "mov"),
-    ("slli", "mov"), ("lw", "lw"), ("lw", "addi"), ("addi", "lw"),
-    ("li", "lw"), ("li", "lwx"), ("sw", "sw"), ("addi", "sw"),
-))
-_TERM_FUSE = frozenset(
-    (("addi", "jr"), ("li", "jr"))
-    + tuple(("lw", name + "i") for name in BRANCH_PREDS)
-)
-
-
-def _fuse_body(i1, i2, pc1, pc2):
-    make = TABLE.factory(("pair", i1.op, i2.op), _BODY, lambda bound: (
-        TABLE.lines(i1.op, 1, bound, "fault_pc")
-        + TABLE.lines(i2.op, 2, bound, "fault_pc")))
-    return make(i1, pc1, i2, pc2)
-
-
-def _fuse_term(i1, i2, pc1, pc2):
-    folded = fold_branch(i2)
-
-    def build(bound):
-        head = ["memory = vm.memory"] if OPS[i1.op].fault == MEM else []
-        return (head + TABLE.lines(i1.op, 1, bound, "fault_pc")
-                + _tail(i2, 2, bound, folded))
-    make = TABLE.factory(("tpair", i1.op, i2.op, folded), _TERM, build)
-    return make(i1, pc1, i2, pc2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,54 +158,27 @@ class ThreadedProgram:
     def build_block(self, index):
         """Build (and memoize) the basic block entered at *index*.
 
-        A block is ``(body, body_count, term, term_pc, term_count,
-        fused)``: a tuple of straight-line closures, the number of
-        instructions they cover, the terminator closure (None when the
-        block falls off the end of the code segment), the terminator's
-        pc, the number of instructions the terminator covers (2 for a
-        fused terminator pair), and the number of fused pairs.
+        A block is ``(body, count, term, term_pc)``: a tuple of
+        straight-line closures, one per instruction but ``nop``, the
+        number of instructions the block covers (its terminator
+        included), the terminator closure (None when the block falls off
+        the end of the code segment) and the terminator's pc.
         """
-        instrs = self.instrs
         steps = self.steps
         n = self.length
         body = []
-        body_count = 0
-        fused = 0
         term = None
-        term_pc = CODE_BASE + n * INSTR_SIZE
-        term_count = 0
         i = index
         while i < n:
-            pc = CODE_BASE + i * INSTR_SIZE
             is_term, fn = steps[i]
             if is_term:
                 term = fn
-                term_pc = pc
-                term_count = 1
                 break
-            nxt = i + 1
-            if nxt < n:
-                pair = (instrs[i].op, instrs[nxt].op)
-                if steps[nxt][0]:
-                    if pair in _TERM_FUSE:
-                        term = _fuse_term(instrs[i], instrs[nxt], pc,
-                                          pc + INSTR_SIZE)
-                        term_pc = pc
-                        term_count = 2
-                        fused += 1
-                        break
-                elif pair in _BODY_FUSE:
-                    body.append(_fuse_body(instrs[i], instrs[nxt], pc,
-                                           pc + INSTR_SIZE))
-                    body_count += 2
-                    fused += 1
-                    i += 2
-                    continue
             if fn is not None:
                 body.append(fn)
-            body_count += 1
             i += 1
-        block = (tuple(body), body_count, term, term_pc, term_count, fused)
+        count = i - index if term is None else i - index + 1
+        block = (tuple(body), count, term, CODE_BASE + i * INSTR_SIZE)
         self.blocks[index] = block
         return block
 
@@ -285,8 +209,7 @@ class ThreadedVM(BlockDispatch, OmniVM):
     completes, as under the legacy engine.
 
     When ``count_opcodes`` is set the VM falls back to the legacy
-    per-instruction loop so instruction-mix instrumentation observes
-    every opcode individually (fusion would otherwise fold pairs).
+    per-instruction loop, which counts every opcode as it runs.
     """
 
     def __init__(self, program, memory, hostcall=None, fuel=50_000_000,
@@ -312,7 +235,6 @@ class ThreadedVM(BlockDispatch, OmniVM):
         threshold = self._jit_heat
         sb_get = self._superblocks.get
         blocks_run = 0
-        fused_run = 0
         sb_run = 0
         try:
             while not state.halted:
@@ -349,9 +271,8 @@ class ThreadedVM(BlockDispatch, OmniVM):
                 block = blocks[index]
                 if block is None:
                     block = build(index)
-                body, body_count, term, term_pc, term_count, fused = block
+                body, count, term, term_pc = block
                 blocks_run += 1
-                fused_run += fused
                 try:
                     for fn in body:
                         fn(regs, fregs, memory)
@@ -373,31 +294,20 @@ class ThreadedVM(BlockDispatch, OmniVM):
                         state.instret += ((fault_pc - pc) >> 3) + 1
                         state.pc = fault_pc
                     raise
-                state.instret += body_count + term_count
+                state.instret += count
                 state.pc = term_pc
                 if term is not None:
                     try:
                         state.pc = term(self, state, regs)
                     except AccessViolation as violation:
-                        # A faulting fused terminator (or a hostcall that
-                        # faulted reading module memory): roll instret
-                        # back to the retired prefix, then deliver.
-                        fault_pc = getattr(violation, "fault_pc", term_pc)
-                        retired = ((fault_pc - term_pc) >> 3) + 1
-                        state.instret -= term_count - retired
-                        state.pc = fault_pc
+                        # Only a hostcall faults here, reading module
+                        # memory, and ``state.pc`` is already its pc.
                         self._deliver_violation(violation)
-                        if state.instret > self.fuel:
-                            raise FuelExhausted(
-                                f"exceeded fuel of {self.fuel} instructions"
-                            )
-                        continue
                 if state.instret > self.fuel and not state.halted:
                     raise FuelExhausted(
                         f"exceeded fuel of {self.fuel} instructions"
                     )
         finally:
             self._blocks_run += blocks_run
-            self._fused_run += fused_run
             self._superblocks_run += sb_run
         return s32(state.regs[1]) if not state.halted else state.exit_code

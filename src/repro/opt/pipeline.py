@@ -18,53 +18,40 @@ machine-dependent optimization, modeled in :mod:`repro.native.profiles`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import metrics
 from repro.ir.ir import Function, Module, verify_module
 from repro.opt import constfold, dce, licm, localopt, simplifycfg, strength
 
 
-@dataclass(frozen=True)
-class OptOptions:
-    """Configuration for the optimizer pipeline."""
-
-    level: int = 2
-    max_iterations: int = 8
-    run_licm: bool | None = None  # None = derive from level
-
-    @property
-    def licm_enabled(self) -> bool:
-        if self.run_licm is not None:
-            return self.run_licm
-        return self.level >= 2
+#: Rounds of the pass schedule the optimizer runs at most.
+MAX_ROUNDS = 8
 
 
-def optimize_function(func: Function, options: OptOptions | None = None) -> int:
-    """Run the pipeline on one function; returns total change count.
+def optimize_function(func: Function, level: int = 2) -> int:
+    """Run the pipeline of optimization *level* on one function;
+    returns total change count.
 
     Each round runs the passes in a fixed order until a round changes
-    nothing (at most ``max_iterations`` rounds).  A pass is skipped when
+    nothing (at most :data:`MAX_ROUNDS` rounds).  A pass is skipped when
     the function has not changed since that pass last ran and reported
     no change: every pass is a deterministic function of the IR and
     counts every mutation it makes, so the skipped run would have found
     nothing either.  The result is the same IR the full schedule gives.
     """
-    options = options or OptOptions()
-    if options.level <= 0:
+    if level <= 0:
         return 0
     # localopt's two halves are scheduled separately, in the same order,
     # so that each can be skipped on its own.
     local = [localopt.propagate_copies, localopt.local_cse]
     schedule = [constfold.run, *local, strength.run]
-    if options.licm_enabled:
+    if level >= 2:
         schedule += [licm.run, *local]
     schedule += [constfold.run, dce.run, simplifycfg.run]
     version = 0  # bumped by every pass run that changes the function
     settled: dict = {}  # pass -> version it last ran at, changing nothing
     runs = skips = 0
     total = 0
-    for _ in range(options.max_iterations):
+    for _ in range(MAX_ROUNDS):
         changes = 0
         for run in schedule:
             if settled.get(run) == version:
@@ -86,12 +73,13 @@ def optimize_function(func: Function, options: OptOptions | None = None) -> int:
     return total
 
 
-def optimize_module(module: Module, options: OptOptions | None = None) -> int:
-    """Optimize every function in *module*; verifies the result."""
+def optimize_module(module: Module, level: int = 2) -> int:
+    """Optimize every function in *module* at *level*; verifies the
+    result."""
     total = 0
     with metrics.stage("opt"):
         for func in module.functions:
-            total += optimize_function(func, options)
+            total += optimize_function(func, level)
         verify_module(module)
     if metrics.active():
         metrics.count("opt.functions", len(module.functions))

@@ -8,10 +8,10 @@ to an :class:`Op`: a Python statement template over the instruction's
 operand fields, plus a fault class.  Both execution tiers above the
 reference oracles are generated from that one statement:
 
-* the threaded tiers get closure *factories* — one per op, or one per
-  fused pair, compiled on first use and never per instruction, so a
-  cold predecode costs one call per instruction — whose closures hold
-  the operand values as cells;
+* the threaded tiers get closure *factories* — one per op, compiled on
+  first use and never per instruction, so a cold predecode costs one
+  call per instruction — whose closures hold the operand values as
+  cells;
 * the JIT tiers render superblock source with the operand values as
   literals, through a per-op renderer compiled from the same template.
 
@@ -311,9 +311,9 @@ class OpTable:
 
     # -- threaded tier ---------------------------------------------------
 
-    def text(self, template, k, bound, instr=None) -> str:
-        """*template* as threaded-closure text: operand fields become
-        the cells ``<field><k>`` (their bindings recorded in *bound*),
+    def text(self, template, bound, instr=None) -> str:
+        """*template* as threaded-closure text: each operand field
+        becomes the cell of that name (its binding recorded in *bound*),
         tier names the machine state, code fields the choice *instr*
         makes."""
         def replace(name, conv):
@@ -321,31 +321,29 @@ class OpTable:
                 return self.tier_names[name][0]
             if name in self.code:
                 attr, choices = self.code[name]
-                return self.text(choices[getattr(instr, attr)], k, bound,
-                                 instr)
-            cell = f"{name}{k}"
-            bound[cell] = self.fields[name].format(i=f"i{k}", at=f"at{k}")
-            return cell
+                return self.text(choices[getattr(instr, attr)], bound, instr)
+            bound[name] = self.fields[name].format(i="i", at="at")
+            return name
         return _subst(template, replace)
 
-    def lines(self, name, k, bound, annotate, instr=None) -> list[str]:
-        """Op *name* as threaded-closure lines (operand suffix *k*),
-        wrapped for its fault class: ``MEM``/``DIV`` faults get
-        attribute *annotate* set to the op's location ``at<k>``, and an
-        ``FPDIV`` trap gets ``trap_at``."""
+    def lines(self, name, bound, annotate, instr=None) -> list[str]:
+        """Op *name* as threaded-closure lines, wrapped for its fault
+        class: ``MEM``/``DIV`` faults get attribute *annotate* set to
+        the op's location ``at``, and an ``FPDIV`` trap gets
+        ``trap_at``."""
         op = self.ops[name]
-        text = self.text(op.stmt, k, bound, instr)
+        text = self.text(op.stmt, bound, instr)
         body = text.split("\n") if text else []
         if op.fault == MEM or op.fault == DIV:
             exc = "AccessViolation" if op.fault == MEM else "VMRuntimeError"
             return (["try:"] + ["    " + line for line in body]
                     + [f"except {exc} as _e:",
-                       f"    _e.{annotate} = at{k}",
+                       f"    _e.{annotate} = at",
                        "    raise"])
         if op.fault == FPDIV:
-            return ([f"if {self.text(FPDIV_CHECK, k, bound)}:",
+            return ([f"if {self.text(FPDIV_CHECK, bound)}:",
                      f"    _e = {FPDIV_ERROR}",
-                     f"    _e.trap_at = at{k}",
+                     "    _e.trap_at = at",
                      "    raise _e"] + body)
         return body
 
@@ -356,15 +354,15 @@ class OpTable:
         return tuple(getattr(instr, a) for a in attrs) if attrs else ()
 
     def factory(self, key, params, build):
-        """The closure factory ``make(i1, at1, i2=None, at2=None)``
-        cached under *key*, compiled on first use.  ``build(bound)``
-        returns the closure body (see :meth:`lines`); *params* is the
-        closure's parameter list."""
+        """The closure factory ``make(i, at)`` of instruction *i* at
+        location *at*, cached under *key*, compiled on first use.
+        ``build(bound)`` returns the closure body (see :meth:`lines`);
+        *params* is the closure's parameter list."""
         make = self._factories.get(key)
         if make is None:
             bound: dict[str, str] = {}
             body = build(bound) or ["pass"]
-            src = ["def make(i1, at1, i2=None, at2=None):"]
+            src = ["def make(i, at):"]
             src += [f"    {cell} = {expr}" for cell, expr in bound.items()]
             src.append(f"    def fn({params}):")
             src += ["        " + line for line in body]

@@ -206,12 +206,16 @@ class Host:
                 return math.pow(args[0], args[1])
             except (OverflowError, ValueError):
                 return 0.0
+        # Non-finite arguments get C99 Annex F's results, where Python's
+        # math module raises: NaN from sin and cos of ±inf, and the
+        # argument itself from floor of ±inf or NaN.
         if name == "host_sin":
-            return math.sin(args[0])
+            return math.nan if math.isinf(args[0]) else math.sin(args[0])
         if name == "host_cos":
-            return math.cos(args[0])
+            return math.nan if math.isinf(args[0]) else math.cos(args[0])
         if name == "host_floor":
-            return math.floor(args[0])
+            x = args[0]
+            return math.floor(x) if math.isfinite(x) else x
         if name == "host_clock":
             return machine.instret() & 0x7FFFFFFF
         if name == "host_rand":

@@ -325,10 +325,6 @@ class TargetSpec:
     imm_bits: int = 16
     #: x86: register indexes >= real_regs live in memory
     real_regs: int = 64
-    #: (op, op) pairs the threaded engine may fuse into superinstructions
-    #: for this target (see :mod:`repro.targets.threaded`); chosen from
-    #: the dominant dynamic pairs the target's translator emits.
-    fusion_pairs: tuple = ()
 
     def fits_imm(self, value: int) -> bool:
         return fits_signed(value, self.imm_bits)

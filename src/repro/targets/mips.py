@@ -58,18 +58,6 @@ def _timing() -> Timing:
     )
 
 
-#: Dominant dynamic (op, op) pairs in MIPS translations of the SPEC
-#: workloads, measured by the threaded-engine pair profiler; the
-#: threaded engine fuses these into superinstructions.
-FUSION_PAIRS = (
-    ("ori", "add"), ("lui", "ori"), ("addi", "mov"), ("lw", "lw"),
-    ("slti", "bne"), ("mov", "ori"), ("mov", "mov"), ("sw", "sw"),
-    ("lui", "mov"), ("add", "and"), ("and", "or"), ("slt", "bne"),
-    ("addi", "or"), ("mov", "sw"), ("slli", "lui"), ("sw", "mov"),
-    ("or", "jr"), ("addi", "lw"), ("add", "lw"),
-)
-
-
 def spec() -> TargetSpec:
     return TargetSpec(
         name="mips",
@@ -91,5 +79,4 @@ def spec() -> TargetSpec:
         delay_slots=True,
         has_indexed_mem=False,
         imm_bits=16,
-        fusion_pairs=FUSION_PAIRS,
     )

@@ -22,14 +22,8 @@ replaces the entry.  So ``cycles`` is bit-identical to the legacy
 executor, which stays per-instruction as the oracle.  What the threaded
 engine removes is the per-step dispatch chain, the per-step fuel,
 category and cycle bookkeeping, and the dict-built condition-code
-predicate of ``_cc_predicate`` (generated inline per predicate).
-
-Superinstruction fusion is **per-target**: ``TargetSpec.fusion_pairs``
-lists the (op, op) pairs the target's translator actually emits hot
-(cmp+bcc on the condition-code machines, slt+beq/bne on MIPS, lui+ori
-constant synthesis, address+memory pairs).  A fused closure, one
-factory per pair, executes both halves in exact legacy order, so
-faults are unchanged, and the block charges both.
+predicate of ``_cc_predicate`` (generated inline per predicate).  A
+block runs one closure per body instruction, then its terminator's.
 
 Delay-slot semantics (MIPS/SPARC) are preserved exactly: the slot
 instruction executes outside the violation try (slot faults propagate to
@@ -58,7 +52,6 @@ from repro.errors import (
     VMRuntimeError,
 )
 from repro.jitcore import BlockDispatch, JitState
-from repro.optable import MEM, NONE
 from repro.targets.base import MInstr, TargetMachine, TargetSpec, Timing
 from repro.targets.ops import OPS, TABLE
 from repro.utils.bits import s32, u32
@@ -78,32 +71,31 @@ __all__ = ["ThreadedNativeProgram", "ThreadedTargetMachine",
 #: Closure parameters (terminators return the redirect).
 _PARAMS = "m, regs, fregs, memory"
 
-#: Tails of the jumps a fused pair can end in, over the op-table fields.
+#: Closure lines of the plain jumps, over the op-table fields.
 _TAILS = {"j": "return {target}",
           "jr": "return m.map_omni_target(regs[{rs}])"}
 
 
-def _half(mi, k, bound):
-    """Closure lines for *mi* as operand suffix *k*: its table statement
-    — for a conditional branch, the redirect (-2 when untaken).  The
-    dispatcher charges the cycles, once per block."""
+def _lines(mi, bound):
+    """Closure lines for *mi*: its table statement — for a conditional
+    branch, the redirect (-2 when untaken).  The dispatcher charges the
+    cycles, once per block."""
     name = mi.op
     if name in _TAILS:
-        return [TABLE.text(_TAILS[name], k, bound)]
+        return [TABLE.text(_TAILS[name], bound)]
     op = OPS.get(name)
     if op is None:
         raise VMRuntimeError(f"target op {name!r} not implemented")
     if op.cond:
-        taken = TABLE.text(op.stmt, k, bound, mi)
-        return [TABLE.text(f"return {{target}} if {taken} else -2",
-                           k, bound)]
-    return TABLE.lines(name, k, bound, "fault_native", mi)
+        taken = TABLE.text(op.stmt, bound, mi)
+        return [TABLE.text(f"return {{target}} if {taken} else -2", bound)]
+    return TABLE.lines(name, bound, "fault_native", mi)
 
 
 def _compile(mi, idx):
     """The closure for one instruction, from its op's factory."""
     key = (mi.op, TABLE.variant(mi.op, mi))
-    make = TABLE.factory(key, _PARAMS, lambda bound: _half(mi, 1, bound))
+    make = TABLE.factory(key, _PARAMS, lambda bound: _lines(mi, bound))
     return make(mi, idx)
 
 
@@ -147,30 +139,6 @@ def _is_term_op(op: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# superinstruction fusion (gated per target by TargetSpec.fusion_pairs)
-# ---------------------------------------------------------------------------
-
-def _fusable(i1, i2):
-    """Can the body op *i1* and *i2* run as one closure?  Both halves
-    execute strictly in order, so register aliasing and fault delivery
-    behave exactly as unfused.  A fused terminator's
-    first half must not fault, so block fault accounting never has to
-    unwind a partially-retired terminator."""
-    first = OPS[i1.op].fault
-    if _is_term_op(i2.op):
-        return first == NONE and (i2.op in _COND_OPS or i2.op in _TAILS)
-    return first in (NONE, MEM) and OPS[i2.op].fault in (NONE, MEM)
-
-
-def _fuse(i1, i2, idx1, idx2):
-    key = (i1.op, i2.op, TABLE.variant(i1.op, i1),
-           TABLE.variant(i2.op, i2))
-    make = TABLE.factory(key, _PARAMS, lambda bound: (
-        _half(i1, 1, bound) + _half(i2, 2, bound)))
-    return make(i1, idx1, i2, idx2)
-
-
-# ---------------------------------------------------------------------------
 # predecoded program + block cache
 # ---------------------------------------------------------------------------
 
@@ -178,9 +146,9 @@ class BlockCharge:
     """The cycle charge of one predecoded block, with a one-entry memo.
 
     ``instrs`` are the instructions the block charges, in order: the
-    body, the terminator (both halves of a fused pair), and the delay
-    slot where the slot always runs — after a conditional branch that
-    does not annul, and after ``j``/``jal``.  A native superblock
+    body, the terminator, and the delay slot where the slot always runs
+    — after a conditional branch that does not annul, and after
+    ``j``/``jal``.  A native superblock
     charges each static path through its trace the same way
     (:mod:`repro.targets.jit`); a path also holds ``None`` for each
     taken-branch penalty on it, and starts with an instruction.
@@ -237,14 +205,12 @@ class ThreadedNativeProgram:
     running the translation shares.
     """
 
-    __slots__ = ("spec", "instrs", "steps", "blocks", "length", "_fusion",
-                 "jit")
+    __slots__ = ("spec", "instrs", "steps", "blocks", "length", "jit")
 
     def __init__(self, spec: TargetSpec, instrs: list[MInstr]):
         self.spec = spec
         self.instrs = instrs
         self.length = len(instrs)
-        self._fusion = frozenset(getattr(spec, "fusion_pairs", ()) or ())
         # steps[i]: (is_term, closure-or-None); terminators are compiled
         # lazily inside build_block (they need block context anyway).
         self.steps = [None] * len(instrs)
@@ -261,16 +227,16 @@ class ThreadedNativeProgram:
         """Build (and memoize) the block entered at native *index*.
 
         Returns ``(body, cats, total, term_kind, term_fn, term_mi,
-        term_end, slot, fused, charge)`` where ``body`` is a tuple of
-        closures, ``cats`` the per-category instruction counts for the
-        whole block (body + terminator, not the delay slot), ``total``
-        the number of instructions they represent, ``term_end`` the
-        native index of the terminator's last instruction, ``slot`` the
-        predecoded delay-slot record ``(slot_fn, slot_mi, slot_charge)``
-        or None — ``slot_charge`` is True when the dispatcher charges
-        the slot itself, because it does not always run — and
-        ``charge`` the block's :class:`BlockCharge` (None when it
-        charges nothing).
+        term_end, slot, charge)`` where ``body`` is a tuple of
+        closures, one per instruction before the terminator, ``cats``
+        the per-category instruction counts for the whole block (body +
+        terminator, not the delay slot), ``total`` the number of
+        instructions they represent, ``term_end`` the terminator's
+        native index, ``slot`` the predecoded delay-slot record
+        ``(slot_fn, slot_mi, slot_charge)`` or None — ``slot_charge`` is
+        True when the dispatcher charges the slot itself, because it
+        does not always run — and ``charge`` the block's
+        :class:`BlockCharge` (None when it charges nothing).
         """
         instrs = self.instrs
         spec = self.spec
@@ -278,7 +244,6 @@ class ThreadedNativeProgram:
         body = []
         cats: dict[str, int] = {}
         total = 0
-        fused = 0
         term_kind = 0
         term_fn = None
         term_mi = None
@@ -287,39 +252,15 @@ class ThreadedNativeProgram:
         i = index
         while i < n:
             mi = instrs[i]
-            op = mi.op
-            if _is_term_op(op):
-                term_end = i
-                term_mi = mi
-                cats[mi.category] = cats.get(mi.category, 0) + 1
-                total += 1
-                charged.append(mi)
-                term_kind, term_fn = _compile_native_term(mi, i, spec)
-                break
-            nxt = i + 1
-            if nxt < n and mi.category != "fused" \
-                    and instrs[nxt].category != "fused":
-                mi2 = instrs[nxt]
-                if (op, mi2.op) in self._fusion and _fusable(mi, mi2):
-                    fn = _fuse(mi, mi2, i, nxt)
-                    cats[mi.category] = cats.get(mi.category, 0) + 1
-                    cats[mi2.category] = cats.get(mi2.category, 0) + 1
-                    total += 2
-                    fused += 1
-                    charged += (mi, mi2)
-                    if _is_term_op(mi2.op):
-                        term_end = nxt
-                        term_mi = mi2
-                        term_kind = _COND if mi2.op in _COND_OPS else _JUMP
-                        term_fn = fn
-                        break
-                    body.append(fn)
-                    i += 2
-                    continue
-            body.append(self._body_step(i))
             cats[mi.category] = cats.get(mi.category, 0) + 1
             total += 1
             charged.append(mi)
+            if _is_term_op(mi.op):
+                term_end = i
+                term_mi = mi
+                term_kind, term_fn = _compile_native_term(mi, i, spec)
+                break
+            body.append(self._body_step(i))
             i += 1
         slot = None
         if spec.delay_slots and term_kind in (_COND, _JUMP) \
@@ -337,7 +278,7 @@ class ThreadedNativeProgram:
         charged = [mi for mi in charged if mi.category != "fused"]
         charge = BlockCharge(charged, spec.timing) if charged else None
         block = (tuple(body), tuple(cats.items()), total, term_kind,
-                 term_fn, term_mi, term_end, slot, fused, charge)
+                 term_fn, term_mi, term_end, slot, charge)
         self.blocks[index] = block
         return block
 
@@ -462,7 +403,6 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
         threshold = self._jit_heat
         sb_get = self._superblocks.get
         blocks_run = 0
-        fused_run = 0
         sb_run = 0
         try:
             while not self.halted:
@@ -507,9 +447,8 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                 if block is None:
                     block = build(pc)
                 (body, cats, total, term_kind, term_fn, term_mi,
-                 term_end, slot, fused, charge) = block
+                 term_end, slot, charge) = block
                 blocks_run += 1
-                fused_run += fused
                 try:
                     for fn in body:
                         fn(self, regs, fregs, memory)
@@ -553,9 +492,9 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                 try:
                     redirect = term_fn(self, regs, fregs, memory)
                 except AccessViolation as violation:
-                    # Only a hostcall terminator can get here (fused
-                    # terminators are non-faulting); the legacy loop
-                    # delivers and redirects with a taken-branch penalty.
+                    # Only a hostcall terminator can get here; the legacy
+                    # loop delivers and redirects with a taken-branch
+                    # penalty.
                     redirect = self._deliver_violation(term_mi, violation)
                     self.pc = redirect
                     self._branch_taken_penalty()
@@ -594,7 +533,6 @@ class ThreadedTargetMachine(BlockDispatch, TargetMachine):
                     self.pc = term_end + 1
         finally:
             self._blocks_run += blocks_run
-            self._fused_run += fused_run
             self._superblocks_run += sb_run
         return s32(self.exit_code if self.halted else self.regs[
             self.spec.int_map.get(1, 1)])

@@ -101,21 +101,6 @@ def _timing() -> Timing:
     )
 
 
-#: Dominant dynamic (op, op) pairs in x86 translations of the SPEC
-#: workloads (register pressure makes mov-heavy pairs dominate).
-FUSION_PAIRS = (
-    ("mov", "mov"), ("lw", "mov"), ("mov", "li"), ("slli", "mov"),
-    ("cmpi", "bcc"), ("addi", "mov"), ("mov", "slli"), ("mov", "addi"),
-    ("cmp", "bcc"), ("andi", "mov"), ("mov", "andi"), ("lw", "lw"),
-    ("sw", "sw"), ("sw", "mov"), ("mov", "sw"), ("addi", "ori"),
-    ("lw", "cmpi"), ("mov", "j"), ("fcmp", "fbcc"), ("fcmps", "fbcc"),
-    ("ori", "mov"), ("mov", "ori"), ("li", "li"), ("li", "mov"),
-    ("addi", "addi"), ("lw", "addi"), ("addi", "lw"), ("lw", "sw"),
-    ("sw", "lw"), ("addi", "sw"), ("mov", "cmp"), ("lw", "cmp"),
-    ("slli", "add"), ("add", "add"), ("li", "cmp"), ("andi", "cmpi"),
-)
-
-
 def spec() -> TargetSpec:
     return TargetSpec(
         name="x86",
@@ -137,5 +122,4 @@ def spec() -> TargetSpec:
         has_indexed_mem=True,
         imm_bits=32,
         real_regs=8,
-        fusion_pairs=FUSION_PAIRS,
     )

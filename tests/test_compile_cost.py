@@ -15,7 +15,7 @@ from repro import Engine
 from repro.cli import main
 from repro.compiler import CompileOptions, compile_to_ir
 from repro.opt import constfold, dce, licm, localopt, simplifycfg, strength
-from repro.opt.pipeline import OptOptions, optimize_function
+from repro.opt.pipeline import MAX_ROUNDS, optimize_function
 from repro.workloads import suite
 
 CYCLE = ["a = (a * k + b) & 65535;", "if (a & m) b = b ^ k;",
@@ -52,13 +52,13 @@ SOURCES = {name: w.source for name, w in suite.WORKLOADS.items()}
 SOURCES["one_function"] = one_function(40)
 
 
-def full_schedule(func, options: OptOptions) -> None:
+def full_schedule(func, level: int) -> None:
     """Every pass of every round, with no skipping."""
     schedule = [constfold.run, localopt.run, strength.run]
-    if options.licm_enabled:
+    if level >= 2:
         schedule += [licm.run, localopt.run]
     schedule += [constfold.run, dce.run, simplifycfg.run]
-    for _ in range(options.max_iterations):
+    for _ in range(MAX_ROUNDS):
         if sum(run(func) for run in schedule) == 0:
             return
 
@@ -66,12 +66,11 @@ def full_schedule(func, options: OptOptions) -> None:
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("name", SOURCES)
 def test_skipping_passes_changes_nothing(name, level):
-    options = OptOptions(level=level)
     skipped = compile_to_ir(SOURCES[name], CompileOptions(opt_level=0))
     full = compile_to_ir(SOURCES[name], CompileOptions(opt_level=0))
     for a, b in zip(skipped.functions, full.functions):
-        optimize_function(a, options)
-        full_schedule(b, options)
+        optimize_function(a, level)
+        full_schedule(b, level)
     assert str(skipped) == str(full)
 
 

@@ -1,13 +1,17 @@
 """Additional host-service and adapter coverage across engines."""
 
+import math
+
 import pytest
 
 from repro.compiler import CompileOptions, compile_and_link
+from repro.engine import INTERPRETER, Engine
 from repro.runtime import hostapi
 from repro.runtime.host import Host
 from repro.runtime.loader import run_module
 from repro.runtime.native_loader import run_on_target
 from repro.native.profiles import MOBILE_SFI
+from repro.service import ModuleRequest
 from repro.translators import ARCHITECTURES
 
 
@@ -95,3 +99,61 @@ class TestOutputRendering:
         """])
         _code, host = run_module(program)
         assert host.output_values() == [1]
+
+
+#: Host math calls Python's ``math`` raises on, with C99 Annex F's
+#: result: ``(id, call, expected)``, where ``inf`` is
+#: ``host_exp(1000.0)`` and ``nan`` is ``inf - inf``.
+NON_FINITE_CASES = [
+    ("floor_inf", "host_floor(inf)", math.inf),
+    ("floor_neg_inf", "host_floor(-inf)", -math.inf),
+    ("floor_nan", "host_floor(nan)", math.nan),
+    ("sin_inf", "host_sin(inf)", math.nan),
+    ("sin_neg_inf", "host_sin(-inf)", math.nan),
+    ("cos_inf", "host_cos(inf)", math.nan),
+    ("cos_neg_inf", "host_cos(-inf)", math.nan),
+]
+
+#: The sum of the finite calls every case program also makes.
+FINITE = -3.0 + math.sin(1.0) + math.cos(1.0)
+
+
+def _non_finite_source(call):
+    return f"""
+    int main() {{
+        double inf = host_exp(1000.0);
+        double nan = inf - inf;
+        emit_double({call});
+        emit_double(host_floor(-2.5) + host_sin(1.0) + host_cos(1.0));
+        return 0;
+    }}
+    """
+
+
+class TestNonFiniteHostMath:
+    """``host_floor``, ``host_sin`` and ``host_cos`` of an infinity or
+    a NaN return a value on every executor instead of raising Python's
+    ``OverflowError`` or ``ValueError`` out of the module, and finite
+    arguments keep their results."""
+
+    @pytest.mark.parametrize("executor", [INTERPRETER, *ARCHITECTURES])
+    @pytest.mark.parametrize(
+        "call,expected", [case[1:] for case in NON_FINITE_CASES],
+        ids=[case[0] for case in NON_FINITE_CASES])
+    def test_every_executor(self, call, expected, executor):
+        code, module = Engine().run(_non_finite_source(call),
+                                    target=executor)
+        result, finite = module.host.output_values()
+        assert code == 0
+        if math.isnan(expected):
+            assert math.isnan(result)
+        else:
+            assert result == expected
+        assert finite == FINITE
+
+    def test_served_request_is_ok(self):
+        source = _non_finite_source("host_floor(-inf)")
+        with Engine().serve(workers=1) as host:
+            response = host.run(ModuleRequest(program=source))
+        assert response.ok, response.error
+        assert response.output == "-inf" + format(FINITE, ".6g")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.compiler import CompileOptions, compile_to_ir
 from repro.ir.ir import BasicBlock, Const, Function, Instr, Temp
 from repro.opt import addrfold, constfold, dce, licm, localopt, simplifycfg, strength
-from repro.opt.pipeline import OptOptions, optimize_function
+from repro.opt.pipeline import optimize_function
 from tests.conftest import compile_run
 
 
