@@ -81,7 +81,6 @@ from repro.service import (
     ModuleRequest,
     ModuleResponse,
     RequestQuota,
-    RetryPolicy,
 )
 from repro.service_router import ShardedModuleHost
 from repro.translators import ARCHITECTURES, TranslationOptions, translate
@@ -119,7 +118,6 @@ __all__ = [
     "QuotaExceeded",
     "ReproError",
     "RequestQuota",
-    "RetryPolicy",
     "RunConfig",
     "SandboxViolation",
     "ServiceOverloaded",

@@ -25,8 +25,8 @@ TranslationOptions)``:
 **Admission** is stated once, in :func:`cached_translation` and
 :func:`cached_predecode`, and every loader goes through them: the cache
 is read and written only under the default sandbox policy (its keys do
-not carry the policy), and a translation is written only when both
-verifiers ran on it.  So a cache hit returns a verified translation, and
+not carry the policy).  Every loader runs both verifiers on what it
+translates, so a cache hit returns a verified translation, and
 the loader skips *both* module verification and SFI verification — the
 translated code was checked when it entered the cache and its content
 hash pins the exact input it was produced from.
@@ -191,23 +191,18 @@ def _serves(cache: "TranslationCache | None",
 
 
 def cached_translation(cache: "TranslationCache | None", key, produce,
-                       verified: bool = True,
                        policy: SandboxPolicy = DEFAULT_POLICY
                        ) -> TranslatedModule:
     """The translation for *key*: from *cache*, or made by *produce*.
 
     The admission rule of the cache: it serves default-policy loads
-    only, and it stores only what *produce* made with both verifiers on
-    (``verified``), because every later hit skips verification.  A load
-    with verification off may still take a verified entry; its own
-    output never enters the cache.  Verified misses are single-flight
+    only.  *produce* runs both verifiers on what it translates, because
+    every later hit skips verification; when either refuses, it raises
+    and nothing is stored.  Misses are single-flight
     (:meth:`TranslationCache.translate_once`)."""
     if not _serves(cache, policy):
         return produce()
-    if verified:
-        return cache.translate_once(key, produce)
-    hit = cache.lookup(key)
-    return hit if hit is not None else produce()
+    return cache.translate_once(key, produce)
 
 
 def cached_predecode(cache: "TranslationCache | None", key, build,

@@ -491,12 +491,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         for r in responses:
             status = "ok" if r.ok else f"ERROR {r.error}"
-            extras = []
-            if r.fallback:
-                extras.append("fallback->omnivm")
-            if r.retries:
-                extras.append(f"retries={r.retries}")
-            extra = f"  [{', '.join(extras)}]" if extras else ""
+            extra = "  [fallback->omnivm]" if r.fallback else ""
             print(f"{r.request_id:<12} {status:<24} arch={r.arch:<7}"
                   f"exit={r.exit_code!s:<5} "
                   f"{r.latency_seconds * 1e3:8.2f} ms{extra}")

@@ -81,7 +81,6 @@ class RunConfig:
     fuel: int | None = None
     segment_size: int | None = None
     engine: str | None = None
-    verify: bool = True
     host: Host | None = None
 
 
@@ -236,8 +235,9 @@ class Engine:
         :class:`LoadedModule` for the interpreter.
 
         *config* carries the execution parameters (:class:`RunConfig`:
-        fuel, segment size, execution engine, verification toggle, host
-        services).
+        fuel, segment size, execution engine, host services).  Every
+        load runs both verifiers or is served from a cache entry that
+        did.
         """
         config = config or RunConfig()
         arch = self._resolve_target(target)
@@ -247,7 +247,6 @@ class Engine:
                 None if arch == INTERPRETER else arch,
                 options=self._resolve_options(options),
                 host=config.host,
-                verify=config.verify,
                 fuel=config.fuel,
                 segment_size=config.segment_size,
                 engine=config.engine or self.execution_engine,
@@ -266,8 +265,8 @@ class Engine:
         ``(exit code, loaded module)``.  The module exposes ``.host``
         for the program's emitted output.
 
-        *config* is forwarded to :meth:`load`, so a bounded (or
-        unverified, or legacy-loop) run no longer needs to hand-roll the
+        *config* is forwarded to :meth:`load`, so a bounded or
+        legacy-loop run no longer needs to hand-roll the
         compile/load/run sequence.
         """
         if not isinstance(program, LinkedProgram):
@@ -366,8 +365,8 @@ class Engine:
 
         With ``processes=None`` (default): a threaded
         :class:`~repro.service.ModuleHost` — worker threads,
-        per-request deadlines and quotas, retry with backoff, and
-        interpreter fallback.  With ``processes=N``: a
+        per-request deadlines and quotas, and interpreter fallback.
+        With ``processes=N``: a
         :class:`~repro.service_router.ShardedModuleHost` routing over
         *N* worker processes with consistent-hash cache affinity and
         identical request/response semantics (``workers=`` then means

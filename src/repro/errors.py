@@ -271,11 +271,9 @@ class ServiceOverloaded(ServiceError):
 
 
 class TransientFault(ServiceError):
-    """An injected or environmental failure the service treats as
-    retryable (fault-injection hooks raise this to exercise the
-    retry-with-backoff path).  The sharded service also fails requests
-    that were in flight on a crashed worker process with this type, so
-    clients know a plain retry is safe."""
+    """A request failed for a reason outside the module, so a plain
+    retry by the client is safe: the sharded service fails requests
+    that were in flight on a crashed worker process with this type."""
 
 
 # -- cross-process serialization ----------------------------------------------

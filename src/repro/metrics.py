@@ -35,7 +35,7 @@ Stage names are dotted paths (``frontend.lex``, ``translate``,
 ``verify.sfi``, ``execute``); counters likewise (``translate.native_instrs``,
 ``execute.sfi.dynamic``, ``cache.hit``, ``cache.disk_reject``, and the
 module-hosting service's ``service.request`` / ``service.fallback`` /
-``service.retry`` / ``service.timeout`` family).  The threaded-code
+``service.timeout`` family).  The threaded-code
 execution engines add ``execute.predecode_ms`` (wall milliseconds spent
 predecoding a program into closures), ``execute.blocks`` (basic blocks
 dispatched), and the

@@ -109,10 +109,6 @@ class OmniVM:
         self.fuel = fuel
         self.state = VMState()
         self.state.regs[REG_SP] = STACK_TOP
-        #: Per-opcode dynamic execution counts (instruction-mix
-        #: instrumentation, as in the paper's translator hooks).
-        self.opcode_counts: dict[str, int] = {}
-        self.count_opcodes = False
 
     # -- control -------------------------------------------------------------
 
@@ -139,10 +135,6 @@ class OmniVM:
                               state.instret - start_instret)
 
     def _run_loop(self, state, instrs, sentinel) -> int:
-        # Instruction-mix instrumentation is opt-in; the flag is tested
-        # once here so the uncounted path carries no per-step overhead.
-        if self.count_opcodes:
-            return self._run_loop_counting(state, instrs, sentinel)
         while not state.halted:
             if state.pc == sentinel:
                 break
@@ -157,29 +149,6 @@ class OmniVM:
                 raise FuelExhausted(
                     f"exceeded fuel of {self.fuel} instructions"
                 )
-            try:
-                self.step(instr)
-            except AccessViolation as violation:
-                self._deliver_violation(violation)
-        return s32(state.regs[1]) if not state.halted else state.exit_code
-
-    def _run_loop_counting(self, state, instrs, sentinel) -> int:
-        counts = self.opcode_counts
-        while not state.halted:
-            if state.pc == sentinel:
-                break
-            index = (state.pc - CODE_BASE) // INSTR_SIZE
-            if not (0 <= index < len(instrs)) or (state.pc - CODE_BASE) % INSTR_SIZE:
-                raise AccessViolation(
-                    f"execute at bad address {state.pc:#010x}", state.pc, "execute"
-                )
-            instr = instrs[index]
-            state.instret += 1
-            if state.instret > self.fuel:
-                raise FuelExhausted(
-                    f"exceeded fuel of {self.fuel} instructions"
-                )
-            counts[instr.op] = counts.get(instr.op, 0) + 1
             try:
                 self.step(instr)
             except AccessViolation as violation:

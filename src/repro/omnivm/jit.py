@@ -450,9 +450,7 @@ class JitVM(SuperblockTier, ThreadedVM):
     dispatch to their superblock from then on, compiled by the first VM
     of the program to get there — all through the one dispatch loop,
     :meth:`ThreadedVM._run_loop`, and the tier-up path of
-    :class:`repro.jitcore.SuperblockTier`.  ``count_opcodes`` still
-    forces the legacy per-instruction loop, exactly as for
-    :class:`ThreadedVM`.
+    :class:`repro.jitcore.SuperblockTier`.
     """
 
     _compile_superblock = staticmethod(compile_superblock)

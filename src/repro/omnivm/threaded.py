@@ -207,9 +207,6 @@ class ThreadedVM(BlockDispatch, OmniVM):
     asynchronously) land at the next block boundary, at most one block
     late.  A program that *completes* at exactly its fuel budget still
     completes, as under the legacy engine.
-
-    When ``count_opcodes`` is set the VM falls back to the legacy
-    per-instruction loop, which counts every opcode as it runs.
     """
 
     def __init__(self, program, memory, hostcall=None, fuel=50_000_000,
@@ -220,10 +217,6 @@ class ThreadedVM(BlockDispatch, OmniVM):
         self._init_dispatch(self._threaded.length)
 
     def _run_loop(self, state, instrs, sentinel):
-        if self.count_opcodes:
-            # Instruction-mix instrumentation needs per-instruction
-            # dispatch; the legacy loop is the measurement path.
-            return OmniVM._run_loop(self, state, instrs, sentinel)
         program = self._threaded
         blocks = program.blocks
         build = program.build_block

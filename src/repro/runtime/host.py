@@ -197,18 +197,36 @@ class Host:
                 return math.exp(args[0])
             except OverflowError:
                 return math.inf
+        # Every math call gives C99 Annex F's result.  Python's math
+        # module already does for ±inf and NaN arguments of exp, log,
+        # sqrt and pow, and raises exactly where a finite argument
+        # overflows, leaves the domain or hits a pole.
         if name == "host_log":
-            return math.log(args[0]) if args[0] > 0 else -math.inf
-        if name == "host_sqrt":
-            return math.sqrt(args[0]) if args[0] >= 0 else 0.0
-        if name == "host_pow":
+            x = args[0]
             try:
-                return math.pow(args[0], args[1])
-            except (OverflowError, ValueError):
-                return 0.0
-        # Non-finite arguments get C99 Annex F's results, where Python's
-        # math module raises: NaN from sin and cos of ±inf, and the
-        # argument itself from floor of ±inf or NaN.
+                return math.log(x)
+            except ValueError:
+                return -math.inf if x == 0 else math.nan
+        if name == "host_sqrt":
+            try:
+                return math.sqrt(args[0])
+            except ValueError:
+                return math.nan
+        if name == "host_pow":
+            x, y = args
+            try:
+                return math.pow(x, y)
+            except OverflowError:
+                pass
+            except ValueError:
+                if x != 0:
+                    return math.nan  # a negative base, a fractional power
+            # Overflow, or the pole at ±0: an infinity that keeps the
+            # sign of x only under an odd integer power.
+            odd = y.is_integer() and math.fmod(y, 2.0) != 0
+            return math.copysign(math.inf, x) if odd else math.inf
+        # sin and cos of ±inf are NaN, and floor of ±inf or NaN is the
+        # argument itself, where Python's math module raises.
         if name == "host_sin":
             return math.nan if math.isinf(args[0]) else math.sin(args[0])
         if name == "host_cos":

@@ -624,19 +624,17 @@ def translate_image(
     arch: str,
     options=None,
     cache=None,
-    verify: bool = True,
 ):
     """Translate *image* per module and splice the chunks.
 
-    With *verify* on, the whole image is verified once first (structure
-    and the cross-module export rule; the image is spliced from its
-    units, so no unit is verified again).  Each module translates as
-    its own unit — content-addressed in *cache* under the cache's
-    admission rule (:func:`~repro.cache.cached_translation`: a module
-    under a non-default sandbox policy, or translated with verification
-    off, never enters it), so a library shared by many images
-    translates once — and is SFI-verified under its own policy *before*
-    splicing.
+    The whole image is verified once first (structure and the
+    cross-module export rule; the image is spliced from its units, so
+    no unit is verified again).  Each module translates as its own
+    unit — content-addressed in *cache* under the cache's admission
+    rule (:func:`~repro.cache.cached_translation`: a module under a
+    non-default sandbox policy never enters it), so a library shared by
+    many images translates once — and is SFI-verified under its own
+    policy *before* splicing.
     Splicing relocates native control targets, merges the
     indirect-entry maps, and patches every trampoline fix-up after
     checking that its target is an exported symbol of the providing
@@ -648,8 +646,7 @@ def translate_image(
     from repro.translators import TranslatedModule, target_spec, translate
 
     with metrics.stage("link.translate"):
-        if verify:
-            verify_program(image)
+        verify_program(image)
         out_instrs = []
         global_map: dict[int, int] = {}
         pending_fixups: list[tuple[int, str, list[tuple[int, int]]]] = []
@@ -664,13 +661,12 @@ def translate_image(
                 missed = True
                 chunk = translate(subprogram, arch, options,
                                   policy=layout.policy)
-                if verify:
-                    verify_sfi(chunk, policy=layout.policy)
+                verify_sfi(chunk, policy=layout.policy)
                 return chunk
 
             chunk = cached_translation(
                 cache, cache_key(subprogram, arch, options), produce,
-                verified=verify, policy=layout.policy,
+                policy=layout.policy,
             )
             metrics.count("link.chunk_miss" if missed else "link.chunk_hit")
             native_base = len(out_instrs)

@@ -102,7 +102,6 @@ class LoadedModule:
 def load_for_interpretation(
     program: LinkedProgram,
     host: Host | None = None,
-    verify: bool = True,
     fuel: int = 200_000_000,
     segment_size: int | None = None,
     engine: str = "jit",
@@ -128,8 +127,7 @@ def load_for_interpretation(
               standard_module_memory(program.text_image,
                                      program.data_image,
                                      segment_size))
-    if verify:
-        verify_program(program)
+    verify_program(program)
     host = host or Host()
     if vm_class is OmniVM:
         vm = OmniVM(program, memory, fuel=fuel)
@@ -163,7 +161,6 @@ def load_module(
     arch: str | None = None,
     options=None,
     host: Host | None = None,
-    verify: bool = True,
     fuel: int | None = None,
     segment_size: int | None = None,
     engine: str = "jit",
@@ -182,14 +179,14 @@ def load_module(
     """
     if arch in INTERPRETER_ARCHS:
         return load_for_interpretation(
-            program, host=host, verify=verify,
+            program, host=host,
             fuel=200_000_000 if fuel is None else fuel,
             segment_size=segment_size, engine=engine, cache=cache,
         )
     from repro.runtime.native_loader import load_for_target
 
     return load_for_target(
-        program, arch, options=options, host=host, verify=verify,
+        program, arch, options=options, host=host,
         fuel=500_000_000 if fuel is None else fuel,
         segment_size=segment_size, engine=engine, cache=cache,
     )

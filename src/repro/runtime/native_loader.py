@@ -97,7 +97,6 @@ def load_for_target(
     arch: str,
     options: TranslationOptions | None = None,
     host: Host | None = None,
-    verify: bool = True,
     fuel: int = 500_000_000,
     memory: Memory | None = None,
     cache: "TranslationCache | None" = None,
@@ -114,8 +113,10 @@ def load_for_target(
     go through its admission rule (:func:`~repro.cache.cached_translation`):
     a content-addressed hit returns the previously verified translation
     and skips module verification, translation, and SFI verification
-    entirely; a load under a non-default policy bypasses the cache, and
-    one with ``verify=False`` never adds to it.
+    entirely, and a load under a non-default policy bypasses the cache.
+    A miss verifies the module, translates it and SFI-verifies the
+    translation; a failure of either verifier raises
+    :class:`~repro.errors.VerifyError` and stores nothing.
 
     ``engine`` selects the simulator from :data:`MACHINES`:
     ``"legacy"`` runs the original per-instruction loop; ``"threaded"``
@@ -148,25 +149,22 @@ def load_for_target(
         # per load.  The spliced whole is deliberately *not* cached: its
         # chunks are, and those are what module revocation invalidates.
         translated = linker.translate_image(program, arch, options,
-                                            cache=cache, verify=verify)
+                                            cache=cache)
     else:
         def produce() -> TranslatedModule:
-            if verify:
-                verify_program(program)
-            produced = translate(program, arch, options, policy=policy)
-            if verify:
-                from repro.sfi.verifier import verify_sfi
+            from repro.sfi.verifier import verify_sfi
 
-                # Run the CFG verifier on every translation, not just
-                # SFI ones: without an SFI sandbox claim it enforces
-                # nothing, but it still recovers the CFG (catching
-                # malformed translator output early) and feeds the
-                # verify.sfi.* metrics uniformly.
-                verify_sfi(produced, policy=policy)
+            verify_program(program)
+            produced = translate(program, arch, options, policy=policy)
+            # Run the CFG verifier on every translation, not just SFI
+            # ones: without an SFI sandbox claim it enforces nothing,
+            # but it still recovers the CFG (catching malformed
+            # translator output early) and feeds the verify.sfi.*
+            # metrics uniformly.
+            verify_sfi(produced, policy=policy)
             return produced
 
-        translated = cached_translation(cache, key, produce,
-                                        verified=verify, policy=policy)
+        translated = cached_translation(cache, key, produce, policy=policy)
     host = host or Host()
     args = (translated.spec, translated.instrs, memory,
             translated.omni_to_native)

@@ -9,10 +9,9 @@ governs each one.
 Request lifecycle::
 
     submit -> bounded queue -> worker thread
-        compile (if source text)
-        translate+load for the requested target
-            |- transient fault?   retry with exponential backoff
-            |- still failing?     fall back to the reference interpreter
+        compile (if source text) or link (if modules)
+        verify+translate+load for the requested target, once
+            |- load fails?        fall back to the reference interpreter
         execute under watchdog
             |- wall-clock deadline -> DeadlineExceeded
             |- fuel quota          -> FuelExhausted
@@ -38,21 +37,19 @@ Governance mechanisms:
   instructions), ``segment_size`` (module address-space size), and
   ``max_output_bytes`` (enforced inside the host-call boundary by
   :class:`CappedHost`, so a module cannot flood the host).
-* **retry with exponential backoff** — transient failures
-  (:class:`~repro.errors.TransientFault`, e.g. an injected translator
-  fault; corrupted disk-cache entries self-heal as misses) are retried
-  per :class:`RetryPolicy` before any fallback.
-* **graceful degradation** — when translation for the requested target
-  keeps failing, the request runs on the reference interpreter instead
-  of failing (``service.fallback``); module-level faults (traps,
-  violations) become typed error responses, never worker crashes.
+* **graceful degradation** — when the load for the requested target
+  fails (translation is deterministic, so it is attempted once), the
+  request runs on the reference interpreter instead of failing
+  (``service.fallback``); a quota refusal is not degraded.  Module-level
+  faults (traps, violations) become typed error responses, never
+  worker crashes.  Corrupted disk-cache entries self-heal as misses.
 * **fault injection** — :class:`FaultInjector` lets tests force
-  translator crashes, transient faults, cache corruption, and slow
-  modules deterministically.
+  translator crashes, cache corruption, and slow modules
+  deterministically.
 
 Observability: every request is counted (``service.request`` /
 ``service.ok`` / ``service.error`` / ``service.fallback`` /
-``service.retry`` / ``service.timeout`` / ``service.rejected``) both in
+``service.timeout`` / ``service.rejected``) both in
 :meth:`ModuleHost.stats` and in any active :mod:`repro.metrics`
 collector; per-request latencies aggregate into p50/p90/p99, and the
 queue's high-water depth is tracked.
@@ -75,11 +72,10 @@ from __future__ import annotations
 
 import itertools
 import queue
-import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import metrics
 from repro.engine import INTERPRETER, Engine, RunConfig
@@ -94,7 +90,7 @@ from repro.errors import (
     QuotaExceeded,
     ReproError,
     ServiceOverloaded,
-    TransientFault,
+    TranslationError,
     UnresolvedImportError,
 )
 from repro.omnivm.linker import LinkedProgram
@@ -111,7 +107,6 @@ __all__ = [
     "ModuleResponse",
     "PendingRequest",
     "RequestQuota",
-    "RetryPolicy",
     "ServiceStats",
 ]
 
@@ -167,7 +162,6 @@ class ModuleResponse:
     output: str = ""
     arch: str = INTERPRETER
     fallback: bool = False
-    retries: int = 0
     error: str | None = None
     error_message: str | None = None
     latency_seconds: float = 0.0
@@ -180,43 +174,10 @@ class ModuleResponse:
             "output": self.output,
             "arch": self.arch,
             "fallback": self.fallback,
-            "retries": self.retries,
             "error": self.error,
             "error_message": self.error_message,
             "latency_seconds": self.latency_seconds,
         }
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic jitter for transient
-    translate/load failures.
-
-    Without jitter, concurrent requests hitting the same transient
-    fault would all sleep the identical schedule and retry in lockstep
-    — a synchronized thundering herd re-arriving at whatever broke.
-    ``jitter`` shaves up to that fraction off each delay, derived
-    deterministically from ``jitter_seed`` and the caller-supplied key
-    (the request id), so two requests desynchronize while any single
-    request's schedule is reproducible."""
-
-    max_attempts: int = 3
-    backoff_seconds: float = 0.005
-    backoff_factor: float = 2.0
-    max_backoff_seconds: float = 0.1
-    jitter: float = 0.5
-    jitter_seed: int = 0
-
-    def delay(self, attempt: int, key: str = "") -> float:
-        """Backoff before retry *attempt* (1-based), jittered by *key*."""
-        base = min(
-            self.backoff_seconds * self.backoff_factor ** (attempt - 1),
-            self.max_backoff_seconds,
-        )
-        if not self.jitter:
-            return base
-        rng = random.Random(f"{self.jitter_seed}|{key}|{attempt}")
-        return base * (1.0 - self.jitter * rng.random())
 
 
 # -- output quota enforcement -------------------------------------------------
@@ -264,10 +225,10 @@ class CappedHost(Host):
 class FaultInjector:
     """Deterministic fault injection for tests and benchmarks.
 
-    The service calls :meth:`on_translate` before every translate/load
-    attempt and :meth:`on_execute` before every module run; armed
-    faults fire in arming order and then disarm (``count=-1`` arms a
-    permanent fault).  All methods are thread-safe.
+    The service calls :meth:`on_translate` before every native load
+    and :meth:`on_execute` before every module run; armed faults fire
+    in arming order and then disarm (``count=-1`` arms a permanent
+    fault).  All methods are thread-safe.
     """
 
     def __init__(self):
@@ -278,18 +239,14 @@ class FaultInjector:
 
     # -- arming ---------------------------------------------------------------
 
-    def fail_translations(self, count: int = 1, arch: str | None = None,
-                          transient: bool = True) -> None:
-        """Arm *count* translation failures (``-1`` = every attempt)
-        for *arch* (None = any target).  ``transient=True`` raises
-        :class:`~repro.errors.TransientFault` (retryable);
-        ``transient=False`` raises a translator crash
-        (:class:`~repro.errors.TranslationError`) that skips straight
-        to interpreter fallback."""
+    def fail_translations(self, count: int = 1,
+                          arch: str | None = None) -> None:
+        """Arm *count* translator crashes (``-1`` = every load) for
+        *arch* (None = any target).  Each raises
+        :class:`~repro.errors.TranslationError`, which the service
+        degrades to the interpreter."""
         with self._lock:
-            self._translate_faults.append(
-                {"count": count, "arch": arch, "transient": transient}
-            )
+            self._translate_faults.append({"count": count, "arch": arch})
 
     def delay_execution(self, seconds: float) -> None:
         """Make every hosted module 'slow': sleep *seconds* inside the
@@ -354,12 +311,6 @@ class FaultInjector:
                 if fault["count"] > 0:
                     fault["count"] -= 1
                 self.fired += 1
-                if fault["transient"]:
-                    raise TransientFault(
-                        f"injected transient translator fault ({arch})"
-                    )
-                from repro.errors import TranslationError
-
                 raise TranslationError(
                     f"injected translator crash ({arch})"
                 )
@@ -374,9 +325,9 @@ class FaultInjector:
 # -- service statistics -------------------------------------------------------
 
 
-#: Default bound on retained latency samples (a sliding window).  A
-#: long-lived host once accumulated one float per request forever; the
-#: window keeps percentile memory O(1) while reflecting recent traffic.
+#: Bound on retained latency samples (a sliding window).  A long-lived
+#: host once accumulated one float per request forever; the window
+#: keeps percentile memory O(1) while reflecting recent traffic.
 LATENCY_WINDOW = 4096
 
 
@@ -390,18 +341,15 @@ class ServiceStats:
     bookkeeping happens outside the engine's collecting sections.
 
     Latency samples are bounded: a ring buffer keeps the most recent
-    ``latency_window`` observations, so percentiles describe current
+    :data:`LATENCY_WINDOW` observations, so percentiles describe current
     behaviour and a host serving millions of requests does not leak one
     float per request.  ``completed_requests`` still counts them all."""
 
-    def __init__(self, collector: metrics.MetricsCollector | None = None,
-                 latency_window: int = LATENCY_WINDOW):
-        if latency_window < 1:
-            raise ValueError("latency window must be >= 1")
+    def __init__(self, collector: metrics.MetricsCollector | None = None):
         self._lock = threading.Lock()
         self._collector = collector
         self.counters: dict[str, int] = {}
-        self.latencies: deque[float] = deque(maxlen=latency_window)
+        self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self.completed = 0
         self.queue_high_water = 0
 
@@ -469,6 +417,10 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
 
 # -- deadline watchdog --------------------------------------------------------
 
+#: Seconds between the watchdog's scans for expired deadlines: how late
+#: past its deadline a running module is cut.
+WATCHDOG_INTERVAL = 0.002
+
 
 class _DeadlineGuard:
     """One running machine with a wall-clock deadline."""
@@ -493,8 +445,7 @@ class _Watchdog:
     code late), which is still bounded: blocks cannot span branches, so
     a runaway loop hits a boundary every iteration."""
 
-    def __init__(self, interval: float = 0.002):
-        self.interval = interval
+    def __init__(self):
         self._lock = threading.Lock()
         self._guards: set[_DeadlineGuard] = set()
         self._stop = threading.Event()
@@ -515,14 +466,10 @@ class _Watchdog:
             self._thread.join()
             self._thread = None
 
-    def watch(self, machine, deadline_seconds: float) -> _DeadlineGuard:
-        return self.watch_until(machine,
-                                time.monotonic() + deadline_seconds)
-
     def watch_until(self, machine, deadline_at: float) -> _DeadlineGuard:
         """Watch with an absolute :func:`time.monotonic` deadline — the
-        service uses this so retry backoffs spent before execution count
-        against the same wall-clock budget."""
+        service uses this so compile, link and load time spent before
+        execution count against the same wall-clock budget."""
         guard = _DeadlineGuard(machine, deadline_at)
         with self._lock:
             self._guards.add(guard)
@@ -533,7 +480,7 @@ class _Watchdog:
             self._guards.discard(guard)
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval):
+        while not self._stop.wait(WATCHDOG_INTERVAL):
             now = time.monotonic()
             with self._lock:
                 expired = [g for g in self._guards
@@ -619,16 +566,12 @@ class ModuleHost:
         Bound on queued-but-unstarted requests; a full queue rejects
         non-blocking submits with
         :class:`~repro.errors.ServiceOverloaded`.
-    retry:
-        :class:`RetryPolicy` for transient translate/load failures.
     faults:
-        Optional :class:`FaultInjector` consulted before every
-        translate attempt and every execution.
+        Optional :class:`FaultInjector` consulted before every native
+        load and every execution.
     default_deadline:
         Deadline (seconds) applied when a request does not set one
         (None = no deadline).
-    watchdog_interval:
-        Deadline-scan period of the watchdog thread.
     """
 
     def __init__(
@@ -636,10 +579,8 @@ class ModuleHost:
         engine: Engine | None = None,
         workers: int = 4,
         queue_depth: int = 32,
-        retry: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
         default_deadline: float | None = None,
-        watchdog_interval: float = 0.002,
     ):
         if workers < 1:
             raise ValueError("ModuleHost needs at least one worker")
@@ -647,12 +588,11 @@ class ModuleHost:
             raise ValueError("queue depth must be >= 1")
         self.engine = engine or Engine()
         self.workers = workers
-        self.retry = retry or RetryPolicy()
         self.faults = faults
         self.default_deadline = default_deadline
         self.stats = ServiceStats(self.engine.metrics)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._watchdog = _Watchdog(watchdog_interval)
+        self._watchdog = _Watchdog()
         self._threads: list[threading.Thread] = []
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -778,10 +718,9 @@ class ModuleHost:
         self.stats.count("request")
         engine = self.engine
         response = ModuleResponse(request_id=request.request_id, ok=False)
-        # One wall-clock budget for the whole request: retry backoffs
-        # and execution spend from the same deadline, so a request can
-        # never come back with DeadlineExceeded *later* than its
-        # deadline promised because backoff sleeps ran off the clock.
+        # One wall-clock budget for the whole request: compile, link
+        # and load spend from the same deadline as execution, which
+        # checks it before it starts.
         deadline = (request.deadline_seconds
                     if request.deadline_seconds is not None
                     else self.default_deadline)
@@ -804,17 +743,21 @@ class ModuleHost:
                 program = request.program
                 if not isinstance(program, LinkedProgram):
                     program = engine.compile(program)
-            # Named before the load, so a load refused for its quota or
-            # deadline reports the arch it was refused on.
+            # Named before the load, so a load refused for its quota
+            # reports the arch it was refused on.
             arch = response.arch = engine._resolve_target(request.target)
+            quota = request.quota
+            config = RunConfig(host=CappedHost(quota.max_output_bytes),
+                               fuel=quota.fuel,
+                               segment_size=quota.segment_size)
             module = None
-            host = CappedHost(request.quota.max_output_bytes)
             if arch != INTERPRETER:
                 try:
-                    module = self._load_with_retry(
-                        program, arch, request, host, response,
-                        deadline_at)
-                except (DeadlineExceeded, QuotaExceeded):
+                    if self.faults is not None:
+                        self.faults.on_translate(arch)
+                    module = engine.load(program, arch, request.options,
+                                         config=config)
+                except QuotaExceeded:
                     raise
                 except ReproError:
                     # Graceful degradation: serve the request on the
@@ -822,20 +765,15 @@ class ModuleHost:
                     self.stats.count("fallback")
                     response.fallback = True
                     arch = response.arch = INTERPRETER
-                    host = CappedHost(request.quota.max_output_bytes)
+                    config = replace(
+                        config, host=CappedHost(quota.max_output_bytes))
             if module is None:
-                module = engine.load(
-                    program, arch, request.options,
-                    config=RunConfig(
-                        host=host,
-                        fuel=request.quota.fuel,
-                        segment_size=request.quota.segment_size,
-                    ),
-                )
+                module = engine.load(program, arch, request.options,
+                                     config=config)
             response.exit_code = self._run_with_deadline(
                 module, request, deadline, deadline_at)
             response.ok = True
-            response.output = host.output_text()
+            response.output = config.host.output_text()
             self.stats.count("ok")
         except DeadlineExceeded as err:
             self.stats.count("timeout")
@@ -858,49 +796,6 @@ class ModuleHost:
         self.stats.observe_latency(response.latency_seconds)
         return response
 
-    def _load_with_retry(self, program: LinkedProgram, arch: str,
-                         request: ModuleRequest, host: Host,
-                         response: ModuleResponse,
-                         deadline_at: float | None = None):
-        """Translate+load for *arch*, retrying transient faults with
-        jittered exponential backoff; the attempt count is recorded on
-        *response* (it survives a subsequent interpreter fallback).
-
-        Every backoff sleep is clamped to the request's remaining
-        wall-clock budget, and a retry with no budget left fails fast
-        as :class:`~repro.errors.DeadlineExceeded` instead of sleeping
-        past the deadline."""
-        while True:
-            try:
-                if self.faults is not None:
-                    self.faults.on_translate(arch)
-                return self.engine.load(
-                    program, arch, request.options,
-                    config=RunConfig(
-                        host=host,
-                        fuel=request.quota.fuel,
-                        segment_size=request.quota.segment_size,
-                    ),
-                )
-            except TransientFault:
-                response.retries += 1
-                if response.retries >= self.retry.max_attempts:
-                    raise
-                delay = self.retry.delay(response.retries,
-                                         key=request.request_id)
-                if deadline_at is not None:
-                    remaining = deadline_at - time.monotonic()
-                    if remaining <= 0.0:
-                        raise DeadlineExceeded(
-                            f"request {request.request_id!r} exhausted "
-                            f"its deadline during retry backoff "
-                            f"(attempt {response.retries})",
-                            deadline_seconds=request.deadline_seconds,
-                        ) from None
-                    delay = min(delay, remaining)
-                self.stats.count("retry")
-                time.sleep(delay)
-
     def _run_with_deadline(self, module, request: ModuleRequest,
                            deadline: float | None,
                            deadline_at: float | None) -> int:
@@ -908,8 +803,8 @@ class ModuleHost:
         guard = None
         if deadline_at is not None:
             if deadline_at - time.monotonic() <= 0.0:
-                # Budget already spent (e.g. on retry backoffs): fail
-                # fast rather than start an execution we must kill.
+                # Budget already spent (e.g. on compile or translation):
+                # fail fast rather than start an execution we must kill.
                 raise DeadlineExceeded(
                     f"request {request.request_id!r} exceeded its "
                     f"{deadline:.3f}s deadline before execution",

@@ -19,10 +19,10 @@ threaded host around its own engine:
   protocol (in-process events plus on-disk flight locks) means a
   thundering herd on one uncached module translates exactly once even
   across processes.
-* **bit-for-bit governance parity** — deadlines, quotas, retry with
-  jittered backoff, interpreter fallback, and overload rejection all
-  run *inside* the worker's ordinary :class:`ModuleHost`; the router
-  adds only transport.  Typed control-plane errors cross the pipe via
+* **bit-for-bit governance parity** — deadlines, quotas, interpreter
+  fallback, and overload rejection all run *inside* the worker's
+  ordinary :class:`ModuleHost`; the router adds only transport.  Typed
+  control-plane errors cross the pipe via
   :func:`repro.errors.serialize_error` and re-raise as the same
   classes.
 * **crash containment** — a worker process dying (segfault, kill, OOM)
@@ -54,7 +54,6 @@ from repro.service import (
     ModuleRequest,
     ModuleResponse,
     PendingRequest,
-    RetryPolicy,
     ServiceStats,
     _percentiles,
 )
@@ -109,6 +108,10 @@ def shard_key(request: ModuleRequest) -> str:
 
 
 # -- control-plane futures ----------------------------------------------------
+
+#: Seconds the router waits for a shard to answer a control message
+#: (register, revoke, stats, shutdown) or to exit before giving up.
+CTL_TIMEOUT = 30.0
 
 
 class _CtlFuture:
@@ -247,11 +250,8 @@ class ShardedModuleHost:
         processes: int = 2,
         workers: int = 2,
         queue_depth: int = 32,
-        retry: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
         default_deadline: float | None = None,
-        watchdog_interval: float = 0.002,
-        ctl_timeout: float = 30.0,
     ):
         if processes < 1:
             raise ValueError("ShardedModuleHost needs at least one process")
@@ -263,11 +263,8 @@ class ShardedModuleHost:
         self.processes = processes
         self._workers = workers
         self._queue_depth = queue_depth
-        self.retry = retry or RetryPolicy()
         self.faults = faults
         self.default_deadline = default_deadline
-        self._watchdog_interval = watchdog_interval
-        self._ctl_timeout = ctl_timeout
         self._ring = _HashRing(processes)
         self._shards = [_Shard(index) for index in range(processes)]
         self._ctl: dict[str, _CtlFuture] = {}
@@ -310,9 +307,7 @@ class ShardedModuleHost:
             cache_capacity=cache.capacity if cache is not None else 64,
             threads=self._workers,
             queue_depth=self._queue_depth,
-            retry=self.retry,
             default_deadline=self.default_deadline,
-            watchdog_interval=self._watchdog_interval,
             fault_spec=(self.faults.snapshot()
                         if self.faults is not None else None),
         )
@@ -398,14 +393,14 @@ class ShardedModuleHost:
             if future is None:
                 continue
             try:
-                snapshots.append(future.wait(self._ctl_timeout))
+                snapshots.append(future.wait(CTL_TIMEOUT))
             except (ReproError, TimeoutError):
                 pass
         for shard in self._shards:
             process = shard.process
             if process is None:
                 continue
-            process.join(timeout=self._ctl_timeout)
+            process.join(timeout=CTL_TIMEOUT)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
@@ -504,7 +499,7 @@ class ShardedModuleHost:
         first_error: ReproError | None = None
         for future in futures:
             try:
-                future.wait(self._ctl_timeout)
+                future.wait(CTL_TIMEOUT)
             except ReproError as err:
                 first_error = first_error or err
         if first_error is not None:
@@ -551,7 +546,7 @@ class ShardedModuleHost:
         snapshots = []
         for future in futures:
             try:
-                snapshots.append(future.wait(self._ctl_timeout))
+                snapshots.append(future.wait(CTL_TIMEOUT))
             except (ReproError, TimeoutError):
                 pass
         return snapshots

@@ -3,12 +3,12 @@
 One worker process serves one shard of the request space (see
 :mod:`repro.service_router` for the consistent-hash front end).  Inside
 the process lives an ordinary :class:`~repro.service.ModuleHost` — the
-same worker threads, deadline watchdog, quota enforcement, retry policy,
-and fault injection as the single-process service — fronted by a small
-message loop over the router's pipe.  That composition is the point:
-every governance mechanism is the *same code* on both sides of the
-process boundary, so deadline/quota/retry/fallback semantics cannot
-drift between the threaded and sharded hosts.
+same worker threads, deadline watchdog, quota enforcement, interpreter
+fallback and fault injection as the single-process service — fronted by
+a small message loop over the router's pipe.  That composition is the
+point: every governance mechanism is the *same code* on both sides of
+the process boundary, so deadline/quota/fallback semantics cannot drift
+between the threaded and sharded hosts.
 
 Protocol (pickled tuples over a :class:`multiprocessing.Pipe`):
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.compiler import CompileOptions
 from repro.errors import serialize_error
-from repro.service import FaultInjector, ModuleHost, RetryPolicy
+from repro.service import FaultInjector, ModuleHost
 from repro.sfi.policy import DEFAULT_POLICY, SandboxPolicy
 from repro.translators.base import TranslationOptions
 
@@ -64,9 +64,7 @@ class WorkerConfig:
     cache_capacity: int = 64
     threads: int = 2
     queue_depth: int = 32
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     default_deadline: float | None = None
-    watchdog_interval: float = 0.002
     fault_spec: dict | None = None
 
 
@@ -91,10 +89,8 @@ def _build_host(config: WorkerConfig) -> ModuleHost:
         engine,
         workers=config.threads,
         queue_depth=config.queue_depth,
-        retry=config.retry,
         faults=faults,
         default_deadline=config.default_deadline,
-        watchdog_interval=config.watchdog_interval,
     )
     return host
 

@@ -227,14 +227,6 @@ class TestRunForwardsLoadKnobs:
                     if segment.name == "heap")
         assert heap.size == 1 << 16
 
-    def test_verify_false_skips_verification(self):
-        engine = Engine(target="mips", cache=False)
-        engine.run(SRC)
-        assert engine.metrics.stage_calls["verify.module"] == 1
-        engine.reset_stats()
-        engine.run(SRC, config=RunConfig(verify=False))
-        assert "verify.module" not in engine.metrics.stage_calls
-
 
 class TestUnknownArchitecture:
     @pytest.fixture

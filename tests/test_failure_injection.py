@@ -124,37 +124,28 @@ class TestServiceFaultInjection:
     SRC = "int main() { emit_int(7); return 0; }"
 
     def test_injected_faults_fire_in_arming_order_then_disarm(self):
-        from repro.errors import TransientFault
+        from repro.errors import TranslationError
         from repro.service import FaultInjector
 
         faults = FaultInjector()
         faults.fail_translations(count=2)
         for _ in range(2):
-            with pytest.raises(TransientFault):
+            with pytest.raises(TranslationError):
                 faults.on_translate("mips")
         faults.on_translate("mips")  # disarmed: no raise
         assert faults.fired == 2
 
     def test_arch_filter_only_hits_that_target(self):
-        from repro.errors import TransientFault
+        from repro.errors import TranslationError
         from repro.service import FaultInjector
 
         faults = FaultInjector()
         faults.fail_translations(count=-1, arch="sparc")
         faults.on_translate("mips")  # unaffected
-        with pytest.raises(TransientFault):
+        with pytest.raises(TranslationError):
             faults.on_translate("sparc")
         faults.reset()
         faults.on_translate("sparc")  # reset disarms permanent faults
-
-    def test_non_transient_fault_is_a_translator_crash(self):
-        from repro.errors import TranslationError
-        from repro.service import FaultInjector
-
-        faults = FaultInjector()
-        faults.fail_translations(count=1, transient=False)
-        with pytest.raises(TranslationError):
-            faults.on_translate("mips")
 
     def test_corrupted_disk_cache_self_heals_under_service(self, tmp_path):
         from repro.cache import TranslationCache

@@ -1,13 +1,16 @@
 """Additional host-service and adapter coverage across engines."""
 
+import itertools
 import math
 
 import pytest
 
 from repro.compiler import CompileOptions, compile_and_link
 from repro.engine import INTERPRETER, Engine
+from repro.errors import ReproError
+from repro.omnivm.memory import standard_module_memory
 from repro.runtime import hostapi
-from repro.runtime.host import Host
+from repro.runtime.host import Host, MachineAdapter
 from repro.runtime.loader import run_module
 from repro.runtime.native_loader import run_on_target
 from repro.native.profiles import MOBILE_SFI
@@ -101,9 +104,10 @@ class TestOutputRendering:
         assert host.output_values() == [1]
 
 
-#: Host math calls Python's ``math`` raises on, with C99 Annex F's
-#: result: ``(id, call, expected)``, where ``inf`` is
-#: ``host_exp(1000.0)`` and ``nan`` is ``inf - inf``.
+#: Host math calls whose C99 Annex F result Python's ``math`` does not
+#: return as is (it raises, or the argument was once screened to 0.0):
+#: ``(id, call, expected)``, where ``inf`` is ``host_exp(1000.0)``,
+#: ``nan`` is ``inf - inf`` and ``-1.0 / inf`` is a negative zero.
 NON_FINITE_CASES = [
     ("floor_inf", "host_floor(inf)", math.inf),
     ("floor_neg_inf", "host_floor(-inf)", -math.inf),
@@ -112,6 +116,16 @@ NON_FINITE_CASES = [
     ("sin_neg_inf", "host_sin(-inf)", math.nan),
     ("cos_inf", "host_cos(inf)", math.nan),
     ("cos_neg_inf", "host_cos(-inf)", math.nan),
+    ("pow_overflow", "host_pow(10.0, 400.0)", math.inf),
+    ("pow_negative_overflow", "host_pow(-10.0, 401.0)", -math.inf),
+    ("pow_fractional_power", "host_pow(-8.0, 0.5)", math.nan),
+    ("pow_pole", "host_pow(0.0, -1.0)", math.inf),
+    ("pow_negative_pole", "host_pow(-1.0 / inf, -1.0)", -math.inf),
+    ("pow_even_pole", "host_pow(-1.0 / inf, -2.0)", math.inf),
+    ("sqrt_negative", "host_sqrt(-1.0)", math.nan),
+    ("sqrt_nan", "host_sqrt(nan)", math.nan),
+    ("log_negative", "host_log(-1.0)", math.nan),
+    ("log_nan", "host_log(nan)", math.nan),
 ]
 
 #: The sum of the finite calls every case program also makes.
@@ -131,10 +145,11 @@ def _non_finite_source(call):
 
 
 class TestNonFiniteHostMath:
-    """``host_floor``, ``host_sin`` and ``host_cos`` of an infinity or
-    a NaN return a value on every executor instead of raising Python's
-    ``OverflowError`` or ``ValueError`` out of the module, and finite
-    arguments keep their results."""
+    """Host math calls with infinite, NaN, out-of-domain, overflowing or
+    pole arguments give C99 Annex F's result on every executor instead
+    of raising Python's ``OverflowError`` or ``ValueError`` out of the
+    module or answering 0.0, and finite arguments keep their
+    results."""
 
     @pytest.mark.parametrize("executor", [INTERPRETER, *ARCHITECTURES])
     @pytest.mark.parametrize(
@@ -149,11 +164,88 @@ class TestNonFiniteHostMath:
             assert math.isnan(result)
         else:
             assert result == expected
+            assert math.copysign(1.0, result) == math.copysign(1.0, expected)
         assert finite == FINITE
 
     def test_served_request_is_ok(self):
-        source = _non_finite_source("host_floor(-inf)")
         with Engine().serve(workers=1) as host:
-            response = host.run(ModuleRequest(program=source))
-        assert response.ok, response.error
-        assert response.output == "-inf" + format(FINITE, ".6g")
+            responses = host.run_batch([
+                ModuleRequest(program=_non_finite_source(call))
+                for _id, call, _expected in NON_FINITE_CASES])
+        for (_id, _call, expected), response in zip(NON_FINITE_CASES,
+                                                    responses):
+            assert response.ok, response.error
+            assert response.output == (format(expected, ".6g")
+                                       + format(FINITE, ".6g"))
+
+
+class _StubAdapter(MachineAdapter):
+    """Hands the host fixed arguments and records what it sets."""
+
+    def __init__(self, memory, ints, doubles):
+        self.memory = memory
+        self.ints = ints
+        self.doubles = doubles
+        self.result = None
+
+    def get_int_arg(self, index):
+        return self.ints[index]
+
+    def get_fp_arg(self, index):
+        return self.doubles[index]
+
+    def set_int_result(self, value):
+        self.result = value
+
+    def set_fp_result(self, value):
+        self.result = value
+
+    def halt(self, code):
+        pass
+
+    def instret(self):
+        return 0
+
+
+#: Boundary doubles for every ``double`` parameter.
+BOUNDARY_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308,
+                    -1e308, 5e-324, -8.0, 0.5, 400.0]
+
+
+class TestEveryHostCallIsTotal:
+    """Every host function, called at the host boundary with boundary
+    arguments, sets its result or raises a typed
+    :class:`~repro.errors.ReproError`, never a raw Python exception.
+    Integer arguments are s32 and u32 extremes and pointers at the data
+    segment's first and last byte and one past each end; two arguments
+    take every combination, three the diagonal."""
+
+    @pytest.mark.parametrize("name", [name for name in hostapi.HOST_FUNCTIONS
+                                      if name != "sethandler"])
+    def test_boundary_arguments(self, name):
+        # A small segment, so a read of up to 2 GiB from the data
+        # segment faults at its end instead of walking the heap.
+        memory = standard_module_memory(b"\0" * 64, b"\0" * 64, 1 << 16)
+        data = next(s for s in memory.segments if s.name == "data")
+        ints = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, data.base,
+                data.limit - 1, data.base - 1, data.limit]
+        spec = hostapi.HOST_FUNCTIONS[name]
+        choices = [BOUNDARY_DOUBLES if param == "double" else ints
+                   for param in spec.params]
+        grid = (itertools.product(*choices) if len(choices) < 3
+                else zip(*choices))
+        for args in grid:
+            host = Host(exports=set(hostapi.HOST_FUNCTIONS))
+            host.inbox = [b"hello", b"x" * 300]
+            adapter = _StubAdapter(
+                memory,
+                [a for a, p in zip(args, spec.params) if p != "double"],
+                [a for a, p in zip(args, spec.params) if p == "double"])
+            try:
+                host.hostcall(adapter, spec.index)
+            except ReproError:
+                continue
+            if spec.result == "double":
+                assert isinstance(adapter.result, float), args
+            elif spec.result != "void":
+                assert isinstance(adapter.result, int), args

@@ -276,19 +276,3 @@ class TestHostInterface:
         code, host = run_module(program)
         assert code == 3
         assert host.output_values() == [7]
-
-    def test_instruction_mix_instrumentation(self):
-        program = link([assemble("""
-            .text
-            .globl main
-        main:
-            li r1, 0
-            addi r1, r1, 1
-            addi r1, r1, 1
-            jr ra
-        """)])
-        loaded = load_for_interpretation(program)
-        loaded.vm.count_opcodes = True
-        loaded.run()
-        assert loaded.vm.opcode_counts["addi"] == 2
-        assert loaded.vm.opcode_counts["li"] == 1

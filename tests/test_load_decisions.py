@@ -1,9 +1,9 @@
 """Each load-time decision has one owner, and every loader calls it.
 
-* Cache admission (:func:`repro.cache.cached_translation`): a load with
-  verification off never adds to the shared translation cache, so a
-  later verified load of the same content is verified — for a single
-  program and for a dynamic-link chunk.
+* Cache admission (:func:`repro.cache.cached_translation`): a load that
+  a verifier refuses adds nothing to the shared translation cache, so
+  the next load of the same content is verified and refused again —
+  for a single program and for a dynamic-link chunk.
 * Cache keys: a load derives one key, so it digests its program once;
   an image's key covers its modules' sandbox policies; and an
   arch-filtered invalidation keeps the interpreter's artifacts.
@@ -64,37 +64,35 @@ def linking_engine(app_source=APP) -> Engine:
     return engine
 
 
-class TestUnverifiedLoadsStayOutOfTheCache:
+class TestRefusedLoadsStayOutOfTheCache:
     @pytest.mark.parametrize("arch", ["mips", "x86"])
-    def test_verified_load_after_unverified_one_is_verified(self, arch):
-        fresh = Engine()
-        program = fresh.compile(EMIT)
-        bad_hostcalls(program.instrs)
-        with pytest.raises(VerifyError, match="bad hostcall index 9999"):
-            fresh.load(program, arch)
-
+    def test_program_is_refused_twice(self, arch):
         engine = Engine()
-        engine.load(program, arch, config=RunConfig(verify=False))
-        with pytest.raises(VerifyError, match="bad hostcall index 9999"):
-            engine.load(program, arch)
+        program = engine.compile(EMIT)
+        bad_hostcalls(program.instrs)
+        for _ in ("first", "second"):
+            with pytest.raises(VerifyError,
+                               match="bad hostcall index 9999"):
+                engine.load(program, arch)
+        assert engine.cache.stats().stores == 0
+        assert len(engine.cache) == 0
 
-    def test_verified_chunk_after_unverified_one_is_verified(self):
+    def test_chunk_is_refused_twice(self):
         engine = Engine()
         engine.register_module("lib", LIBRARY)
         app = compile_to_object(APP, CompileOptions(module_name="app"))
         bad_hostcalls(app.text)
         engine.register_module("app", app)
         image = engine.link_modules(["app"])
-        linker.translate_image(image, "mips", MOBILE_SFI,
-                               cache=engine.cache, verify=False)
-        assert engine.cache.stats().stores == 0
-        # A verified translation of the image verifies it ...
+        # A translation of the image verifies it ...
         with pytest.raises(VerifyError, match="bad hostcall index 9999"):
             linker.translate_image(image, "mips", MOBILE_SFI,
                                    cache=engine.cache)
-        # ... and so does the whole verified load.
+        # ... and so does the whole load, which finds no chunk stored.
         with pytest.raises(VerifyError, match="bad hostcall index 9999"):
             engine.load(image, "mips")
+        assert engine.cache.stats().stores == 0
+        assert len(engine.cache) == 0
 
 
 class TestOneKeyPerLoad:

@@ -83,5 +83,3 @@ class TestRejects:
         program.instrs[0].imm = 12345
         with pytest.raises(VerifyError):
             load_for_interpretation(program)
-        # But an explicit opt-out exists for trusted debugging.
-        load_for_interpretation(program, verify=False)

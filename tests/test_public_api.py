@@ -1,9 +1,8 @@
 """Public API snapshot: the package's exported surface is a contract.
 
 Pins ``repro.__all__``, the :class:`~repro.engine.RunConfig` fields,
-the redesigned ``Engine.load``/``Engine.run`` signatures, the dynamic
-linking error hierarchy, and the deprecation shim for the pre-RunConfig
-keyword arguments.  A failure here means a (possibly accidental)
+the redesigned ``Engine.load``/``Engine.run`` signatures, and the
+dynamic linking error hierarchy.  A failure here means a (possibly accidental)
 breaking change to the public API — update the snapshot only on a
 deliberate redesign."""
 
@@ -59,7 +58,6 @@ PUBLIC_API = [
     "QuotaExceeded",
     "ReproError",
     "RequestQuota",
-    "RetryPolicy",
     "RunConfig",
     "SandboxViolation",
     "ServiceOverloaded",
@@ -98,7 +96,7 @@ class TestRunConfig:
     def test_fields(self):
         assert [f.name for f in
                 __import__("dataclasses").fields(RunConfig)] == [
-            "fuel", "segment_size", "engine", "verify", "host"
+            "fuel", "segment_size", "engine", "host"
         ]
 
     def test_defaults(self):
@@ -106,7 +104,6 @@ class TestRunConfig:
         assert config.fuel is None
         assert config.segment_size is None
         assert config.engine is None
-        assert config.verify is True
         assert config.host is None
 
     def test_frozen(self):

@@ -5,10 +5,16 @@ import pytest
 from repro.compiler import CompileOptions, compile_and_link
 from repro.errors import HostCallError, VerifyError
 from repro.omnivm.asmparser import assemble
+from repro.omnivm.interp import OmniVM
 from repro.omnivm.linker import link
+from repro.omnivm.memory import standard_module_memory
 from repro.runtime import hostapi
 from repro.runtime.host import HeapAllocator, Host
-from repro.runtime.loader import load_for_interpretation, run_module
+from repro.runtime.loader import (
+    _OmniVMAdapter,
+    load_for_interpretation,
+    run_module,
+)
 from repro.runtime.native_loader import run_on_target
 from repro.native.profiles import MOBILE_SFI
 from repro.translators import ARCHITECTURES
@@ -120,11 +126,17 @@ class TestHostServices:
             hostcall 1
             jr ra
         """)])
-        # Corrupt the index beyond the table (bypassing the verifier).
+        # Corrupt the index beyond the table.  The loader's verifier
+        # refuses such a module, so wire the VM to its host by hand to
+        # test the host's own index check.
         program.instrs[0].imm = 999
-        loaded = load_for_interpretation(program, verify=False)
+        vm = OmniVM(program, standard_module_memory(program.text_image,
+                                                    program.data_image))
+        host = Host()
+        vm.hostcall = lambda vm, index: host.hostcall(_OmniVMAdapter(vm),
+                                                      index)
         with pytest.raises(HostCallError):
-            loaded.run()
+            vm.run()
 
     def test_verifier_catches_bad_hostcall_index(self):
         program = link([assemble("""

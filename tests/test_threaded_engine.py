@@ -15,7 +15,6 @@ checks move to basic-block boundaries.  These tests pin:
 * the word-aligned :meth:`Memory.load_u32`/:meth:`Memory.store_u32`
   fast path, including its fall-back to the generic accessors for
   faults, permissions, and segment-straddling accesses;
-* the ``count_opcodes`` instrumentation gate on both interpreter loops;
 * engine selection through :class:`~repro.engine.Engine`, the loaders,
   and the ``omnicc run --engine`` flag, plus the predecode side table
   of the translation cache;
@@ -346,29 +345,6 @@ class TestWordAccessors:
         with pytest.raises(AccessViolation):
             memory.store_u32(0x20000000, 8)
         assert memory.load_u32(0x20000000) == 7
-
-
-class TestOpcodeCountGate:
-    """opcode_counts only accumulates when count_opcodes is set."""
-
-    def test_disabled_by_default_on_both_engines(self):
-        for engine in ("legacy", "threaded"):
-            module = load_for_interpretation(straightline_exit(),
-                                             engine=engine)
-            assert module.run() == 7
-            assert module.vm.opcode_counts == {}
-
-    def test_enabled_counts_match_across_engines(self):
-        counts = []
-        for engine in ("legacy", "threaded"):
-            module = load_for_interpretation(straightline_exit(),
-                                             engine=engine)
-            module.vm.count_opcodes = True
-            assert module.run() == 7
-            counts.append(dict(module.vm.opcode_counts))
-            assert sum(module.vm.opcode_counts.values()) == \
-                module.vm.state.instret
-        assert counts[0] == counts[1] == {"li": 1, "addi": 3, "jr": 1}
 
 
 class TestEnginePlumbing:
