@@ -13,12 +13,12 @@ TranslationOptions)``:
 * the **options digest** covers every field of
   :class:`~repro.translators.base.TranslationOptions`, so e.g. an
   SFI-off translation can never satisfy an SFI-on request;
-* entries are held **in memory** (bounded by ``capacity``, evicted by
-  segmented LRU; see below) with optional **on-disk persistence** (one
+* entries are held **in memory** (bounded by ``capacity``, admitted by
+  frequency; see below) with optional **on-disk persistence** (one
   JSON file per entry under ``disk_dir``) that survives process
   restarts;
-* hit / miss / eviction / store counters are exported through
-  :meth:`TranslationCache.stats` and mirrored into
+* hit / miss / eviction (or refusal) / store counters are exported
+  through :meth:`TranslationCache.stats` and mirrored into
   :mod:`repro.metrics` counters (``cache.hit`` / ``cache.miss`` / ...)
   when a collector is active.
 
@@ -36,15 +36,17 @@ hash pins the exact input it was produced from.
 translation table and the predecode side table — so a load digests its
 program once.
 
-**One eviction policy** serves both tables: a segmented LRU
-(:class:`_SegmentedLRU`; Karedla, Love and Wherry, IEEE Computer 1994)
-whose protected segment holds four fifths of the capacity.  A host's
-traffic is popular modules loaded again and again among rarer ones;
-under a plain LRU a run of rare loads flushes the popular modules,
-whose next loads then pay verification, translation and SFI
-verification again and lose their JIT heat.  Here a key hit once
-outlives a scan of ``capacity`` one-shot keys, while traffic that
-never repeats a key is served exactly as by a plain LRU.
+**One eviction policy** serves both tables: an LRU behind a frequency
+admission filter (:class:`_TinyLFU`, after TinyLFU; Einziger, Friedman
+and Manes, ACM TOS 2017).  A host's traffic is popular modules loaded
+again and again among rarer ones; under a plain LRU a run of rare loads
+flushes the popular modules, whose next loads then pay verification,
+translation and SFI verification again and lose their JIT heat.  Here
+a new key displaces the least recently used entry only if it has been
+used more often, by an exact count that halves every ``10 * capacity``
+uses.  A one-shot key is refused: its translation serves its own
+request and dies with it instead of churning the table, and traffic
+that never repeats a key keeps the first ``capacity`` keys resident.
 
 Durability guarantees (the service layer leans on all three):
 
@@ -71,11 +73,12 @@ counters, and the disk directory (see :class:`repro.service.ModuleHost`).
 **Single-flight translation** (:meth:`TranslationCache.translate_once`):
 when a thundering herd of requests misses on the same uncached key, one
 caller (the *leader*) translates while the rest wait and then read the
-leader's result — in-process via a per-key event, and across processes
-sharing a ``disk_dir`` via an exclusive ``*.flight`` lock file plus
-polling of the disk tier.  A crashed leader's stale flight lock is
-broken after :data:`FLIGHT_STALE_SECONDS`, so single-flight degrades to
-duplicate work, never to a deadlock.
+leader's result — in-process from a per-key flight record, which
+carries the result even when the table refuses to keep it, and across
+processes sharing a ``disk_dir`` via an exclusive ``*.flight`` lock
+file plus polling of the disk tier.  A crashed leader's stale flight
+lock is broken after :data:`FLIGHT_STALE_SECONDS`, so single-flight
+degrades to duplicate work, never to a deadlock.
 """
 
 from __future__ import annotations
@@ -220,6 +223,8 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
+    #: entries displaced by a new key, plus new keys the table refused
+    #: (a store, or a disk-tier hit, that the table would not keep)
     evictions: int = 0
     stores: int = 0
     disk_hits: int = 0
@@ -250,90 +255,100 @@ class CacheStats:
         }
 
 
-class _SegmentedLRU(Mapping):
-    """A bounded table evicted by segmented LRU, the cache's one policy.
+class _TinyLFU(Mapping):
+    """A bounded LRU table behind a frequency admission filter (TinyLFU;
+    Einziger, Friedman and Manes, ACM TOS 2017), the cache's one policy.
 
-    A new entry enters the most recently used (MRU) end of a *probation*
-    segment.  A hit in probation promotes the entry to a *protected*
-    segment of at most ``capacity * 4 // 5`` entries, whose least
-    recently used (LRU) entry falls back to probation's MRU end; a hit in
-    protected refreshes the entry.  Eviction takes probation's LRU entry,
-    and probation may use every slot protected leaves free, so a stream
-    that never repeats a key, and every capacity below 2, see a plain
-    LRU.
+    Every :meth:`use` of a key, hit or miss, adds one to its count in an
+    exact frequency table; every ``10 * capacity`` uses all counts
+    halve, and a key whose count reaches 0 is forgotten unless it is
+    resident (a resident keeps a count of at least 1).  A hit moves the
+    entry to the most recently used (MRU) end.  A new key stored into a
+    full table displaces the least recently used (LRU) entry only if
+    its count is strictly greater than that entry's; otherwise the
+    table refuses it.  Every load looks its key up before it stores it,
+    so a key used once never displaces a resident, and a stream that
+    never repeats a key keeps its first ``capacity`` keys.
 
     Read as a mapping (``[]``, ``in``, iteration, ``len``) it is a peek:
-    only :meth:`use` and :meth:`add` count as uses.
+    only :meth:`use` counts.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._protected_capacity = capacity * 4 // 5
-        self._probation: OrderedDict = OrderedDict()
-        self._protected: OrderedDict = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
+        self._counts: dict = {}
+        self._uses = 0
 
     def __getitem__(self, key):
-        if key in self._protected:
-            return self._protected[key]
-        return self._probation[key]
+        return self._entries[key]
 
     def __iter__(self):
-        yield from self._probation
-        yield from self._protected
+        return iter(self._entries)
 
     def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
+        return len(self._entries)
 
     def use(self, key):
-        """The value under *key*, recording the use; None when absent."""
-        value = self._protected.get(key)
+        """The value under *key*, counting the use; None when absent."""
+        self._counts[key] = self._counts.get(key, 0) + 1
+        self._uses += 1
+        if self._uses == 10 * self.capacity:
+            # The halving bounds the counts near 16 * capacity keys;
+            # the floor keeps a halving from opening the whole table
+            # to the next run of one-shot keys.
+            self._uses = 0
+            self._counts = {k: max(count // 2, 1)
+                            for k, count in self._counts.items()
+                            if count > 1 or k in self._entries}
+        value = self._entries.get(key)
         if value is not None:
-            self._protected.move_to_end(key)
-            return value
-        value = self._probation.pop(key, None)
-        if value is not None:
-            self._promote(key, value)
+            self._entries.move_to_end(key)
         return value
 
     def add(self, key, value) -> bool:
         """Keep *value* under *key*; storing a resident key replaces its
-        value and counts as a use.  Returns whether an entry was
-        evicted to make room."""
-        resident = (self._protected.pop(key, None) is not None
-                    or self._probation.pop(key, None) is not None)
-        if resident:
-            self._promote(key, value)
-            return False
-        self._probation[key] = value
-        if len(self) <= self.capacity:
-            return False
-        self._probation.popitem(last=False)
-        return True
+        value and refreshes it.  Returns whether an entry was evicted to
+        make room or *key* was refused."""
+        entries = self._entries
+        full = key not in entries and len(entries) >= self.capacity
+        if full:
+            victim = next(iter(entries))
+            if self._counts.get(key, 0) <= self._counts.get(victim, 0):
+                return True
+            del entries[victim]
+        entries[key] = value
+        entries.move_to_end(key)
+        return full
 
     def drop(self, doomed) -> list:
         """Remove every key for which *doomed* holds; returns them."""
-        keys = [key for key in self if doomed(key)]
+        keys = [key for key in self._entries if doomed(key)]
         for key in keys:
-            self._protected.pop(key, None)
-            self._probation.pop(key, None)
+            del self._entries[key]
         return keys
 
-    def _promote(self, key, value) -> None:
-        self._protected[key] = value
-        if len(self._protected) > self._protected_capacity:
-            demoted, demoted_value = self._protected.popitem(last=False)
-            self._probation[demoted] = demoted_value
+
+class _Flight:
+    """One in-process translation in flight: waiters block on ``landed``
+    and then take ``result``, which stays None when the leader failed."""
+
+    def __init__(self):
+        self.landed = threading.Event()
+        self.result = None
 
 
 class TranslationCache:
     """Cache of verified :class:`TranslatedModule` values.
 
     ``capacity`` bounds the in-memory entry count of each table, and
-    each table evicts by segmented LRU with four fifths of it protected
-    for entries used more than once (:class:`_SegmentedLRU`), so a
-    host's popular modules outlive runs of one-shot loads; ``disk_dir``
-    (optional) enables persistence — evicted or restart-lost entries
-    are reloaded from disk on the next request and re-enter memory.
+    each table is an LRU behind a frequency admission filter
+    (:class:`_TinyLFU`): a new key displaces the table's least recently
+    used entry only if it has been used more often, so a host's popular
+    modules outlive runs of one-shot loads, which die with their
+    request; ``disk_dir`` (optional) enables persistence — evicted,
+    refused or restart-lost entries are reloaded from disk on the next
+    request and re-enter memory once their use count admits them.
 
     Instances are thread-safe: every public method takes the internal
     reentrant lock, so a :class:`repro.service.ModuleHost` worker pool
@@ -346,7 +361,7 @@ class TranslationCache:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._entries = _SegmentedLRU(capacity)
+        self._entries = _TinyLFU(capacity)
         # Predecoded threaded-engine artifacts (repro.omnivm.threaded /
         # repro.targets.threaded), one per translation; each carries the
         # superblock JIT's state for it (heat and compiled factories),
@@ -354,13 +369,14 @@ class TranslationCache:
         # Held beside the translation table, same capacity bound, policy
         # and keys, but memory-only: the artifacts are closure tables
         # and cannot be persisted.
-        self._predecoded = _SegmentedLRU(capacity)
+        self._predecoded = _TinyLFU(capacity)
         self._stats = CacheStats()
         self._lock = threading.RLock()
-        # Single-flight coordination: key -> Event set when the leader's
-        # translation lands (or fails).  Guarded by its own lock so a
-        # translating leader never holds the cache lock.
-        self._flights: dict[tuple[str, str, str], threading.Event] = {}
+        # Single-flight coordination: key -> the leader's flight, which
+        # lands with its translation (or without one, when it fails).
+        # Guarded by its own lock so a translating leader never holds
+        # the cache lock.
+        self._flights: dict[tuple[str, str, str], _Flight] = {}
         self._flight_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -399,7 +415,10 @@ class TranslationCache:
     def put(self, program: LinkedProgram, arch: str,
             options: TranslationOptions | None,
             translated: TranslatedModule) -> None:
-        """Insert a (verified) translation."""
+        """Offer a (verified) translation: a store the table may refuse
+        (counted as an eviction) when its key has not been used more
+        often than the entry it would displace; the disk tier, if any,
+        keeps it either way."""
         self._store(cache_key(program, arch, options), translated)
 
     def _store(self, key: tuple[str, str, str],
@@ -425,13 +444,15 @@ class TranslationCache:
 
         Concurrent callers missing on the same key elect one leader;
         the rest wait (``cache.single_flight_wait``) and then read the
-        leader's stored entry.  If the leader fails, a waiter is crowned
-        and retries — every caller eventually returns a translation or
-        raises its own error, never a stale one.  Across processes
-        sharing a ``disk_dir``, an exclusive flight-lock file makes the
-        first process the leader and the others poll the disk tier.
-        *produce* must return a **verified** :class:`TranslatedModule`
-        (the cache's usual admission contract).
+        leader's stored entry, or take its translation from the flight
+        when the table refused to keep it, so a refused translation is
+        still produced once per stampede.  If the leader fails, a waiter
+        is crowned and retries — every caller eventually returns a
+        translation or raises its own error, never a stale one.  Across
+        processes sharing a ``disk_dir``, an exclusive flight-lock file
+        makes the first process the leader and the others poll the disk
+        tier.  *produce* must return a **verified**
+        :class:`TranslatedModule` (the cache's usual admission contract).
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -439,20 +460,31 @@ class TranslationCache:
             if cached is not None:
                 return cached
             with self._flight_lock:
-                event = self._flights.get(key)
-                leader = event is None
+                flight = self._flights.get(key)
+                leader = flight is None
                 if leader:
-                    event = self._flights[key] = threading.Event()
+                    flight = self._flights[key] = _Flight()
             if not leader:
                 with self._lock:
                     self._stats.single_flight_waits += 1
                 metrics.count("cache.single_flight_wait")
-                event.wait(max(0.0, deadline - time.monotonic()))
+                flight.landed.wait(max(0.0, deadline - time.monotonic()))
+                if flight.result is not None:
+                    # The leader's work is done: take its entry from
+                    # memory (a hit), or its result when the table
+                    # refused it, never reloading from disk.
+                    with self._lock:
+                        cached = self._entries.use(key)
+                        if cached is not None:
+                            self._stats.hits += 1
+                            metrics.count("cache.hit")
+                            return cached
+                    return flight.result
                 if time.monotonic() >= deadline:
                     # Leader wedged: give up on waiting and translate
                     # ourselves rather than stall the request forever.
                     return produce()
-                continue  # re-probe: leader stored it (or failed)
+                continue  # the leader failed: re-probe, and maybe lead
             try:
                 flight_file = self._acquire_flight_file(key)
                 if flight_file is None and self.disk_dir is not None:
@@ -461,12 +493,14 @@ class TranslationCache:
                     # owner goes stale.
                     entry = self._await_foreign_flight(key)
                     if entry is not None:
+                        flight.result = entry
                         return entry
                     flight_file = self._acquire_flight_file(key,
                                                             steal=True)
                 try:
                     translated = produce()
                     self._store(key, translated)
+                    flight.result = translated
                     return translated
                 finally:
                     if flight_file is not None:
@@ -477,7 +511,7 @@ class TranslationCache:
             finally:
                 with self._flight_lock:
                     self._flights.pop(key, None)
-                event.set()
+                flight.landed.set()
 
     def _flight_path(self, key: tuple[str, str, str]) -> Path | None:
         path = self._disk_path(key)
@@ -538,13 +572,16 @@ class TranslationCache:
 
     def predecoded(self, key: tuple[str, str, str], build) -> object:
         """Return the threaded-engine artifact for *key* (see
-        :func:`cache_key`), calling *build* and keeping its result on a
-        miss.  The side table is memory only, and its eviction is silent
-        — translation ``stats().evictions`` stays untouched.
+        :func:`cache_key`), calling *build* and offering its result to
+        the side table on a miss.  The side table is memory only, and its
+        evictions and refusals are silent — translation
+        ``stats().evictions`` stays untouched.  A refused artifact is
+        returned to its own caller.
 
         *build* runs outside the lock, so two loads of one key may both
-        build; the first artifact stored stays resident (with its JIT
-        heat and compiled superblocks) and is returned to both."""
+        build; when the first artifact stored was admitted, it stays
+        resident (with its JIT heat and compiled superblocks) and is
+        returned to both."""
         with self._lock:
             artifact = self._predecoded.use(key)
             if artifact is not None:

@@ -218,7 +218,6 @@ def clone_module(module: TranslatedModule) -> TranslatedModule:
         instrs=instrs,
         omni_to_native=dict(module.omni_to_native),
         entry_native=module.entry_native,
-        program=module.program,
     )
 
 

@@ -229,16 +229,37 @@ class Memory:
         for i, byte in enumerate(data):
             self.store(address + i, 1, byte)
 
+    def _readable_runs(self, address: int, length: int):
+        """(segment data, offset, count) runs covering *length* bytes
+        from *address*, one per segment, raising the
+        :class:`~repro.errors.AccessViolation` one-byte loads would at
+        the first unmapped or unreadable byte."""
+        while length > 0:
+            address = u32(address)
+            seg = self._segment_for(address, 1, PERM_READ, "load")
+            offset = address - seg.base
+            count = min(length, seg.size - offset)
+            yield seg.data, offset, count
+            address, length = address + count, length - count
+
     def read_bytes(self, address: int, length: int) -> bytes:
-        return bytes(self.load(address + i, 1) for i in range(length))
+        """What *length* one-byte loads from *address* return or raise.
+        The whole range is checked against the segment map before one
+        slice per segment is copied, so a huge length faults at once."""
+        runs = list(self._readable_runs(address, length))
+        return b"".join(data[offset:offset + count]
+                        for data, offset, count in runs)
 
     def read_cstring(self, address: int, max_len: int = 1 << 16) -> bytes:
+        """The string at *address* up to its NUL, as one-byte loads would
+        read it (with the same faults, and "unterminated string" when
+        *max_len* bytes hold no NUL), searched for segment by segment."""
         out = bytearray()
-        for i in range(max_len):
-            byte = self.load(address + i, 1)
-            if byte == 0:
-                return bytes(out)
-            out.append(byte)
+        for data, offset, count in self._readable_runs(address, max_len):
+            nul = data.find(b"\0", offset, offset + count)
+            if nul >= 0:
+                return bytes(out + data[offset:nul])
+            out += data[offset:offset + count]
         raise AccessViolation("unterminated string", address, "load")
 
 

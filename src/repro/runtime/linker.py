@@ -720,7 +720,6 @@ def translate_image(
             instrs=out_instrs,
             omni_to_native=global_map,
             entry_native=entry_native,
-            program=image,
         )
 
 

@@ -90,7 +90,6 @@ class TranslatedModule:
     #: legal indirect-entry points: OmniVM address -> native index
     omni_to_native: dict[int, int] = field(default_factory=dict)
     entry_native: int = 0
-    program: LinkedProgram | None = None
     #: direct control transfers whose OmniVM target lies outside this
     #: translation unit (declared via ``program.extern_addrs``): pairs of
     #: (native instruction index, OmniVM byte address).  Until the
@@ -228,7 +227,7 @@ class BaseTranslator:
         check_sentinel_clearance(base_index, len(program.instrs))
         entry_points = self._entry_points(program)
         boundaries = self._block_boundaries(program)
-        module = TranslatedModule(self.spec, self.options, program=program)
+        module = TranslatedModule(self.spec, self.options)
         # Padded policy variant: align every indirect-entry anchor to a
         # pad_align-instruction bundle (padding is meaningless without
         # the SFI machinery it hardens).

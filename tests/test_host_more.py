@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
 from repro.compiler import CompileOptions, compile_and_link
 from repro.engine import INTERPRETER, Engine
-from repro.errors import ReproError
-from repro.omnivm.memory import standard_module_memory
+from repro.errors import AccessViolation, ReproError
+from repro.omnivm.memory import DATA_BASE, standard_module_memory
 from repro.runtime import hostapi
 from repro.runtime.host import Host, MachineAdapter
 from repro.runtime.loader import run_module
@@ -249,3 +250,18 @@ class TestEveryHostCallIsTotal:
                 assert isinstance(adapter.result, float), args
             elif spec.result != "void":
                 assert isinstance(adapter.result, int), args
+
+    def test_send_of_two_gib_faults_at_once(self):
+        # Default 16 MiB segments: the read runs through data, heap and
+        # stack before it reaches the unmapped gap.
+        memory = standard_module_memory(b"\0" * 64, b"\0" * 64)
+        host = Host(exports=set(hostapi.HOST_FUNCTIONS))
+        adapter = _StubAdapter(memory, [DATA_BASE, 0x7FFFFFFF], [])
+        start = time.perf_counter()
+        with pytest.raises(AccessViolation) as fault:
+            host.hostcall(adapter, hostapi.HOST_FUNCTIONS["host_send"].index)
+        assert time.perf_counter() - start < 1.0
+        assert fault.value.address == 0x22100000
+        assert str(fault.value) == (
+            "load of 1 bytes at unmapped address 0x22100000")
+        assert not host.sent and adapter.result is None

@@ -131,6 +131,86 @@ class TestTypedAccess:
         assert memory.write_count == before + 1
 
 
+def per_byte_read(memory, address, length):
+    """The reference for :meth:`Memory.read_bytes`: one load a byte."""
+    return bytes(memory.load(address + i, 1) for i in range(length))
+
+
+def per_byte_cstring(memory, address, max_len=1 << 16):
+    """The reference for :meth:`Memory.read_cstring`."""
+    out = bytearray()
+    for i in range(max_len):
+        byte = memory.load(address + i, 1)
+        if byte == 0:
+            return bytes(out)
+        out.append(byte)
+    raise AccessViolation("unterminated string", address, "load")
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except AccessViolation as err:
+        return str(err), err.address, err.kind
+
+
+STACK_END = STACK_BASE + STACK_SIZE
+CODE_END = CODE_BASE + DEFAULT_SEGMENT_SIZE
+
+
+@pytest.fixture
+def marked():
+    """Default segments with text on both sides of every boundary of the
+    data, heap and stack run; the heap's text starts with a NUL and holds
+    another, the stack's holds none."""
+    memory = standard_module_memory(b"\x01" * 64, b"\x02" * 64)
+    for boundary in (HEAP_BASE, STACK_BASE, STACK_END):
+        memory.write_bytes(boundary - 8, b"ABCDEFGH")
+    memory.write_bytes(HEAP_BASE, b"\0ijk\0lmn")
+    memory.write_bytes(STACK_BASE, b"opqrstuv")
+    return memory
+
+
+class TestBulkReads:
+    """``read_bytes`` and ``read_cstring`` copy one slice per segment,
+    with the results and faults of one load per byte."""
+
+    @pytest.mark.parametrize("address, length", [
+        (HEAP_BASE, 0), (HEAP_BASE, -5),
+        (HEAP_BASE - 4, 4), (HEAP_BASE - 4, 5),        # data's last byte
+        (STACK_END - 8, 8), (STACK_END - 8, 9),        # stack's last byte
+        (HEAP_BASE - 8, 16), (HEAP_BASE - 4096, 8192),  # data -> heap
+        (STACK_BASE - 8, 16),                          # heap -> stack
+        (STACK_END - 8, 4096), (CODE_END - 3, 8),      # into the gap
+        (STACK_END, 4), (0, 1), (DATA_BASE - 1, 2),    # unmapped start
+    ])
+    def test_read_bytes_matches_per_byte_loads(self, marked, address,
+                                               length):
+        assert (outcome(marked.read_bytes, address, length)
+                == outcome(per_byte_read, marked, address, length))
+
+    @pytest.mark.parametrize("address, max_len", [
+        (HEAP_BASE - 8, 1 << 16), (HEAP_BASE - 8, 8),  # NUL at heap's base
+        (HEAP_BASE - 8, 9), (HEAP_BASE + 1, 1 << 16), (HEAP_BASE + 1, 3),
+        (HEAP_BASE + 4, 4), (STACK_BASE - 8, 1 << 16),  # heap -> stack
+        (STACK_END - 8, 1 << 16), (STACK_END - 8, 8),  # into the gap
+        (STACK_END - 8, 9), (HEAP_BASE, 0), (HEAP_BASE, -1),
+        (STACK_END, 4), (DATA_BASE, 64),
+    ])
+    def test_read_cstring_matches_per_byte_loads(self, marked, address,
+                                                 max_len):
+        assert (outcome(marked.read_cstring, address, max_len)
+                == outcome(per_byte_cstring, marked, address, max_len))
+
+    def test_unreadable_segment_faults_at_its_first_byte(self, marked):
+        marked.set_perms("heap", PERM_WRITE)
+        for read, reference in ((marked.read_bytes, per_byte_read),
+                                (marked.read_cstring, per_byte_cstring)):
+            fault = outcome(read, HEAP_BASE - 8, 16)
+            assert fault == outcome(reference, marked, HEAP_BASE - 8, 16)
+            assert fault[1] == HEAP_BASE and "denied" in fault[0]
+
+
 #: What one default address space maps: code, data and heap segments
 #: and the stack (49 MiB).
 DEFAULT_SPACE = 3 * DEFAULT_SEGMENT_SIZE + STACK_SIZE

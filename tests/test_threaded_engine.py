@@ -434,7 +434,8 @@ class TestEnginePlumbing:
         cache = TranslationCache(capacity=1)
         a, b = object(), object()
         cache.predecoded(("a", "omnivm", ""), lambda: a)
-        cache.predecoded(("b", "omnivm", ""), lambda: b)
+        cache.predecoded(("b", "omnivm", ""), lambda: b)  # refused
+        cache.predecoded(("b", "omnivm", ""), lambda: b)  # displaces a
         assert cache.stats().evictions == 0
         assert cache.predecoded(("b", "omnivm", ""), object) is b
         assert cache.predecoded(("a", "omnivm", ""), object) is not a
