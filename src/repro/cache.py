@@ -83,6 +83,7 @@ degrades to duplicate work, never to a deadlock.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -168,9 +169,18 @@ def program_digest(program: LinkedProgram) -> str:
     return program.digest_hint
 
 
+_DEFAULT_OPTIONS = TranslationOptions()
+
+
 def options_digest(options: TranslationOptions | None) -> str:
     """Stable, field-complete digest of a TranslationOptions value."""
-    options = options or TranslationOptions()
+    return _options_digest(options or _DEFAULT_OPTIONS)
+
+
+@functools.lru_cache(maxsize=64)
+def _options_digest(options: TranslationOptions) -> str:
+    # Options are frozen and hashable, and a process sees a handful of
+    # values, so each value is encoded once.
     payload = {f.name: getattr(options, f.name)
                for f in fields(TranslationOptions)}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -148,7 +148,15 @@ class VerifyError(ReproError):
     """A module failed load-time verification."""
 
 
-class CrossModuleViolation(VerifyError):
+class ModuleVerifyError(VerifyError):
+    """An OmniVM module failed verification (:mod:`repro.omnivm.verifier`).
+
+    The module is malformed whatever executes it, so the service does not
+    retry the load on the interpreter, as it does when the translator or
+    the SFI verifier refuses a native load."""
+
+
+class CrossModuleViolation(ModuleVerifyError):
     """A module references another module's code other than through an
     exported symbol (direct jump/call into a non-exported address, or a
     materialized code pointer crossing the module boundary)."""

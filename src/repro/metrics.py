@@ -33,6 +33,8 @@ Usage::
 
 Stage names are dotted paths (``frontend.lex``, ``translate``,
 ``verify.sfi``, ``execute``); counters likewise (``translate.native_instrs``,
+``translate.schedule_hits`` / ``translate.schedule_misses`` (scheduled
+blocks whose order the translators' schedule table held, or computed),
 ``execute.sfi.dynamic``, ``cache.hit``, ``cache.disk_reject``, and the
 module-hosting service's ``service.request`` / ``service.fallback`` /
 ``service.timeout`` family).  The threaded-code

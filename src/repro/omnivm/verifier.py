@@ -20,7 +20,7 @@ closes at run time by masking the target register (see
 from __future__ import annotations
 
 from repro import metrics
-from repro.errors import VerifyError
+from repro.errors import ModuleVerifyError
 from repro.omnivm.isa import INSTR_SIZE, SPEC_BY_NAME
 from repro.omnivm.linker import LinkedProgram
 from repro.omnivm.memory import CODE_BASE, DEFAULT_SEGMENT_SIZE, DATA_BASE
@@ -28,7 +28,8 @@ from repro.runtime import hostapi
 
 
 def verify_program(program: LinkedProgram) -> None:
-    """Raise :class:`VerifyError` if *program* fails load-time checks."""
+    """Raise :class:`~repro.errors.ModuleVerifyError` if *program* fails
+    load-time checks."""
     with metrics.stage("verify.module"):
         _verify_program(program)
     if metrics.active():
@@ -41,49 +42,51 @@ def _verify_program(program: LinkedProgram) -> None:
     # verified as part of their image, never on their own.
     code_size = len(program.instrs) * INSTR_SIZE
     if code_size > DEFAULT_SEGMENT_SIZE:
-        raise VerifyError("code image exceeds the code segment")
+        raise ModuleVerifyError("code image exceeds the code segment")
     if len(program.data_image) > DEFAULT_SEGMENT_SIZE:
-        raise VerifyError("data image exceeds the data segment")
+        raise ModuleVerifyError("data image exceeds the data segment")
     code_lo = CODE_BASE
     code_hi = code_lo + code_size
     for index, instr in enumerate(program.instrs):
         spec = SPEC_BY_NAME.get(instr.op)
         if spec is None:
-            raise VerifyError(f"instruction {index}: unknown opcode {instr.op!r}")
+            raise ModuleVerifyError(
+                f"instruction {index}: unknown opcode {instr.op!r}")
         for reg in (instr.rd, instr.rs, instr.rt, instr.fd, instr.fs, instr.ft):
             if not 0 <= reg < 16:
-                raise VerifyError(f"instruction {index}: register out of range")
+                raise ModuleVerifyError(
+                    f"instruction {index}: register out of range")
         if instr.label is not None:
-            raise VerifyError(
+            raise ModuleVerifyError(
                 f"instruction {index}: unresolved symbol {instr.label!r}"
             )
         if spec.kind in ("branch", "branchi", "jump", "call"):
             target = instr.imm & 0xFFFFFFFF
             if not code_lo <= target < code_hi:
-                raise VerifyError(
+                raise ModuleVerifyError(
                     f"instruction {index}: control target {target:#x} "
                     f"outside code segment"
                 )
             if target % INSTR_SIZE:
-                raise VerifyError(
+                raise ModuleVerifyError(
                     f"instruction {index}: misaligned control target"
                 )
         if spec.kind == "host":
             if instr.imm not in hostapi.HOST_FUNCTIONS_BY_INDEX:
-                raise VerifyError(
+                raise ModuleVerifyError(
                     f"instruction {index}: bad hostcall index {instr.imm}"
                 )
     # The entry point must exist and be sane.
     entry = program.entry_address
     if not code_lo <= entry < code_hi or entry % INSTR_SIZE:
-        raise VerifyError(f"bad entry address {entry:#x}")
+        raise ModuleVerifyError(f"bad entry address {entry:#x}")
     # Data relocations were applied by the linker; spot-check symbols point
     # into the module's own segments.
     for name, address in program.symbols.items():
         in_code = CODE_BASE <= address < CODE_BASE + DEFAULT_SEGMENT_SIZE
         in_data = DATA_BASE <= address < DATA_BASE + DEFAULT_SEGMENT_SIZE
         if not (in_code or in_data):
-            raise VerifyError(f"symbol {name!r} outside module segments")
+            raise ModuleVerifyError(f"symbol {name!r} outside module segments")
     # Multi-module images additionally verify that every cross-module
     # reference lands on an exported symbol (the hook avoids an import
     # cycle with repro.runtime.linker, which defines the image type).

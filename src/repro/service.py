@@ -40,7 +40,8 @@ Governance mechanisms:
 * **graceful degradation** — when the load for the requested target
   fails (translation is deterministic, so it is attempted once), the
   request runs on the reference interpreter instead of failing
-  (``service.fallback``); a quota refusal is not degraded.  Module-level
+  (``service.fallback``); a quota refusal and a module that fails
+  OmniVM verification are not degraded.  Module-level
   faults (traps, violations) become typed error responses, never
   worker crashes.  Corrupted disk-cache entries self-heal as misses.
 * **fault injection** — :class:`FaultInjector` lets tests force
@@ -87,6 +88,7 @@ from repro.errors import (
     FuelExhausted,
     ModuleCycleError,
     ModuleRevokedError,
+    ModuleVerifyError,
     QuotaExceeded,
     ReproError,
     ServiceOverloaded,
@@ -757,7 +759,9 @@ class ModuleHost:
                         self.faults.on_translate(arch)
                     module = engine.load(program, arch, request.options,
                                          config=config)
-                except QuotaExceeded:
+                except (QuotaExceeded, ModuleVerifyError):
+                    # Refused for the module itself: the interpreter
+                    # would refuse it too.
                     raise
                 except ReproError:
                     # Graceful degradation: serve the request on the

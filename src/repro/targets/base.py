@@ -26,7 +26,8 @@ appears in the timing model, not the semantics; caches are not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable
 
 from repro import metrics
@@ -188,6 +189,43 @@ _WRITES_NO_RS = frozenset(("li", "lui"))
 #: x86-style two-operand ops that read their destination.
 _TWO_OPERAND_READS_DEST = frozenset(())
 
+#: An instruction's shape: the fields that its operand sets, its result
+#: latency, its issue record and the dual-issue rules read.  Immediates,
+#: targets, predicates, categories and ``omni_addr`` are not part of it,
+#: so blocks that differ only in those have one shape.
+instr_shape = attrgetter("op", "rd", "rs", "rt", "fd", "fs", "ft")
+
+
+class ShapeTable:
+    """A process-wide memo of a pure function of block shapes, bounded
+    by the instructions its keys describe.
+
+    ``entries`` is read with plain ``dict`` reads: under the GIL two
+    threads that fill one key compute equal values, so either store may
+    win.  A :meth:`put` that would take the table past ``limit``
+    instructions first replaces it with an empty one (threads storing at
+    that moment may each add one block over the limit), and a value for
+    more than ``limit`` instructions is not kept at all.  Callers keep
+    the values they already hold, so a clear loses only sharing.
+    """
+
+    __slots__ = ("limit", "entries", "held")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries: dict = {}
+        self.held = 0
+
+    def put(self, key, value, size: int) -> None:
+        """Store *value* for *key*, which describes *size* instructions."""
+        if size > self.limit:
+            return
+        if self.held + size > self.limit:
+            self.entries = {}
+            self.held = 0
+        self.entries[key] = value
+        self.held += size
+
 
 #: The scoreboard is a flat list of ready cycles, one slot per register:
 #: integer registers 0-71, FP registers 72-111 and the condition codes
@@ -300,6 +338,11 @@ class Timing:
         register *prev* writes."""
         return (prev is not None and self.dual_issue(prev, instr)
                 and not _depends_on(instr, prev))
+
+
+#: Every field of a :class:`Timing`, as one tuple: with the shapes of a
+#: block's instructions, what its cycle charge depends on.
+timing_key = attrgetter(*(f.name for f in fields(Timing)))
 
 
 @dataclass

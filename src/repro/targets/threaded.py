@@ -52,7 +52,15 @@ from repro.errors import (
     VMRuntimeError,
 )
 from repro.jitcore import BlockDispatch, JitState
-from repro.targets.base import MInstr, TargetMachine, TargetSpec, Timing
+from repro.targets.base import (
+    MInstr,
+    ShapeTable,
+    TargetMachine,
+    TargetSpec,
+    Timing,
+    instr_shape,
+    timing_key,
+)
 from repro.targets.ops import OPS, TABLE
 from repro.utils.bits import s32, u32
 
@@ -168,9 +176,21 @@ class BlockCharge:
     entry.  A penalty keeps the charge shift-invariant: it moves the
     issue cursor to ``cycles`` plus the penalty, and ``cycles ==
     _last_issue_cycle`` after every charge.  Machines that share the
-    artifact (``serve`` workers) replace the tuple without a lock; a
+    charge (``serve`` workers, and machines running other programs
+    with a block of the same shape) replace the tuple without a lock; a
     reader sees either the old tuple or the new one, and both are a
     correct state and its result.
+
+    The threaded tier takes its block charges from :func:`block_charge`,
+    which shares one charge among all blocks of one shape under one
+    timing, in any program: so ``instrs``, ``first`` and ``last`` may be
+    another translation's instructions.  Everything the charge reads of
+    them, in :meth:`TargetMachine._charge`, :meth:`Timing.pairs` and
+    ``_last_issued``, is their shape and the timing (their issue
+    records are the timing's, computed from the shape), so the cycles
+    are the ones the block's own instructions would give.  What
+    ``_deliver_violation`` and the fault replay read comes from the
+    machine's own ``instrs``, never from a charge.
     """
 
     __slots__ = ("instrs", "reads", "writes", "first", "last", "memo")
@@ -192,6 +212,36 @@ class BlockCharge:
         self.first = instrs[0]
         self.last = instrs[-1]
         self.memo = None
+
+
+#: The charge table's bound, in instructions over all its keys.  300
+#: generated cold programs leave 218 keys holding 1,955 instructions,
+#: and the first loads of the four SPEC kernels on the four targets
+#: 1,013 keys holding 9,008, so both fit.  Worst case: a full table of
+#: one-instruction charges takes 1,275 bytes per instruction, counting
+#: the instruction and its operand sets and issue record, which the
+#: charge keeps alive (750-800 for charges of 8 to 512), so at most
+#: 20 MiB (measured with ``tracemalloc``, CPython 3.11).
+CHARGE_TABLE_INSTRS = 1 << 14
+
+_CHARGES = ShapeTable(CHARGE_TABLE_INSTRS)
+
+
+def block_charge(instrs: list[MInstr], timing: Timing) -> BlockCharge:
+    """The :class:`BlockCharge` of *instrs* under *timing*, shared with
+    every block of the same shapes under the same timing fields.
+
+    The key covers every :class:`Timing` field (the cc profile's PPC
+    timing differs from the default one only in ``cmp_latency``) and
+    each instruction's shape.  The table holds charges only: their
+    instructions and memo tuples, and nothing else of a program.
+    """
+    key = (timing_key(timing), tuple(map(instr_shape, instrs)))
+    charge = _CHARGES.entries.get(key)
+    if charge is None:
+        charge = BlockCharge(instrs, timing)
+        _CHARGES.put(key, charge, len(instrs))
+    return charge
 
 
 class ThreadedNativeProgram:
@@ -276,7 +326,7 @@ class ThreadedNativeProgram:
             slot = (self._body_step(term_end + 1), slot_mi,
                     slot_charge and slot_mi.category != "fused")
         charged = [mi for mi in charged if mi.category != "fused"]
-        charge = BlockCharge(charged, spec.timing) if charged else None
+        charge = block_charge(charged, spec.timing) if charged else None
         block = (tuple(body), tuple(cats.items()), total, term_kind,
                  term_fn, term_mi, term_end, slot, charge)
         self.blocks[index] = block

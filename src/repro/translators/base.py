@@ -35,7 +35,7 @@ from repro.omnivm.linker import LinkedProgram
 from repro.omnivm.memory import CODE_BASE, DATA_BASE, SANDBOX_BASE, SANDBOX_MASK
 from repro.sfi.policy import DEFAULT_POLICY, RETURN_SENTINEL, SandboxPolicy
 from repro.targets.base import MInstr, TargetSpec
-from repro.translators.sched import finalize_block, list_schedule
+from repro.translators.sched import finalize_block, schedule_block
 from repro.utils.bits import s32, u32
 
 
@@ -207,17 +207,22 @@ class BaseTranslator:
     # -- the driver ------------------------------------------------------------------
 
     def translate(self, program: LinkedProgram) -> TranslatedModule:
+        # Scheduled blocks whose order the schedule table missed, and hit.
+        schedules = [0, 0]
         with metrics.stage("translate"):
-            module = self._translate(program)
+            module = self._translate(program, schedules)
         if metrics.active():
             metrics.count("translate.calls")
             metrics.count("translate.omni_instrs", len(program.instrs))
             metrics.count("translate.native_instrs", len(module.instrs))
+            metrics.count("translate.schedule_misses", schedules[0])
+            metrics.count("translate.schedule_hits", schedules[1])
             for category, total in module.static_expansion().items():
                 metrics.count(f"translate.static.{category}", total)
         return module
 
-    def _translate(self, program: LinkedProgram) -> TranslatedModule:
+    def _translate(self, program: LinkedProgram,
+                   schedules: list[int]) -> TranslatedModule:
         from repro.sfi import rewrite
         from repro.sfi.policy import check_sentinel_clearance
 
@@ -225,8 +230,8 @@ class BaseTranslator:
         # The translation unit must stop short of the return-sentinel
         # slot (the last aligned code address is reserved; see policy).
         check_sentinel_clearance(base_index, len(program.instrs))
+        # Every entry point starts a block.
         entry_points = self._entry_points(program)
-        boundaries = self._block_boundaries(program)
         module = TranslatedModule(self.spec, self.options)
         # Padded policy variant: align every indirect-entry anchor to a
         # pad_align-instruction bundle (padding is meaningless without
@@ -248,8 +253,9 @@ class BaseTranslator:
             nonlocal block
             if not block:
                 return
-            if self.options.schedule:
-                block = list_schedule(block, self.spec, precise)
+            if self.options.schedule and len(block) > 1:
+                block, hit = schedule_block(block, self.spec, precise)
+                schedules[hit] += 1
             block = finalize_block(block, self.spec, self.options.schedule,
                                    precise)
             module.instrs.extend(block)
@@ -257,7 +263,7 @@ class BaseTranslator:
 
         for index, instr in enumerate(program.instrs):
             omni_addr = CODE_BASE + (base_index + index) * INSTR_SIZE
-            if omni_addr in boundaries:
+            if omni_addr in entry_points:
                 flush_block()
                 if pad:
                     # The block is empty post-flush, so the anchor's
@@ -281,7 +287,7 @@ class BaseTranslator:
                 program.instrs[index + 1]
                 if index + 1 < len(program.instrs) else None
             )
-            next_is_boundary = (omni_addr + INSTR_SIZE) in boundaries
+            next_is_boundary = (omni_addr + INSTR_SIZE) in entry_points
             fused_skip = self.expand_instr(
                 instr, omni_addr,
                 next_instr if (self.options.peephole and not next_is_boundary)
@@ -357,10 +363,6 @@ class BaseTranslator:
                 add_code_address(u32(instr.imm))
         add_code_address(program.entry_address)
         return points
-
-    def _block_boundaries(self, program: LinkedProgram) -> set[int]:
-        bounds = self._entry_points(program)
-        return bounds
 
     # -- to be provided per target ------------------------------------------------
 

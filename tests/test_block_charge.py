@@ -19,8 +19,13 @@ entered from two states in turn, and a looped trace that deopts at a
 different iteration on each pass.  Path charges with taken-branch
 penalties are checked against per-item charges from several entry
 states, and a stress test runs one artifact from four threads at once.
+The threaded tier shares one block charge among all blocks of one shape
+under one timing (:func:`~repro.targets.threaded.block_charge`), so
+programs that differ only in immediates, and the PPC default and cc
+profiles, run alternately against the legacy executor too.
 """
 
+import random
 import sys
 import threading
 import time
@@ -35,16 +40,20 @@ from repro.errors import (
     VMTrap,
 )
 from repro.omnivm.memory import CODE_BASE, DATA_BASE, standard_module_memory
+from repro.targets import threaded
 from repro.targets.base import MInstr as M
-from repro.targets.base import TargetMachine
+from repro.targets.base import ShapeTable, TargetMachine, instr_shape
 from repro.targets.jit import JitTargetMachine
 from repro.targets.threaded import (
     BlockCharge,
     ThreadedTargetMachine,
+    block_charge,
     predecode_native,
 )
 from repro.translators import ARCHITECTURES, target_spec
+from repro.translators.base import TranslationOptions
 from repro.utils.bits import f64_to_bits
+from tests.test_sched import one_field_variants
 
 #: Module addresses the indirect jumps of the programs below name.
 HANDLER = CODE_BASE + 0x400
@@ -562,3 +571,172 @@ def test_machines_sharing_an_artifact_across_threads(arch):
     assert not errors, errors
     assert len(results) >= 4
     assert set(results) == {(serial["cycles"], serial["instret"])}
+
+
+# -- block charges shared by shape ---------------------------------------------
+
+def immediates_program(k):
+    """A program whose instruction shapes do not depend on *k*: only
+    its immediates, and so its trip count, loads and branch outcomes,
+    do."""
+    def make(spec):
+        return counted_loop(3 + k, [
+            M("li", rd=20, imm=DATA_BASE + 4 * k),
+            M("addi", rd=21, rs=2, imm=k), M("mul", rd=22, rs=21, rt=21),
+            br(M("j"), "next"),
+            "next", M("lw", rd=23, rs=20, imm=4 * k),
+            M("add", rd=24, rs=23, rt=22), M("cmpi", rs=24, imm=40 * k),
+            br(M("bcc", pred="lt"), "skip"),
+            M("addi", rd=25, rs=24, imm=k),
+            "skip", M("addi", rd=26, rs=25, imm=-k),
+        ]) + [ret(spec)]
+    return make
+
+
+def block_charges(program):
+    """The charge of every block the artifact has built, by entry."""
+    return {index: block[8] for index, block in enumerate(program.blocks)
+            if block is not None and block[8] is not None}
+
+
+def run_alternately(runs, make):
+    """For each ``(spec, items)`` in turn: the legacy observation, the
+    observation of a machine from *make* on a fresh artifact, and the
+    artifact's block charges."""
+    results = []
+    for spec, items in runs:
+        instrs, omni_to_native = layout(spec, items)
+        legacy = observe(TargetMachine(spec, instrs, fresh_memory(),
+                                       omni_to_native))
+        program = predecode_native(spec, instrs)
+        seen = observe(make(spec, instrs, omni_to_native, program))
+        results.append((legacy, seen, block_charges(program)))
+    return results
+
+
+def jit_machine_after_one_visit(spec, instrs, omni_to_native, program):
+    """A JIT machine that runs each entry once on the threaded tier, so
+    it builds the entry's block (and takes its charge), and compiles it
+    at the second dispatch."""
+    machine = jit_machine(spec, instrs, omni_to_native, program)
+    machine._jit_heat = 2
+    return machine
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("make", [threaded_machine,
+                                  jit_machine_after_one_visit],
+                         ids=["threaded", "jit"])
+def test_programs_differing_in_immediates_share_charges(arch, make):
+    """Two programs that differ only in immediates, run alternately on
+    fresh artifacts, each match the legacy executor, and their blocks
+    share charge objects: a charge hit from one program's entry state
+    charges the other's blocks."""
+    spec = target_spec(arch)
+    runs = [(spec, immediates_program(k)(spec)) for k in (1, 2, 1, 2)]
+    results = run_alternately(runs, make)
+    for n, (legacy, seen, _charges) in enumerate(results):
+        assert seen == legacy, f"{arch}: run {n}"
+    assert results[0][0]["cycles"] != results[1][0]["cycles"]
+    first, second = results[0][2], results[1][2]
+    assert first and first.keys() == second.keys()
+    assert all(first[index] is second[index] for index in first)
+
+
+def test_the_cc_profile_gets_charges_of_its_own():
+    """The PPC cc profile's timing differs from the default one only in
+    ``cmp_latency`` (1 against 2).  One compare-heavy program, run
+    alternately under each profile, matches each profile's legacy
+    cycles; two default-profile artifacts share their charges, and the
+    two profiles share none."""
+    default = target_spec("ppc")
+    cc = target_spec("ppc", TranslationOptions(native_profile="cc"))
+
+    def items(spec):
+        return counted_loop(5, [
+            M("cmpi", rs=2, imm=3), M("setcc", rd=20, pred="lt"),
+            M("add", rd=21, rs=20, rt=2), br(M("j"), "next"),
+            "next", M("cmp", rs=21, rt=2), M("setcc", rd=22, pred="eq"),
+        ]) + [ret(spec)]
+
+    runs = [(spec, items(spec)) for spec in (default, cc, default, cc)]
+    results = run_alternately(runs, threaded_machine)
+    for n, (legacy, seen, _charges) in enumerate(results):
+        assert seen == legacy, f"run {n}"
+    assert results[0][0]["cycles"] > results[1][0]["cycles"]
+    ((_, _, d1), (_, _, c1), (_, _, d2), (_, _, c2)) = results
+    assert d1.keys() == d2.keys() == c1.keys() == c2.keys()
+    assert all(d1[i] is d2[i] and c1[i] is c2[i] for i in d1)
+    assert not {id(charge) for charge in d1.values()} & \
+        {id(charge) for charge in c1.values()}
+
+
+def test_charges_of_blocks_differing_in_one_shape_field(monkeypatch):
+    """Random blocks, each followed by its variants that differ in one
+    field of one instruction's shape, all twice over, charged from one
+    shared table and from several entry states, leave the timing state
+    that charging their own instructions one by one leaves."""
+    monkeypatch.setattr(threaded, "_CHARGES",
+                        ShapeTable(threaded.CHARGE_TABLE_INSTRS))
+    rng = random.Random(29)
+
+    def state(spec, entry, charge):
+        machine = ThreadedTargetMachine(spec, [M("nop")], fresh_memory(), {})
+        charge_items(machine, entry)
+        if isinstance(charge, BlockCharge):
+            machine._charge_block(charge)
+        else:
+            charge_items(machine, charge)
+        last = machine._last_issued
+        return (machine.cycles, machine._last_issue_cycle,
+                list(machine._ready), machine._pair_open,
+                None if last is None else instr_shape(last))
+
+    shared = blocks = 0
+    for arch in ARCHITECTURES:
+        spec = target_spec(arch)
+        for _ in range(25):
+            for shapes in one_field_variants(rng, branch=None) * 2:
+                own = [M(**fields) for fields in shapes]
+                charge = block_charge(own, spec.timing)
+                shared += charge.first is not own[0]
+                blocks += 1
+                for name in ("fresh", "pairable", "multiply_in_flight"):
+                    entry = ENTRY_STATES[name]
+                    other = [M(**fields) for fields in shapes]
+                    assert state(spec, entry, charge) == \
+                        state(spec, entry, other), (arch, name, shapes)
+    assert shared == blocks // 2
+
+
+def test_more_charge_shapes_than_the_bound(monkeypatch):
+    """Distinct shapes worth more instructions than the bound leave the
+    charge table at or under it, each charge reads and writes what a
+    charge of its own would, and the programs above still charge the
+    legacy cycles afterwards."""
+    table = ShapeTable(threaded.CHARGE_TABLE_INSTRS)
+    monkeypatch.setattr(threaded, "_CHARGES", table)
+    spec = target_spec("mips")
+    limit = threaded.CHARGE_TABLE_INSTRS
+    stored = 0
+    for k in range(limit // 4 + 64):
+        rd, rs = divmod(k, 60)
+        instrs = [M("lw", rd=2 + rd % 60, rs=2 + rs, imm=0),
+                  M("addi", rd=3, rs=2 + rd % 60, imm=1),
+                  M("li", rd=4 + k // 3600, imm=k),
+                  M("sw", rd=3, rs=2 + rs, imm=4)]
+        charge = block_charge(instrs, spec.timing)
+        own = BlockCharge(instrs, spec.timing)
+        assert (charge.reads, charge.writes) == (own.reads, own.writes)
+        assert charge.instrs == own.instrs
+        stored += len(instrs)
+        held = sum(len(key[1]) for key in table.entries)
+        assert held == table.held <= limit
+    assert stored > limit
+    assert len(table.entries) < stored // 4
+    for name in PROGRAMS:
+        legacy, cold, warm, _jit, _jit_warm = run_three("mips", name)
+        if name == "fp_divide":
+            legacy = dict(legacy, pc=legacy["pc"] - 3,
+                          instret=legacy["instret"] - 4)
+        assert cold == warm == legacy, name

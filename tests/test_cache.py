@@ -61,6 +61,27 @@ class TestKeying:
         assert cache_key(program, "mips", None) == cache_key(
             program, "mips", TranslationOptions())
 
+    def test_options_digest_strings_are_pinned(self):
+        """The digest is encoded once per options value, and the
+        strings, which name disk-tier files too, are the field-complete
+        JSON of the value, asked for twice."""
+        want = {
+            None: (True, True, True, None, None, False),
+            MOBILE_SFI: (True, True, True, None, None, False),
+            MOBILE_NOSFI: (False, True, True, None, None, False),
+            TranslationOptions(native_profile="cc"):
+                (True, True, True, None, "cc", False),
+            TranslationOptions(global_pointer=False, sfi_reads=True):
+                (True, True, True, False, None, True),
+        }
+        for options, values in want.items():
+            names = ("sfi", "schedule", "peephole", "global_pointer",
+                     "native_profile", "sfi_reads")
+            expected = json.dumps(dict(zip(names, values)), sort_keys=True,
+                                  separators=(",", ":"))
+            for _ in range(2):
+                assert options_digest(options) == expected
+
 
 class TestHitMiss:
     def test_miss_then_hit(self, program):

@@ -22,6 +22,8 @@ from repro.compiler import compile_and_link
 from repro.engine import Engine, RunConfig
 from repro.errors import ServiceOverloaded
 from repro.native.profiles import MOBILE_SFI
+from repro.omnivm.asmparser import assemble
+from repro.omnivm.linker import link
 from repro.service import (
     LATENCY_WINDOW,
     CappedHost,
@@ -67,6 +69,20 @@ int main() {
 @pytest.fixture(scope="module")
 def program():
     return compile_and_link([SRC])
+
+
+def bad_hostcall_module():
+    """The module of ``tests/test_omnivm_verifier.py``'s bad hostcall
+    test: its ``hostcall`` names index 12345, which no host exports."""
+    program = link([assemble("""
+        .text
+        .globl main
+    main:
+        hostcall 1
+        jr ra
+    """)])
+    program.instrs[0].imm = 12345
+    return program
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +328,41 @@ class TestRetryAndFallback:
                                               target="vax"))
         assert response.ok and response.fallback
         assert response.arch == "omnivm"
+
+    def test_module_failing_verification_does_not_fall_back(self):
+        """A module the OmniVM verifier refuses is refused on every
+        executor: the response names the requested target, nothing
+        falls back, and the module is verified once."""
+        engine = Engine(target="mips")
+        with engine.serve(workers=1) as host:
+            response = host.run(ModuleRequest(program=bad_hostcall_module()))
+        assert not response.ok and not response.fallback
+        assert response.arch == "mips"
+        assert response.error == "ModuleVerifyError"
+        assert "bad hostcall index 12345" in response.error_message
+        assert host.stats.counters["error"] == 1
+        assert "fallback" not in host.stats.counters
+        counters = engine.stats()["counters"]
+        assert counters["service.error"] == 1
+        assert "service.fallback" not in counters
+        assert engine.metrics.stage_calls["verify.module"] == 1
+
+    def test_sfi_verifier_refusal_falls_back(self, program, monkeypatch):
+        """A native load the SFI verifier refuses runs on the
+        interpreter: only a module the OmniVM verifier refuses is
+        refused on every executor."""
+        from repro.errors import VerifyError
+        from repro.sfi import verifier as sfi_verifier
+
+        def refuse(*args, **kwargs):
+            raise VerifyError("unsandboxed store")
+
+        monkeypatch.setattr(sfi_verifier, "verify_sfi", refuse)
+        with Engine(target="mips").serve(workers=1) as host:
+            response = host.run(ModuleRequest(program=program))
+        assert response.ok and response.fallback
+        assert response.arch == "omnivm" and response.output == "42"
+        assert host.stats.counters["fallback"] == 1
 
 
 class TestOverloadAndErrors:

@@ -18,6 +18,8 @@ import pytest
 from repro.compiler import compile_and_link
 from repro.engine import Engine
 from repro.errors import DynamicLinkError, ServiceOverloaded
+from repro.omnivm.asmparser import assemble
+from repro.omnivm.linker import link
 from repro.service import (
     FaultInjector,
     ModuleRequest,
@@ -124,6 +126,23 @@ class TestOutcomeParity:
         assert response.ok and response.fallback
         assert response.arch == "omnivm" and response.output == "42"
         assert host.stats.counters["fallback"] == 1
+
+    def test_module_failing_verification_is_not_degraded(self, serve):
+        program = link([assemble("""
+            .text
+            .globl main
+        main:
+            hostcall 1
+            jr ra
+        """)])
+        program.instrs[0].imm = 12345  # no host exports this index
+        with serve(Engine(target="mips"), workers=1) as host:
+            response = host.run(ModuleRequest(program=program))
+        assert not response.ok and not response.fallback
+        assert response.arch == "mips"
+        assert response.error == "ModuleVerifyError"
+        assert host.stats.counters["error"] == 1
+        assert host.stats.counters.get("fallback", 0) == 0
 
     def test_overload_sheds_with_typed_error(self, serve, spinner):
         engine = Engine(target="mips")

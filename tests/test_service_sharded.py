@@ -185,22 +185,33 @@ class TestCrashRecovery:
             assert response.ok and response.output == "42"
 
     def test_registry_log_replays_into_respawned_shard(self):
+        def failed(response):
+            return f"error={response.error!r}: {response.error_message!r}"
+
         with Engine().serve(processes=2, workers=1) as host:
             host.register_module("lib", LIB_SRC)
             host.register_module("app", APP_SRC)
             request = ModuleRequest(modules=["app"])
-            assert host.run(request).ok
+            first = host.run(request)
             victim = host.shard_of(request)
             shard = host._shards[victim]
+            assert first.ok, (
+                f"first run, before the kill, on shard {victim} "
+                f"generation {shard.generation}: {failed(first)}")
             shard.process.kill()
             assert _await(lambda: shard.generation >= 2
-                          and all(host.alive()))
-            for _ in range(5):
+                          and all(host.alive())), (
+                f"respawn of shard {victim}: generation "
+                f"{shard.generation}, alive {host.alive()}")
+            for attempt in range(5):
                 response = host.run(ModuleRequest(modules=["app"]),
                                     timeout=30.0)
                 if response.ok:
                     break
-            assert response.ok and response.output == "42"
+            assert response.ok and response.output == "42", (
+                f"run after the respawn, attempt {attempt + 1} of 5, on "
+                f"shard {victim} generation {shard.generation}: "
+                f"{failed(response)}, output {response.output!r}")
 
     def test_revocation_survives_respawn(self):
         with Engine().serve(processes=2, workers=1) as host:
